@@ -363,7 +363,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (reserved)")
 
     args = parser.parse_args(argv)
     handlers = {

@@ -182,7 +182,10 @@ def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     cost = np.zeros(n + 2)
     cost[:n] = -c_signed  # linprog minimizes
     bounds = [(None, None)] * n + [(0.0, None), (0.0, None)]
-    res = linprog(cost, A_ub=a_ub, b_ub=np.array(rhs), bounds=bounds, method="highs")
+    # HiGHS' default feasibility tolerances (1e-7) let the optimum drift by
+    # a few 1e-9, enough to make d(mu, nu) and d(nu, mu) differ at that level
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost, A_ub=a_ub, b_ub=np.array(rhs), bounds=bounds, method="highs", options=tol)
     if not res.success:  # pragma: no cover - defensive
         raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
     return max(0.0, float(-res.fun))
@@ -245,11 +248,19 @@ class MeasurePath:
 
 
 def _atomic_write(path: str, writer):
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    ``mkstemp`` creates the temp file with mode 0600 and the rename keeps
+    it, so the file is given the mode a plain ``open()`` would create it
+    with: 0666 minus the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
+            os.chmod(tmp, 0o666 & ~umask)
             writer(handle)
         os.replace(tmp, path)
     except BaseException:

@@ -11,8 +11,16 @@ original field averaged against the subordinator density g_beta.  The
 linear solver evaluates this directly on quadrature rules; the nonlinear
 (interaction) solver runs a Picard fixed point on the same formula; a
 Monte Carlo solver samples the internal clock instead of integrating it
-and serves as an independent oracle.  beta = 1 degenerates to classical
-transport and is special-cased throughout (no averaging).
+and serves as an independent oracle.
+
+Every solver is built from three shared pieces: one g-rule map
+s -> (real times, weights), whose two consumers are the field average
+sum_q w_q v(x, r_q) and the path average sum_q w_q mu_{r_q}; one RK4
+stepper; and one routine that advects mu0 (plus any injected source) over
+the union of the h-rule nodes and mixes the node push-forwards.  The
+interaction field is linear in the measure, so its g-average is the field
+induced by the path average.  beta = 1 needs no special case: the g- and
+h-rules become point masses and the same code is classical transport.
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ __all__ = [
     "solve_linear_mc",
     "solve_nonlinear",
     "solve_with_source",
-    "solve_classical",
 ]
 
 
@@ -171,10 +178,10 @@ class FlowTable:
     """Particle positions along the characteristic flow.
 
     ``s_nodes`` starts at 0 where the flow is the identity; ``positions``
-    has shape (len(s_nodes), N, d).  Intermediate internal times are
-    answered by linear interpolation between recorded nodes (the
-    recording step equals the RK4 step, so the interpolation error is
-    dominated by the integrator error).
+    has shape (len(s_nodes), N, d) and holds the positions at the nodes
+    only.  Intermediate internal times are answered by linear
+    interpolation between recorded nodes, so its error is set by the node
+    spacing; nodes themselves are answered exactly.
     """
 
     s_nodes: np.ndarray
@@ -192,8 +199,61 @@ class FlowTable:
 
 
 # ---------------------------------------------------------------------------
-# Effective velocities
+# The g-rule map and the two averages built on it
 # ---------------------------------------------------------------------------
+
+
+def _g_rule(beta: FracOrder, config: SolverConfig):
+    """Map s -> (real times r_q, weights summing to 1) of the g_beta(., s)
+    rule: the unit rule with nodes scaled by s^(1/beta).  At s <= 0 and at
+    beta = 1 the rule is the single node (s, 1)."""
+
+    def point(s):
+        return np.array([s]), np.ones(1)
+
+    if beta.is_classical:
+        return point
+    unit = g_quadrature(beta, 1.0, config.q_g, max(config.eps_tail, 1e-8))
+    weights = unit.weights / unit.weights.sum()
+
+    def rule(s):
+        if s <= 0.0:
+            return point(s)
+        return unit.nodes * s ** (1.0 / beta.beta), weights
+
+    return rule
+
+
+def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
+    """(nodes, weights summing to 1) of the h_beta(., t) rule for each t; at
+    beta = 1 the point mass at t, so classical transport needs no branch."""
+    if beta.is_classical:
+        return [(np.array([t]), np.ones(1)) for t in times]
+    rules = [h_quadrature(beta, t, config.q_h, config.eps_tail) for t in times]
+    return [(r.nodes, r.weights / r.weights.sum()) for r in rules]
+
+
+def _field_average(v: ExplicitField, x, times, weights) -> np.ndarray:
+    """Field average sum_q w_q v(x, r_q) of an explicit field."""
+    out = np.zeros_like(np.atleast_2d(x), dtype=float)
+    for r_q, w_q in zip(times, weights):
+        out += w_q * v(x, float(r_q))
+    return out
+
+
+def _path_average(path: MeasurePath, times, weights) -> EmpiricalMeasure:
+    """Path average sum_q w_q mu_{r_q}, with piecewise-constant lookup of
+    the path.  Nodes that hit the same recorded measure share one copy of
+    it, carrying the sum of their weights."""
+    hit = np.maximum(np.searchsorted(path.times, times, side="right") - 1, 0)
+    mass = np.bincount(hit, weights=weights, minlength=len(path.measures))
+    parts = [(mu, m) for mu, m in zip(path.measures, mass) if m > 0.0 and mu.size]
+    if not parts:
+        return EmpiricalMeasure(points=np.zeros((0, path.dim)), weights=np.zeros(0))
+    return EmpiricalMeasure(
+        points=np.concatenate([mu.points for mu, _ in parts]),
+        weights=np.concatenate([m * mu.weights for mu, m in parts]),
+    )
 
 
 def _check_g_rule(rule: QuadratureRule, t: float):
@@ -214,11 +274,7 @@ def effective_velocity(beta: FracOrder, v: ExplicitField, x, t: float, rule: Qua
     """
     _check_g_rule(rule, t)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    total = np.zeros_like(x)
-    wsum = rule.weights.sum()
-    for s_q, w_q in zip(rule.nodes, rule.weights):
-        total += (w_q / wsum) * v(x, float(s_q))
-    return total
+    return _field_average(v, x, rule.nodes, rule.weights / rule.weights.sum())
 
 
 def effective_velocity_from_path(
@@ -229,17 +285,14 @@ def effective_velocity_from_path(
     Evaluates sum_q w_q v[mu_{r_q}](x) with piecewise-constant lookup of
     the path; real times beyond the recorded horizon reuse the final
     measure (freezing), with the induced error bounded by
-    2 * bound * P(D_s > horizon).
+    2 * bound * P(D_s > horizon).  The field is linear in the measure, so
+    this is the field induced by the path average sum_q w_q mu_{r_q}.
     """
     _check_g_rule(rule, s)
     if not path.measures:
         raise ValueError("empty measure path")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    total = np.zeros_like(x)
-    wsum = rule.weights.sum()
-    for r_q, w_q in zip(rule.nodes, rule.weights):
-        total += (w_q / wsum) * v.induced(path.at(float(r_q)))(x)
-    return total
+    return v.induced(_path_average(path, rule.nodes, rule.weights / rule.weights.sum()))(x)
 
 
 def freezing_tail_probability(beta: FracOrder, s: float, horizon: float) -> float:
@@ -255,39 +308,86 @@ def freezing_tail_probability(beta: FracOrder, s: float, horizon: float) -> floa
 # ---------------------------------------------------------------------------
 
 
-def integrate_flow(vel, mu0: EmpiricalMeasure, s_nodes, ode_step: float, lip: float = 0.0) -> FlowTable:
-    """Classical RK4 characteristics x' = vel(x, s) for every particle.
-
-    ``s_nodes`` must increase from 0; positions are recorded at every RK4
-    step so the table supports interpolation at arbitrary internal times.
-    The step guard rejects ``ode_step * lip > 1`` (one step would span
-    more than a unit of the field's relaxation scale).
-    """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    if s_nodes[0] != 0.0 or np.any(np.diff(s_nodes) <= 0.0):
-        raise ValueError("flow nodes must increase from 0")
+def _check_step(ode_step: float, lip: float):
+    """Reject ``ode_step * lip > 1``: one step would span more than a unit
+    of the field's relaxation scale."""
     if lip > 0.0 and ode_step * lip > 1.0:
         raise ValueError(
             f"ode_step {ode_step} too large for Lipschitz constant {lip}"
         )
-    x = mu0.points.astype(float).copy()
-    rec_s = [0.0]
-    rec_x = [x.copy()]
-    s = 0.0
-    for target in s_nodes[1:]:
-        while s < target - 1e-15 * max(target, 1.0):
-            h = min(ode_step, target - s)
-            k1 = vel(x, s)
-            k2 = vel(x + 0.5 * h * k1, s + 0.5 * h)
-            k3 = vel(x + 0.5 * h * k2, s + 0.5 * h)
-            k4 = vel(x + h * k3, s + h)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s += h
-            rec_s.append(s)
-            rec_x.append(x.copy())
-        s = float(target)
-        rec_s[-1] = s
-    return FlowTable(s_nodes=np.array(rec_s), positions=np.array(rec_x))
+
+
+def _advect_segment(vel, points, s_a, s_b, ode_step):
+    """RK4 advection of raw positions from internal time s_a to s_b."""
+    if points.size == 0 or s_b <= s_a:
+        return points
+    x = points.copy()
+    s = s_a
+    while s < s_b - 1e-15 * max(s_b, 1.0):
+        h = min(ode_step, s_b - s)
+        k1 = vel(x, s)
+        k2 = vel(x + 0.5 * h * k1, s + 0.5 * h)
+        k3 = vel(x + 0.5 * h * k2, s + 0.5 * h)
+        k4 = vel(x + h * k3, s + h)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s += h
+    return x
+
+
+def integrate_flow(vel, mu0: EmpiricalMeasure, s_nodes, ode_step: float, lip: float = 0.0) -> FlowTable:
+    """Classical RK4 characteristics x' = vel(x, s) for every particle.
+
+    ``s_nodes`` must increase from 0.  The flow is stepped leg by leg
+    between consecutive nodes, with RK4 steps of at most ``ode_step``, and
+    positions are recorded at the nodes only; a caller that needs the flow
+    between nodes passes nodes no further apart than the accuracy it needs.
+    The step guard rejects ``ode_step * lip > 1``.
+    """
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    if s_nodes[0] != 0.0 or np.any(np.diff(s_nodes) <= 0.0):
+        raise ValueError("flow nodes must increase from 0")
+    _check_step(ode_step, lip)
+    positions = [mu0.points.astype(float)]
+    for s_a, s_b in zip(s_nodes[:-1], s_nodes[1:]):
+        positions.append(_advect_segment(vel, positions[-1], float(s_a), float(s_b), ode_step))
+    return FlowTable(s_nodes=s_nodes, positions=np.array(positions))
+
+
+def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, s_extra, ode_step, lip) -> list:
+    """One measure per h-rule: sum_q w_q (Phi_{s_q} # mu0 + Duhamel_{s_q}),
+
+        Duhamel_s = sum over flow nodes r < s of dr * Phi_{r -> s} # Gamma_r,
+
+    where Gamma_r is the path average of the source at the g-rule of r.
+    One flow sweep over the flow nodes (the union of the h-nodes and
+    ``s_extra``) covers every term: at each node the source is injected,
+    weighted by the width of the following interval (rectangle rule), and
+    advected with the initial ensemble.
+    """
+    _check_step(ode_step, lip)
+    s_union = np.unique(np.concatenate([[0.0], s_extra] + [nodes for nodes, _ in h_rules]))
+    x = mu0.points.astype(float)
+    src_pts = np.zeros((0, mu0.dim))
+    src_wts = np.zeros(0)
+    at_node = {0.0: (x, src_pts, src_wts)}
+    for s_a, s_b in zip(s_union[:-1].tolist(), s_union[1:].tolist()):
+        gamma_avg = _path_average(gamma_path, *g_rule(s_a))
+        if gamma_avg.size:
+            src_pts = np.concatenate([src_pts, gamma_avg.points])
+            src_wts = np.concatenate([src_wts, (s_b - s_a) * gamma_avg.weights])
+        moved = _advect_segment(vel, np.concatenate([x, src_pts]), s_a, s_b, ode_step)
+        x, src_pts = moved[: x.shape[0]], moved[x.shape[0] :]
+        at_node[s_b] = (x, src_pts, src_wts)
+
+    measures = []
+    for nodes, weights in h_rules:
+        pts, wts = [], []
+        for s_q, w_q in zip(nodes.tolist(), weights):
+            base, d_pts, d_wts = at_node[s_q]
+            pts += [base, d_pts]
+            wts += [w_q * mu0.weights, w_q * d_wts]
+        measures.append(EmpiricalMeasure(points=np.concatenate(pts), weights=np.concatenate(wts)))
+    return measures
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +395,9 @@ def integrate_flow(vel, mu0: EmpiricalMeasure, s_nodes, ode_step: float, lip: fl
 # ---------------------------------------------------------------------------
 
 
-def _h_mixture(mu0: EmpiricalMeasure, flow: FlowTable, rule: QuadratureRule) -> EmpiricalMeasure:
-    """Mixture sum_q w_q Phi_{s_q} # mu0 with weights renormalized to
-    unit total, so the output mass equals the input mass exactly."""
-    wsum = rule.weights.sum()
-    pts = np.concatenate([flow.at(float(s_q)) for s_q in rule.nodes])
-    wts = np.concatenate(
-        [(w_q / wsum) * mu0.weights for w_q in rule.weights]
-    )
-    return EmpiricalMeasure(points=pts, weights=wts)
+def _empty_path(mu0: EmpiricalMeasure, beta: FracOrder) -> MeasurePath:
+    empty = EmpiricalMeasure(points=np.zeros((0, mu0.dim)), weights=np.zeros(0))
+    return MeasurePath(times=np.zeros(1), measures=[empty], beta=beta)
 
 
 def _subsample(mu: EmpiricalMeasure, cap: int, rng: np.random.Generator) -> EmpiricalMeasure:
@@ -341,27 +435,6 @@ def _grid_with_extension(config: SolverConfig) -> np.ndarray:
     return np.asarray(times)
 
 
-def solve_classical(v, mu0: EmpiricalMeasure, config: SolverConfig, velocity=None) -> MeasurePath:
-    """beta = 1 reference solver: mu_t = Phi_t # mu0 with the raw field."""
-    grid = np.concatenate([[0.0], np.asarray(config.times)])
-    if velocity is None:
-        if isinstance(v, ExplicitField):
-            velocity = v
-            lip = v.lip
-        else:
-            raise TypeError("solve_classical needs an explicit field or velocity")
-    else:
-        lip = getattr(v, "lip", 0.0)
-    flow = integrate_flow(velocity, mu0, grid, config.ode_step, lip=lip)
-    measures = [
-        EmpiricalMeasure(points=flow.at(float(t)), weights=mu0.weights)
-        if mu0.size
-        else mu0
-        for t in grid
-    ]
-    return MeasurePath(times=grid, measures=measures, beta=config.beta)
-
-
 # ---------------------------------------------------------------------------
 # Linear solver and its Monte Carlo oracle
 # ---------------------------------------------------------------------------
@@ -370,32 +443,15 @@ def solve_classical(v, mu0: EmpiricalMeasure, config: SolverConfig, velocity=Non
 def solve_linear(beta: FracOrder, v: ExplicitField, mu0: EmpiricalMeasure, config: SolverConfig) -> MeasurePath:
     """Linear problem: average of effective-flow push-forwards.
 
-    One flow integration covers the union of every output time's
-    h-quadrature nodes (self-similar rules share weights, nodes scale by
-    t^beta); each output measure is the weight-renormalized mixture of
-    node push-forwards, so mass is conserved exactly.
+    The source solver with an empty source.  One flow integration covers
+    the union of every output time's h-quadrature nodes (self-similar
+    rules share weights, nodes scale by t^beta); each output measure is
+    the weight-renormalized mixture of node push-forwards, so mass is
+    conserved exactly.
     """
-    if beta.is_classical:
-        return solve_classical(v, mu0, config)
-    g_unit = g_quadrature(beta, 1.0, config.q_g, max(config.eps_tail, 1e-8))
-    scale_g = g_unit.nodes.copy()
-
-    def eff_vel(x, s):
-        if s <= 0.0:
-            return v(x, 0.0)
-        nodes = scale_g * s ** (1.0 / beta.beta)
-        wsum = g_unit.weights.sum()
-        out = np.zeros_like(np.atleast_2d(x), dtype=float)
-        for r_q, w_q in zip(nodes, g_unit.weights):
-            out += (w_q / wsum) * v(x, float(r_q))
-        return out
-
-    rules = [h_quadrature(beta, t, config.q_h, config.eps_tail) for t in config.times]
-    s_union = np.unique(np.concatenate([[0.0]] + [r.nodes for r in rules]))
-    flow = integrate_flow(eff_vel, mu0, s_union, config.ode_step, lip=v.lip)
-    measures = [mu0] + [_h_mixture(mu0, flow, rule) for rule in rules]
-    grid = np.concatenate([[0.0], np.asarray(config.times)])
-    return MeasurePath(times=grid, measures=measures, beta=beta)
+    path = solve_with_source(beta, v, mu0, _empty_path(mu0, beta), config)
+    del path.diagnostics["source_mass"]
+    return path
 
 
 def solve_linear_mc(
@@ -411,28 +467,20 @@ def solve_linear_mc(
 
     Each sampled path contributes the deterministic effective flow
     evaluated at its own internal times; the output at time t is the
-    equal-weight mixture over paths (mass conserved exactly).
+    equal-weight mixture over paths (mass conserved exactly).  At beta = 1
+    the clock is deterministic and this is ``solve_linear``.
     """
     if beta.is_classical:
-        return solve_classical(v, mu0, config)
-    g_unit = g_quadrature(beta, 1.0, config.q_g, max(config.eps_tail, 1e-8))
-
-    def eff_vel(x, s):
-        if s <= 0.0:
-            return v(x, 0.0)
-        nodes = g_unit.nodes * s ** (1.0 / beta.beta)
-        wsum = g_unit.weights.sum()
-        out = np.zeros_like(np.atleast_2d(x), dtype=float)
-        for r_q, w_q in zip(nodes, g_unit.weights):
-            out += (w_q / wsum) * v(x, float(r_q))
-        return out
-
+        return solve_linear(beta, v, mu0, config)
+    g_rule = _g_rule(beta, config)
     rng = RngSpec(seed=config.seed, stream_id=1)
     clocks = sample_inverse_grid(beta, config.times, dtau, rng, n_paths)
     s_max = float(clocks.max())
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
-    flow = integrate_flow(eff_vel, mu0, s_grid, config.ode_step, lip=v.lip)
+    flow = integrate_flow(
+        lambda x, s: _field_average(v, x, *g_rule(s)), mu0, s_grid, config.ode_step, lip=v.lip
+    )
     measures = [mu0]
     for col, _t in enumerate(config.times):
         pts = np.concatenate([flow.at(float(s)) for s in clocks[:, col]])
@@ -459,21 +507,14 @@ def solve_nonlinear(
     ``picard_tol``.  The iteration log (one dict per sweep) is attached
     to the returned path's diagnostics.
     """
-    return _picard_loop(beta, v, mu0, config, classical=beta.is_classical)
-
-
-def _picard_loop(beta, v, mu0, config, classical):
     grid = _grid_with_extension(config)
     horizon = float(grid[-1])
     current = MeasurePath(
         times=grid, measures=[mu0] * grid.size, beta=beta
     )
-    g_unit = None if classical else g_quadrature(beta, 1.0, config.q_g, max(config.eps_tail, 1e-8))
-    rules = (
-        None
-        if classical
-        else [h_quadrature(beta, t, config.q_h, config.eps_tail) for t in grid[1:]]
-    )
+    g_rule = _g_rule(beta, config)
+    h_rules = _h_rules(beta, grid[1:], config)
+    no_source = _empty_path(mu0, beta)
     log = []
     trace = []
     mass = total_mass(mu0)
@@ -482,33 +523,13 @@ def _picard_loop(beta, v, mu0, config, classical):
         t0 = _time.perf_counter()
         prev = current
 
-        if classical:
+        def vel(x, s, _p=prev):
+            # the field is linear in the measure: one kernel call on the
+            # path average instead of one per g-node
+            return v.induced(_path_average(_p, *g_rule(s)))(x)
 
-            def vel(x, s, _p=prev):
-                return v.induced(_p.at(float(s)))(x)
-
-            flow = integrate_flow(vel, mu0, grid, config.ode_step, lip=lip)
-            measures = [
-                EmpiricalMeasure(points=flow.at(float(t)), weights=mu0.weights)
-                for t in grid
-            ]
-        else:
-
-            def vel(x, s, _p=prev):
-                if s <= 0.0:
-                    return v.induced(_p.at(0.0))(x)
-                nodes = g_unit.nodes * s ** (1.0 / beta.beta)
-                wsum = g_unit.weights.sum()
-                out = np.zeros_like(np.atleast_2d(x), dtype=float)
-                for r_q, w_q in zip(nodes, g_unit.weights):
-                    out += (w_q / wsum) * v.induced(_p.at(float(r_q)))(x)
-                return out
-
-            s_union = np.unique(np.concatenate([[0.0]] + [r.nodes for r in rules]))
-            flow = integrate_flow(vel, mu0, s_union, config.ode_step, lip=lip)
-            measures = [mu0] + [_h_mixture(mu0, flow, rule) for rule in rules]
-
-        current = MeasurePath(times=grid, measures=measures, beta=beta)
+        measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, (), config.ode_step, lip)
+        current = MeasurePath(times=grid, measures=[mu0] + measures, beta=beta)
         dist = _path_distance(prev, current, config.bl_cap, config.seed)
         wall = _time.perf_counter() - t0
         log.append({"sweep": sweep, "sup_dbl": dist, "wall_time": wall})
@@ -528,13 +549,8 @@ def _picard_loop(beta, v, mu0, config, classical):
         measures=[current.measures[k] for k in keep],
         beta=beta,
     )
-    freeze = (
-        0.0
-        if classical
-        else max(
-            freezing_tail_probability(beta, float(s), horizon)
-            for s in ([r.nodes[-1] for r in rules])
-        )
+    freeze = max(
+        freezing_tail_probability(beta, float(nodes[-1]), horizon) for nodes, _ in h_rules
     )
     out.diagnostics.update(
         {
@@ -575,131 +591,21 @@ def solve_with_source(
     for gm in gamma_path.measures:
         if gm.size and np.any(gm.weights <= 0.0):
             raise ValueError("source measures must be nonnegative")
-    if beta.is_classical:
-        return _classical_with_source(v, mu0, gamma_path, config)
-
-    g_unit = g_quadrature(beta, 1.0, config.q_g, max(config.eps_tail, 1e-8))
-
-    def eff_vel(x, s):
-        if s <= 0.0:
-            return v(x, 0.0)
-        nodes = g_unit.nodes * s ** (1.0 / beta.beta)
-        wsum = g_unit.weights.sum()
-        out = np.zeros_like(np.atleast_2d(x), dtype=float)
-        for r_q, w_q in zip(nodes, g_unit.weights):
-            out += (w_q / wsum) * v(x, float(r_q))
-        return out
-
-    def g_average_source(r: float) -> EmpiricalMeasure:
-        """Gamma_r: mixture of source measures at g-rule real times."""
-        if r <= 0.0:
-            return gamma_path.at(0.0)
-        nodes = g_unit.nodes * r ** (1.0 / beta.beta)
-        wsum = g_unit.weights.sum()
-        pts, wts = [], []
-        for r_q, w_q in zip(nodes, g_unit.weights):
-            gm = gamma_path.at(float(r_q))
-            if gm.size:
-                pts.append(gm.points)
-                wts.append((w_q / wsum) * gm.weights)
-        if not pts:
-            return EmpiricalMeasure(points=np.zeros((0, mu0.dim)), weights=np.zeros(0))
-        return EmpiricalMeasure(points=np.concatenate(pts), weights=np.concatenate(wts))
-
-    rules = [h_quadrature(beta, t, config.q_h, config.eps_tail) for t in config.times]
-    s_union = np.unique(np.concatenate([[0.0]] + [r.nodes for r in rules]))
-
-    # advect the initial ensemble and, at every node, inject the averaged
-    # source (weighted by the rectangle width) and advect it onward too
-    x = mu0.points.astype(float).copy()
-    src_pts = np.zeros((0, mu0.dim))
-    src_wts = np.zeros(0)
-    duhamel = {0.0: (src_pts, src_wts)}
-    base = {0.0: x.copy()}
-    for j in range(s_union.size - 1):
-        s_a, s_b = float(s_union[j]), float(s_union[j + 1])
-        dr = s_b - s_a
-        gamma_avg = g_average_source(s_a)
-        if gamma_avg.size:
-            src_pts = np.concatenate([src_pts, gamma_avg.points])
-            src_wts = np.concatenate([src_wts, dr * gamma_avg.weights])
-        # one RK4 leg carries base and source particles together
-        combined = np.concatenate([x, src_pts]) if src_pts.size else x
-        moved = _advect_segment(eff_vel, combined, s_a, s_b, config.ode_step)
-        x = moved[: x.shape[0]]
-        src_pts = moved[x.shape[0] :]
-        base[s_b] = x.copy()
-        duhamel[s_b] = (src_pts.copy(), src_wts.copy())
-
-    measures = [mu0]
-    diag_mass = []
-    for rule, t in zip(rules, config.times):
-        wsum = rule.weights.sum()
-        pts, wts = [], []
-        for s_q, w_q in zip(rule.nodes, rule.weights):
-            s_key = float(s_q)
-            pts.append(base[s_key])
-            wts.append((w_q / wsum) * mu0.weights)
-            d_pts, d_wts = duhamel[s_key]
-            if d_wts.size:
-                pts.append(d_pts)
-                wts.append((w_q / wsum) * d_wts)
-        mu_t = EmpiricalMeasure(points=np.concatenate(pts), weights=np.concatenate(wts))
-        measures.append(mu_t)
-        diag_mass.append(total_mass(mu_t))
-    grid = np.concatenate([[0.0], np.asarray(config.times)])
-    out = MeasurePath(times=grid, measures=measures, beta=beta)
-    out.diagnostics["source_mass"] = [m - total_mass(mu0) for m in diag_mass]
-    return out
-
-
-def _advect_segment(vel, points, s_a, s_b, ode_step):
-    """RK4 advection of raw positions from internal time s_a to s_b."""
-    if points.size == 0 or s_b <= s_a:
-        return points
-    x = points.copy()
-    s = s_a
-    while s < s_b - 1e-15 * max(s_b, 1.0):
-        h = min(ode_step, s_b - s)
-        k1 = vel(x, s)
-        k2 = vel(x + 0.5 * h * k1, s + 0.5 * h)
-        k3 = vel(x + 0.5 * h * k2, s + 0.5 * h)
-        k4 = vel(x + h * k3, s + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += h
-    return x
-
-
-def _classical_with_source(v, mu0, gamma_path, config):
-    grid = np.concatenate([[0.0], np.asarray(config.times)])
-    fine = np.unique(
-        np.concatenate([grid, np.arange(0.0, grid[-1] + 1e-12, config.ode_step)])
+    # at beta = 1 the h-nodes are the output times alone, too coarse for the
+    # Duhamel rectangle rule, so the flow also steps through the ode_step grid
+    fine = np.arange(0.0, config.times[-1] + 1e-12, config.ode_step) if beta.is_classical else ()
+    g_rule = _g_rule(beta, config)
+    measures = _average_push_forwards(
+        lambda x, s: _field_average(v, x, *g_rule(s)),
+        mu0,
+        gamma_path,
+        g_rule,
+        _h_rules(beta, config.times, config),
+        fine,
+        config.ode_step,
+        v.lip,
     )
-    x = mu0.points.astype(float).copy()
-    src_pts = np.zeros((0, mu0.dim))
-    src_wts = np.zeros(0)
-    snapshots = {0.0: (x.copy(), src_pts.copy(), src_wts.copy())}
-    for j in range(fine.size - 1):
-        t_a, t_b = float(fine[j]), float(fine[j + 1])
-        dr = t_b - t_a
-        gm = gamma_path.at(t_a)
-        if gm.size:
-            src_pts = np.concatenate([src_pts, gm.points])
-            src_wts = np.concatenate([src_wts, dr * gm.weights])
-        combined = np.concatenate([x, src_pts]) if src_pts.size else x
-        moved = _advect_segment(lambda y, s: v(y, s), combined, t_a, t_b, config.ode_step)
-        x = moved[: x.shape[0]]
-        src_pts = moved[x.shape[0] :]
-        snapshots[t_b] = (x.copy(), src_pts.copy(), src_wts.copy())
-    measures = []
-    for t in grid:
-        xb, sp, sw = snapshots[float(t)]
-        if sw.size:
-            mu = EmpiricalMeasure(
-                points=np.concatenate([xb, sp]),
-                weights=np.concatenate([mu0.weights, sw]),
-            )
-        else:
-            mu = EmpiricalMeasure(points=xb, weights=mu0.weights)
-        measures.append(mu)
-    return MeasurePath(times=grid, measures=measures, beta=config.beta)
+    grid = np.concatenate([[0.0], np.asarray(config.times)])
+    out = MeasurePath(times=grid, measures=[mu0] + measures, beta=beta)
+    out.diagnostics["source_mass"] = [total_mass(m) - total_mass(mu0) for m in measures]
+    return out

@@ -1,5 +1,8 @@
 """Unit and property tests for the particle-measure layer."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,3 +269,16 @@ def test_manifest_write(tmp_path):
 
     with open(target) as handle:
         assert json.load(handle) == {"beta": 0.5, "seed": 0}
+
+
+def test_written_files_get_the_umask_mode(tmp_path):
+    # the temp-file rename must leave the mode a plain open() gives, not 0600
+    old = os.umask(0o027)
+    try:
+        write_manifest(str(tmp_path / "manifest.json"), {"seed": 0})
+        with open(tmp_path / "plain.json", "w") as handle:
+            handle.write("{}")
+    finally:
+        os.umask(old)
+    mode = lambda name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+    assert mode("manifest.json") == mode("plain.json") == 0o640

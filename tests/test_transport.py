@@ -35,7 +35,6 @@ from fractrans.transport import (
     effective_velocity_from_path,
     integrate_flow,
     repulsion_field,
-    solve_classical,
     solve_linear,
     solve_linear_mc,
     solve_nonlinear,
@@ -94,6 +93,16 @@ def test_effective_velocity_from_path_cases():
     attract = attraction_field()
     v = effective_velocity_from_path(B, attract, path, np.array([[0.7]]), 1.0, rule)
     assert v[0, 0] == pytest.approx(-0.7, abs=1e-10)
+    # two different recorded measures, switching at r = 1 between g-nodes:
+    # the field induced by the averaged path equals the average of the fields
+    switch = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, _two_diracs(0.3)], beta=B)
+    assert rule.nodes[0] < 1.0 < rule.nodes[-1]
+    repel = repulsion_field()
+    x = np.array([[0.7], [-0.2]])
+    w = rule.weights / rule.weights.sum()
+    expected = sum(w_q * repel.induced(switch.at(r_q))(x) for r_q, w_q in zip(rule.nodes, w))
+    got = effective_velocity_from_path(B, repel, switch, x, 1.0, rule)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
