@@ -2,7 +2,8 @@
 
 A single strict JSON document configures each run; unknown keys are
 rejected.  Exit codes: 0 success, 1 verification failure, 2 configuration
-error, 3 solver non-convergence.  Every output file is written through a
+error, 3 solver non-convergence, 4 numerical failure (a quadrature tail
+mass that cannot be met).  Every output file is written through a
 temp-file rename, so no partial file survives a failure, and each solve
 emits a manifest recording every tolerance and seed used.
 """
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import PicardConvergenceError
+from .errors import PicardConvergenceError, TailMassError
 from .measures import (
     EmpiricalMeasure,
     MeasurePath,
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_NUMERICAL = 4
 
 
 class ConfigError(ValueError):
@@ -141,7 +143,6 @@ _SOLVER_KEYS = {
     "picard_tol",
     "picard_max_iters",
     "t_ext",
-    "bl_cap",
 }
 
 
@@ -149,6 +150,16 @@ def _parse_solver_config(cfg: dict, beta: FracOrder, times, seed: int) -> Solver
     solver = cfg.get("solver", {})
     _require_keys(solver, _SOLVER_KEYS, set(), "solver")
     return SolverConfig(beta=beta, times=tuple(times), seed=seed, **solver)
+
+
+def _write_jsonl(filename: str, records):
+    """One JSON object per line, keys sorted."""
+
+    def write(handle):
+        for rec in records:
+            handle.write(json.dumps(rec, sort_keys=True) + "\n")
+
+    _atomic_write(filename, write)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +245,7 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
             )
 
     os.makedirs(out_dir, exist_ok=True)
-
-    def write(handle):
-        for rec in records:
-            handle.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    _atomic_write(os.path.join(out_dir, "samples.jsonl"), write)
+    _write_jsonl(os.path.join(out_dir, "samples.jsonl"), records)
     return EXIT_OK
 
 
@@ -260,7 +266,6 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
     solver_cfg = _parse_solver_config(cfg, beta, times, seed)
 
     os.makedirs(out_dir, exist_ok=True)
-    picard_log = None
     if problem == "linear":
         if not isinstance(field, ExplicitField):
             raise ConfigError("linear problem needs an explicit velocity")
@@ -271,15 +276,10 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
         try:
             path = solve_nonlinear(beta, field, mu0, solver_cfg)
         except PicardConvergenceError as exc:
-
-            def write_trace(handle):
-                for k, dist in enumerate(exc.trace, start=1):
-                    handle.write(json.dumps({"sweep": k, "sup_dbl": dist}) + "\n")
-
-            _atomic_write(os.path.join(out_dir, "picard.jsonl"), write_trace)
+            _write_jsonl(os.path.join(out_dir, "picard.jsonl"), exc.trace)
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        picard_log = path.diagnostics.get("picard_log")
+        _write_jsonl(os.path.join(out_dir, "picard.jsonl"), path.diagnostics["picard_log"])
     else:
         if "source" not in cfg:
             raise ConfigError("source problem needs a 'source' block")
@@ -292,14 +292,6 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
         path = solve_with_source(beta, field, mu0, gamma_path, solver_cfg)
 
     path_to_csv(path, os.path.join(out_dir, "path.csv"))
-    if picard_log is not None:
-
-        def write_log(handle):
-            for entry in picard_log:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-
-        _atomic_write(os.path.join(out_dir, "picard.jsonl"), write_log)
-
     manifest = {
         "tool": {"name": "fractrans", "version": __version__},
         "problem": problem,
@@ -314,7 +306,6 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
             "picard_tol": solver_cfg.picard_tol,
             "picard_max_iters": solver_cfg.picard_max_iters,
             "t_ext": solver_cfg.t_ext,
-            "bl_cap": solver_cfg.bl_cap,
         },
         "outputs": {
             "total_mass": [total_mass(m) for m in path.measures],
@@ -378,6 +369,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except TailMassError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

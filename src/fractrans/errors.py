@@ -16,7 +16,8 @@ class SupportCapError(ValueError):
 class PicardConvergenceError(RuntimeError):
     """Fixed-point sweep limit reached before the tolerance was met.
 
-    Carries the per-sweep distance trace for diagnostics.
+    Carries the per-sweep log (sweep, coupling_bound, wall_time) for
+    diagnostics.
     """
 
     def __init__(self, message, trace):

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from fractrans.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from fractrans.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, main
 
 
 def _write_config(tmp_path, name, payload):
@@ -89,6 +89,7 @@ def test_solve_nonlinear_and_source(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert (out / "picard.jsonl").exists()
     first = json.loads((out / "picard.jsonl").read_text().splitlines()[0])
+    assert sorted(first) == ["coupling_bound", "sweep", "wall_time"]
     assert first["sweep"] == 1
 
     cfg = _write_config(tmp_path, "src.json", {
@@ -121,6 +122,14 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_NO_CONVERGENCE
     lines = (out / "picard.jsonl").read_text().splitlines()
     assert len(lines) == 2
+    assert sorted(json.loads(lines[-1])) == ["coupling_bound", "sweep", "wall_time"]
+
+
+def test_unreachable_tail_mass_exit_4(tmp_path, capsys):
+    # at beta = 0.1 the h-kernel tail is too heavy for the default eps_tail
+    cfg = _linear_config(tmp_path, beta=0.1)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical error:")
 
 
 @pytest.mark.parametrize("mutation", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fractrans.errors import MassMismatchError, SupportCapError
 from fractrans.measures import (
@@ -23,6 +24,7 @@ from fractrans.measures import (
     write_manifest,
 )
 from fractrans.specfun import FracOrder
+from fractrans.transport import _coupling_bound
 
 
 def _ensemble(draw_points, draw_weights):
@@ -140,6 +142,8 @@ def test_bl_separation_formula(sep):
     d0 = EmpiricalMeasure.dirac([0.0])
     dd = EmpiricalMeasure.dirac([sep])
     assert bl_distance(d0, dd) == pytest.approx(2.0 * sep / (2.0 + sep), abs=1e-9)
+    # the index-pairing bound is exact here: 2/3 at distance 1
+    assert _coupling_bound(d0, dd) == pytest.approx(2.0 * sep / (2.0 + sep), abs=1e-15)
 
 
 def test_bl_dimension_mismatch_and_cap():
@@ -157,6 +161,29 @@ def test_bl_dimension_mismatch_and_cap():
 @settings(max_examples=25, deadline=None)
 def test_bl_symmetry(a, b):
     assert bl_distance(a, b) == pytest.approx(bl_distance(b, a), abs=1e-9)
+
+
+@st.composite
+def aligned_pairs(draw, max_n=100):
+    """(mu, nu) as consecutive Picard iterates: nu holds blocks of mu's
+    particles, displaced, carrying mu's weights split by block weights that
+    sum to 1 (one block: the same weights)."""
+    blocks = draw(st.integers(1, 3))
+    mu = draw(ensembles(max_n=max_n // blocks, dim=2))
+    split = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=blocks, max_size=blocks)))
+    shift = draw(arrays(float, (blocks * mu.size, 2), elements=st.floats(-3.0, 3.0)))
+    nu = EmpiricalMeasure(
+        points=np.tile(mu.points, (blocks, 1)) + shift,
+        weights=np.outer(split / split.sum(), mu.weights).ravel(),
+    )
+    return mu, nu
+
+
+@given(pair=aligned_pairs())
+@settings(max_examples=25, deadline=None)
+def test_coupling_bound_dominates_bl(pair):
+    mu, nu = pair
+    assert _coupling_bound(mu, nu) >= bl_distance(mu, nu) - 1e-12
 
 
 @given(

@@ -280,6 +280,39 @@ def test_nonlinear_nonconvergence_signals_with_trace():
     assert len(err.value.trace) == 2
 
 
+def test_nonlinear_stopping_does_not_depend_on_seed():
+    # the 16-particle repulsion problem of the benchmark: the stopping rule
+    # is deterministic, so the seed changes neither the sweeps nor the answer
+    grid = EmpiricalMeasure(points=np.linspace(-1.0, 1.0, 16)[:, None], weights=np.full(16, 1 / 16))
+    paths = [
+        solve_nonlinear(B, repulsion_field(), grid, SolverConfig(beta=B, times=(0.5,), q_h=16, q_g=8, seed=seed))
+        for seed in (0, 2)
+    ]
+    assert [p.diagnostics["sweeps"] for p in paths] == [5, 5]
+    for mu, nu in zip(paths[0].measures, paths[1].measures):
+        assert np.array_equal(mu.points, nu.points) and np.array_equal(mu.weights, nu.weights)
+
+
+def test_nonlinear_empty_initial_measure_converges_at_once():
+    empty = EmpiricalMeasure(points=np.zeros((0, 1)), weights=np.zeros(0))
+    path = solve_nonlinear(B, repulsion_field(), empty, _cfg(times=(0.5,), q_h=8, q_g=8))
+    assert path.diagnostics["sweeps"] == 1
+    assert all(mu.size == 0 for mu in path.measures)
+
+
+def test_nonlinear_freezing_probability_is_h_weighted():
+    # with horizon t the h-weighted freezing probability is
+    # P(E'_t > E_t) = 1/2 for independent copies; a longer horizon lowers it
+    freeze = [
+        solve_nonlinear(
+            B, attraction_field(), _two_diracs(), _cfg(q_h=32, q_g=8, ode_step=0.02, t_ext=t_ext)
+        ).diagnostics["freezing_tail_probability"]
+        for t_ext in (0.0, 2.0, 4.0)
+    ]
+    assert freeze[0] == pytest.approx(0.5, abs=1e-6)
+    assert freeze[0] > freeze[1] > freeze[2]
+
+
 # ---------------------------------------------------------------------------
 # Source term
 # ---------------------------------------------------------------------------
