@@ -202,6 +202,7 @@ def cmd_kernels(cfg: dict, out_dir: str, seed: int) -> int:
 def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
     _require_keys(
         cfg,
+        # "dtau" is accepted and ignored: the clock is drawn exactly
         {"beta", "times", "gammas", "lambdas", "n", "dtau", "seed"},
         {"beta", "times"},
         "config",
@@ -211,10 +212,9 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
     gammas = [float(g) for g in cfg.get("gammas", [1.0, 2.0])]
     lambdas = [float(l) for l in cfg.get("lambdas", [])]
     n = int(cfg.get("n", 10_000))
-    dtau = float(cfg.get("dtau", 1e-3))
     records = []
     for k, t in enumerate(times):
-        draws = sample_inverse(beta, t, dtau, RngSpec(seed, stream_id=k), size=n)
+        draws = sample_inverse(beta, t, RngSpec(seed, stream_id=k), size=n)
         for g in gammas:
             vals = draws**g
             records.append(
@@ -230,7 +230,7 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
             )
         for lam in lambdas:
             est, se = mc_exponential_functional(
-                beta, lam, t, max(n, 100), RngSpec(seed, stream_id=1000 + k), dtau=dtau
+                beta, lam, t, max(n, 100), RngSpec(seed, stream_id=1000 + k)
             )
             records.append(
                 {

@@ -2,11 +2,12 @@
 
 Draws of the unit one-sided stable variable use the Kanter form of the
 Chambers-Mallows-Stuck transformation.  The inverse process (the random
-internal clock) is simulated by stepping the subordinator on a fixed
-internal-time grid until first passage, which carries an O(dtau) bias
-that is surfaced in the configuration.  Statistical identities (moments,
-exponential functional, the associated fractional ODE) are exposed as
-estimators with standard errors so callers can make 3-sigma assertions.
+internal clock) is drawn exactly from its marginal law: E_t has the law
+of (t / D_1)^beta, because P(E_t <= s) = P(s^(1/beta) D_1 >= t), so one
+stable draw gives one clock with no time stepping and no O(dtau) bias.
+Statistical identities (moments, exponential functional, the associated
+fractional ODE) are exposed as estimators with standard errors so callers
+can make 3-sigma assertions.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "SubordinatorPath",
     "sample_stable_unit",
     "sample_inverse",
-    "sample_inverse_grid",
     "sample_path",
     "mc_exponential_functional",
     "mc_moment",
@@ -101,48 +101,9 @@ def sample_path(beta: FracOrder, tau_max: float, dtau: float, rng: RngSpec) -> S
     return SubordinatorPath(grid=grid, values=values, beta=beta, seed=rng.seed)
 
 
-def sample_inverse_grid(beta: FracOrder, ts, dtau: float, rng, n: int) -> np.ndarray:
-    """Samples of the inverse process at each time level, path by path.
-
-    Returns an (n, len(ts)) array whose row j holds first-passage grid
-    times of one trajectory over every level in ``ts`` (so the levels are
-    coupled along paths, as required for pathwise monotonicity checks).
-    Stepping uses stationary independent increments dtau^(1/beta) D_1;
-    the returned values overshoot the exact passage time by at most dtau.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0.0) or dtau <= 0.0:
-        raise ValueError("requires positive time levels and dtau > 0")
-    gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    order = np.argsort(ts)
-    t_sorted = ts[order]
-    scale = dtau ** (1.0 / beta.beta)
-    out = np.empty((n, ts.size))
-    d = np.zeros(n)
-    # index of the lowest level each path has not yet passed
-    level = np.zeros(n, dtype=int)
-    tau = 0.0
-    active = level < t_sorted.size
-    while np.any(active):
-        tau += dtau
-        idx = np.flatnonzero(active)
-        d[idx] += scale * sample_stable_unit(beta, gen, size=idx.size)
-        # a single increment may clear several consecutive levels
-        while idx.size:
-            crossed = d[idx] > t_sorted[level[idx]]
-            hits = idx[crossed]
-            if hits.size == 0:
-                break
-            out[hits, order[level[hits]]] = tau
-            level[hits] += 1
-            idx = hits[level[hits] < t_sorted.size]
-        active = level < t_sorted.size
-    return out
-
-
-def mc_moment(beta: FracOrder, gammas, t: float, n: int, dtau: float, rng: RngSpec):
+def mc_moment(beta: FracOrder, gammas, t: float, n: int, rng: RngSpec):
     """MC estimates (mean, stderr) of E[E_t^gamma] for each gamma."""
-    draws = sample_inverse(beta, t, dtau, rng, size=n)
+    draws = sample_inverse(beta, t, rng, size=n)
     results = []
     for g in np.atleast_1d(gammas):
         vals = draws**g
@@ -150,33 +111,23 @@ def mc_moment(beta: FracOrder, gammas, t: float, n: int, dtau: float, rng: RngSp
     return results
 
 
-def sample_inverse(beta: FracOrder, t: float, dtau: float, rng, size=None):
-    """First-passage samples of the internal clock at real time t.
+def sample_inverse(beta: FracOrder, t: float, rng, size=None):
+    """Exact samples of the internal clock E_t at real time t.
 
-    Simulates the subordinator on a dtau grid until it exceeds t and
-    returns the bracketing grid time; the discretization bias is bounded
-    by dtau.  Vectorized over paths when ``size`` is given.
+    E_t has the law of (t / D_1)^beta (Meerschaert & Scheffler 2004,
+    Cor. 3.1), so each clock costs one stable draw and carries no
+    discretization bias.  The classical clock (beta = 1) is E_t = t.
+    Vectorized over paths when ``size`` is given.
     """
-    if t <= 0.0 or dtau <= 0.0:
-        raise ValueError("requires t > 0 and dtau > 0")
-    gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    scale = dtau ** (1.0 / beta.beta)
-    d = np.zeros(n)
-    result = np.empty(n)
-    alive = np.arange(n)
-    tau = 0.0
-    while alive.size:
-        tau += dtau
-        d[alive] += scale * sample_stable_unit(beta, gen, size=alive.size)
-        crossed = d[alive] > t
-        result[alive[crossed]] = tau
-        alive = alive[~crossed]
-    return float(result[0]) if scalar else result
+    if t <= 0.0:
+        raise ValueError("requires t > 0")
+    if beta.is_classical:
+        return float(t) if size is None else np.full(int(size), float(t))
+    draws = (t / sample_stable_unit(beta, rng, size=size)) ** beta.beta
+    return float(draws) if size is None else draws
 
 
-def mc_exponential_functional(beta: FracOrder, lam: float, t: float, n: int, rng: RngSpec, dtau: float = 1e-3):
+def mc_exponential_functional(beta: FracOrder, lam: float, t: float, n: int, rng: RngSpec):
     """Monte Carlo estimate of E[exp(lam E_t)] with its standard error.
 
     The classical clock (beta = 1) is deterministic, E_t = t, so the
@@ -186,7 +137,7 @@ def mc_exponential_functional(beta: FracOrder, lam: float, t: float, n: int, rng
         raise ValueError("need at least 100 samples for a stable stderr")
     if beta.is_classical:
         return math.exp(lam * t), 0.0
-    draws = sample_inverse(beta, t, dtau, rng, size=n)
+    draws = sample_inverse(beta, t, rng, size=n)
     vals = np.exp(lam * draws)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 

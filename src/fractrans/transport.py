@@ -41,7 +41,7 @@ from .measures import (
     total_mass,
 )
 from .specfun import FracOrder, QuadratureRule, g_quadrature, h_quadrature, stable_cdf
-from .subordinator import RngSpec, sample_inverse_grid
+from .subordinator import RngSpec, sample_inverse
 
 __all__ = [
     "ExplicitField",
@@ -453,21 +453,24 @@ def solve_linear_mc(
     mu0: EmpiricalMeasure,
     config: SolverConfig,
     n_paths: int,
-    dtau: float = 1e-3,
 ) -> MeasurePath:
     """Monte Carlo oracle: sample the internal clock instead of
     integrating against its density.
 
     Each sampled path contributes the deterministic effective flow
     evaluated at its own internal times; the output at time t is the
-    equal-weight mixture over paths (mass conserved exactly).  At beta = 1
-    the clock is deterministic and this is ``solve_linear``.
+    equal-weight mixture over paths (mass conserved exactly).  Only the
+    marginal law of each E_t enters the mixture, and E_t has the law of
+    t^beta E_1, so one exact E_1 draw per path is scaled to every output
+    time (a path's clocks increase with t).  At beta = 1 the clock is
+    deterministic and this is ``solve_linear``.
     """
     if beta.is_classical:
         return solve_linear(beta, v, mu0, config)
     g_rule = _g_rule(beta, config)
     rng = RngSpec(seed=config.seed, stream_id=1)
-    clocks = sample_inverse_grid(beta, config.times, dtau, rng, n_paths)
+    e_1 = sample_inverse(beta, 1.0, rng, size=n_paths)
+    clocks = np.outer(e_1, np.asarray(config.times) ** beta.beta)
     s_max = float(clocks.max())
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)

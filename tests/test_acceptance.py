@@ -93,9 +93,7 @@ def test_criterion_03_exponential_identity():
     beta = FracOrder(0.5)
     for lam in (-1.0, 0.5):
         exact = mittag_leffler(beta, lam)
-        est, se = mc_exponential_functional(
-            beta, lam, 1.0, 100_000, RngSpec(20260823), dtau=5e-4
-        )
+        est, se = mc_exponential_functional(beta, lam, 1.0, 100_000, RngSpec(20260823))
         ok = ok and abs(est - exact) <= 3.0 * se
     _report(3, "exponential functional: quadrature 1e-5, MC 3 sigma", ok)
 
@@ -138,7 +136,7 @@ def test_criterion_05_fode_vs_monte_carlo():
     ok = True
     for t in (0.25, 0.5, 1.0):
         k = int(round(t * 1024))
-        draws = sample_inverse(beta, t, 5e-4, RngSpec(47), size=100_000)
+        draws = sample_inverse(beta, t, RngSpec(47), size=100_000)
         vals = draws * np.exp(draws)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         ok = ok and abs(psi[k] - vals.mean()) <= 3.0 * se
@@ -157,8 +155,7 @@ def test_criterion_06_dirac_transport():
     mc_cfg = SolverConfig(
         beta=beta, times=(1.0,), q_h=32, q_g=16, eps_tail=1e-8, ode_step=1e-2, seed=314
     )
-    mc = solve_linear_mc(beta, v, EmpiricalMeasure.dirac([0.0]), mc_cfg,
-                         n_paths=50_000, dtau=5e-4)
+    mc = solve_linear_mc(beta, v, EmpiricalMeasure.dirac([0.0]), mc_cfg, n_paths=50_000)
     vals = mc.measures[-1].points.ravel()
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     ok = ok and abs(vals.mean() - exact) <= 3.0 * se

@@ -51,6 +51,24 @@ def test_sample_writes_estimates(tmp_path):
     assert rec["beta"] == 0.5 and rec["stderr"] > 0.0
 
 
+def test_sample_classical_clock_is_exact(tmp_path):
+    # at beta = 1 the clock is E_t = t, so every moment is exact (dyadic
+    # times keep the mean of n copies of t^gamma free of rounding)
+    cfg = _write_config(
+        tmp_path, "s1.json",
+        {"beta": 1.0, "times": [0.5, 2.0], "gammas": [1.0, 2.0], "lambdas": [-1.0],
+         "n": 500},
+    )
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    records = [json.loads(line) for line in (out / "samples.jsonl").read_text().splitlines()]
+    moments = [rec for rec in records if "gamma" in rec]
+    assert len(moments) == 4
+    for rec in moments:
+        assert rec["estimate"] == rec["t"] ** rec["gamma"]
+        assert rec["stderr"] == 0.0
+
+
 def test_solve_linear_outputs(tmp_path):
     cfg = _linear_config(tmp_path)
     out = tmp_path / "run"

@@ -12,13 +12,17 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import ks_2samp, kstest
 
-from fractrans.specfun import FracOrder, inverse_moment_coeff, mittag_leffler
+from fractrans.specfun import (
+    FracOrder,
+    inverse_moment_coeff,
+    inverse_subordinator_cdf,
+    mittag_leffler,
+)
 from fractrans.subordinator import (
     RngSpec,
     SubordinatorPath,
     mc_exponential_functional,
     sample_inverse,
-    sample_inverse_grid,
     sample_path,
     sample_stable_unit,
     solve_psi_fode,
@@ -71,7 +75,7 @@ def test_sample_path_invariants():
 
 def test_inverse_moments_mc():
     beta = FracOrder(0.5)
-    draws = sample_inverse(beta, 1.0, 1e-3, RngSpec(29), size=100_000)
+    draws = sample_inverse(beta, 1.0, RngSpec(29), size=100_000)
     for g in (1.0, 2.0):
         vals = draws**g
         exact = inverse_moment_coeff(beta, g)
@@ -84,33 +88,39 @@ def test_inverse_moments_mc():
 @pytest.mark.parametrize("t", [0.5, 1.0])
 def test_inverse_moment_grid(b, t):
     beta = FracOrder(b)
-    draws = sample_inverse(beta, t, 1e-3, RngSpec(31), size=30_000)
+    draws = sample_inverse(beta, t, RngSpec(31), size=30_000)
     exact = inverse_moment_coeff(beta, 1.0) * t**b
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - exact) < 3.0 * se + 2e-3
 
 
-def test_inverse_nonnegative_and_monotone_along_paths():
-    beta = FracOrder(0.5)
-    eg = sample_inverse_grid(beta, [0.25, 0.5, 1.0], 1e-2, RngSpec(37), 2_000)
-    assert np.all(eg >= 0.0)
-    assert np.all(eg[:, 0] <= eg[:, 1])
-    assert np.all(eg[:, 1] <= eg[:, 2])
+@pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+def test_inverse_matches_kernel_cdf(b):
+    # the empirical P(E_t <= s) agrees with the CDF of the kernel h_beta
+    beta = FracOrder(b)
+    n = 100_000
+    for t in (0.5, 2.0):
+        draws = sample_inverse(beta, t, RngSpec(61), size=n)
+        for c in (0.25, 0.5, 1.0, 2.0):
+            s = c * t**b
+            p = inverse_subordinator_cdf(beta, s, t)
+            se = math.sqrt(p * (1.0 - p) / n)
+            assert abs(np.mean(draws <= s) - p) < 5.0 * se, f"t={t}, s={s}"
 
 
 def test_self_similarity_two_sample_ks():
     # law of E_t equals law of t^b E_1
     beta = FracOrder(0.5)
     t = 2.0
-    e_t = sample_inverse(beta, t, 1e-3, RngSpec(41, 0), size=10_000)
-    e_1 = sample_inverse(beta, 1.0, 1e-3, RngSpec(41, 1), size=10_000)
+    e_t = sample_inverse(beta, t, RngSpec(41, 0), size=10_000)
+    e_1 = sample_inverse(beta, 1.0, RngSpec(41, 1), size=10_000)
     stat = ks_2samp(e_t, t**beta.beta * e_1)
     assert stat.pvalue > 0.05
 
 
 def test_inverse_reproducible_bitwise():
-    a = sample_inverse(FracOrder(0.5), 1.0, 1e-2, RngSpec(5), size=200)
-    b = sample_inverse(FracOrder(0.5), 1.0, 1e-2, RngSpec(5), size=200)
+    a = sample_inverse(FracOrder(0.5), 1.0, RngSpec(5), size=200)
+    b = sample_inverse(FracOrder(0.5), 1.0, RngSpec(5), size=200)
     np.testing.assert_array_equal(a, b)
 
 
@@ -157,7 +167,7 @@ def test_psi_matches_monte_carlo():
     grid, psi = solve_psi_fode(beta, 1.0, 1.0, 1.0 / 512)
     for t in (0.25, 0.5, 1.0):
         k = int(round(t * 512))
-        draws = sample_inverse(beta, t, 1e-3, RngSpec(47), size=100_000)
+        draws = sample_inverse(beta, t, RngSpec(47), size=100_000)
         vals = draws * np.exp(draws)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(psi[k] - vals.mean()) < 3.0 * se + 5e-3, f"t={t}"

@@ -190,7 +190,7 @@ def test_linear_classical_push_forward():
 def test_linear_mc_agreement():
     cfg = _cfg(times=(1.0,), seed=5)
     det = solve_linear(B, DAMP, _dirac(1.0), cfg)
-    mc = solve_linear_mc(B, DAMP, _dirac(1.0), cfg, n_paths=20_000, dtau=1e-3)
+    mc = solve_linear_mc(B, DAMP, _dirac(1.0), cfg, n_paths=20_000)
     vals = mc.measures[-1].points.ravel()
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - expectation(det.measures[-1], lambda x: x[:, 0])) < 3.0 * se + 2e-3
@@ -200,6 +200,15 @@ def test_linear_mc_zero_velocity_exact():
     path = solve_linear_mc(B, ZERO, _dirac(0.3), _cfg(times=(1.0,)), n_paths=500)
     np.testing.assert_allclose(path.measures[-1].points, 0.3, rtol=1e-14)
     assert total_mass(path.measures[-1]) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_linear_mc_paths_nonnegative_and_monotone_in_time():
+    # the unit field from a Dirac at 0 moves each path's particle to its
+    # clock, so the index-aligned outputs are the sampled clocks themselves
+    path = solve_linear_mc(B, ONES, _dirac(), _cfg(times=(0.25, 0.5, 1.0)), n_paths=2_000)
+    pts = np.stack([mu.points[:, 0] for mu in path.measures[1:]])
+    assert np.all(pts >= 0.0)
+    assert np.all(np.diff(pts, axis=0) >= 0.0)
 
 
 def test_linear_holder_modulus_in_time():
