@@ -2,9 +2,7 @@
 
 Implements the L1 scheme for the Caputo derivative of order beta, the
 product-trapezoid rule for the Riemann-Liouville integral, and the
-weak-formulation residual used to validate solver output.  The history
-convolution of the L1 scheme is delegated to :mod:`fractrans._core` so
-the compiled kernel is used when available.
+weak-formulation residual used to validate solver output.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma
 
-from . import _core
 from .measures import MeasurePath, expectation
 from .specfun import FracOrder
 
@@ -82,7 +79,10 @@ def caputo_l1(series: TimeSeries, beta: FracOrder) -> TimeSeries:
     backward difference, so the classical case is admitted too.
     """
     b = beta.beta
-    out = _core.caputo_l1_apply(series.values, b, series.dt)
+    m = series.values.size - 1
+    conv = np.convolve(np.diff(series.values), l1_weights(b, m))[:m]
+    out = np.zeros(m + 1)
+    out[1:] = conv * (series.dt ** (-b) / math.gamma(2.0 - b))
     return TimeSeries(grid=series.grid, values=out)
 
 

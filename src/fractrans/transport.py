@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _core
 from .errors import PicardConvergenceError
 from .measures import (
     EmpiricalMeasure,
@@ -88,24 +87,17 @@ class InteractionField:
 
     ``kernel`` maps an array of displacements to velocity vectors.  The
     induced field inherits bound V0 * mass(mu) and is Lipschitz in both
-    arguments.  ``pairwise`` may name a fused kernel implementation from
-    the compiled core ("repulsion") to avoid materializing the N x M
-    displacement array.
+    arguments.
     """
 
     kernel: object
     bound: float
     lip: float
-    pairwise: str = ""
 
     def induced(self, mu: EmpiricalMeasure):
         """Velocity function x -> v[mu](x) for a frozen measure."""
         if mu.size == 0:
             return lambda x: np.zeros_like(np.atleast_2d(x), dtype=float)
-        if self.pairwise == "repulsion":
-            return lambda x: _core.pairwise_repulsion_sum(
-                np.atleast_2d(x), mu.points, mu.weights
-            )
 
         def vel(x):
             x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -129,7 +121,7 @@ def repulsion_field() -> InteractionField:
         z = np.atleast_2d(z)
         return z / (1.0 + np.sum(z * z, axis=-1, keepdims=True))
 
-    return InteractionField(kernel=kernel, bound=0.5, lip=1.0, pairwise="repulsion")
+    return InteractionField(kernel=kernel, bound=0.5, lip=1.0)
 
 
 # ---------------------------------------------------------------------------

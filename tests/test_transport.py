@@ -105,6 +105,23 @@ def test_effective_velocity_from_path_cases():
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_repulsion_field_matches_double_loop(dim):
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(40, dim))
+    mu = EmpiricalMeasure(points=rng.normal(size=(60, dim)), weights=rng.uniform(0.1, 1.0, size=60))
+    expected = np.zeros((40, dim))
+    for i in range(40):
+        for y_j, w_j in zip(mu.points, mu.weights):
+            z = x[i] - y_j
+            expected[i] += w_j * z / (1.0 + float(z @ z))
+    np.testing.assert_allclose(repulsion_field().induced(mu)(x), expected, rtol=0.0, atol=1e-14)
+    # coincident points contribute K(0) = 0, no singularity
+    origin = np.zeros((3, dim))
+    at_origin = EmpiricalMeasure(points=origin, weights=np.ones(3))
+    np.testing.assert_array_equal(repulsion_field().induced(at_origin)(origin), origin)
+
+
 # ---------------------------------------------------------------------------
 # Flow integration
 # ---------------------------------------------------------------------------
@@ -193,7 +210,7 @@ def test_linear_mc_agreement():
     mc = solve_linear_mc(B, DAMP, _dirac(1.0), cfg, n_paths=20_000)
     vals = mc.measures[-1].points.ravel()
     se = vals.std(ddof=1) / math.sqrt(vals.size)
-    assert abs(vals.mean() - expectation(det.measures[-1], lambda x: x[:, 0])) < 3.0 * se + 2e-3
+    assert abs(vals.mean() - expectation(det.measures[-1], lambda x: x[:, 0])) < 3.0 * se
 
 
 def test_linear_mc_zero_velocity_exact():
