@@ -116,10 +116,14 @@ def test_repulsion_field_matches_double_loop(dim):
             z = x[i] - y_j
             expected[i] += w_j * z / (1.0 + float(z @ z))
     np.testing.assert_allclose(repulsion_field().induced(mu)(x), expected, rtol=0.0, atol=1e-14)
+
+
+def test_repulsion_self_interaction_is_finite():
     # coincident points contribute K(0) = 0, no singularity
-    origin = np.zeros((3, dim))
-    at_origin = EmpiricalMeasure(points=origin, weights=np.ones(3))
-    np.testing.assert_array_equal(repulsion_field().induced(at_origin)(origin), origin)
+    for dim in (1, 2, 3):
+        origin = np.zeros((3, dim))
+        at_origin = EmpiricalMeasure(points=origin, weights=np.ones(3))
+        np.testing.assert_array_equal(repulsion_field().induced(at_origin)(origin), origin)
 
 
 # ---------------------------------------------------------------------------
