@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .measures import MeasurePath, expectation
 from .specfun import FracOrder
@@ -98,7 +97,7 @@ def rl_integral(series: TimeSeries, beta: FracOrder) -> TimeSeries:
     f = series.values
     m_max = f.size - 1
     dt = series.dt
-    scale = dt**b / gamma(b + 2.0)
+    scale = dt**b / math.gamma(b + 2.0)
     j = np.arange(m_max + 2, dtype=float)
     pow1 = j ** (b + 1.0)
     out = np.zeros_like(f)

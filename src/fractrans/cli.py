@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -107,27 +108,19 @@ def _parse_measure(spec: dict, where: str) -> EmpiricalMeasure:
 
 def _parse_velocity(spec: dict):
     _require_keys(
-        spec, {"kind", "value", "matrix", "offset", "bound", "lip"}, {"kind"}, "velocity"
+        spec, {"kind", "value", "matrix", "offset", "lip"}, {"kind"}, "velocity"
     )
     kind = spec["kind"]
     if kind == "constant":
         value = np.atleast_1d(np.asarray(spec.get("value", [1.0]), dtype=float))
-        return ExplicitField(
-            func=lambda x, t: np.broadcast_to(value, x.shape).copy(),
-            bound=float(np.linalg.norm(value)),
-            lip=0.0,
-        )
+        return ExplicitField(func=lambda x, t: np.broadcast_to(value, x.shape).copy(), lip=0.0)
     if kind == "damping":
-        return ExplicitField(func=lambda x, t: -x, bound=float(spec.get("bound", 10.0)), lip=1.0)
+        return ExplicitField(func=lambda x, t: -x, lip=1.0)
     if kind == "affine":
         matrix = np.asarray(spec["matrix"], dtype=float)
         offset = np.atleast_1d(np.asarray(spec.get("offset", np.zeros(matrix.shape[0])), dtype=float))
         lip = float(np.linalg.norm(matrix, 2))
-        return ExplicitField(
-            func=lambda x, t: x @ matrix.T + offset,
-            bound=float(spec.get("bound", 10.0)),
-            lip=lip,
-        )
+        return ExplicitField(func=lambda x, t: x @ matrix.T + offset, lip=lip)
     if kind == "attraction":
         return attraction_field(lip=float(spec.get("lip", 1.0)))
     if kind == "repulsion":
@@ -135,15 +128,9 @@ def _parse_velocity(spec: dict):
     raise ConfigError(f"unknown velocity kind {kind!r}")
 
 
-_SOLVER_KEYS = {
-    "q_h",
-    "q_g",
-    "eps_tail",
-    "ode_step",
-    "picard_tol",
-    "picard_max_iters",
-    "t_ext",
-}
+#: the "solver" block sets every SolverConfig field but the three given
+#: at the top level of the config
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)} - {"beta", "times", "seed"}
 
 
 def _parse_solver_config(cfg: dict, beta: FracOrder, times, seed: int) -> SolverConfig:
@@ -298,15 +285,7 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
         "beta": beta.beta,
         "times": times,
         "seed": seed,
-        "solver": {
-            "q_h": solver_cfg.q_h,
-            "q_g": solver_cfg.q_g,
-            "eps_tail": solver_cfg.eps_tail,
-            "ode_step": solver_cfg.ode_step,
-            "picard_tol": solver_cfg.picard_tol,
-            "picard_max_iters": solver_cfg.picard_max_iters,
-            "t_ext": solver_cfg.t_ext,
-        },
+        "solver": {k: getattr(solver_cfg, k) for k in _SOLVER_KEYS},
         "outputs": {
             "total_mass": [total_mass(m) for m in path.measures],
             "first_moment": [moment(m, 1) for m in path.measures],
@@ -324,12 +303,7 @@ def cmd_verify(cfg: dict, out_dir: str, seed: int) -> int:
     _require_keys(cfg, {"eps_tail"}, set(), "config")
     report = run_checks(cfg)
     os.makedirs(out_dir, exist_ok=True)
-
-    def write(handle):
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    _atomic_write(os.path.join(out_dir, "verify.json"), write)
+    write_manifest(os.path.join(out_dir, "verify.json"), report)
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{status} {check['name']}: achieved {check['achieved']:.3e} "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -106,17 +106,6 @@ class QuadratureRule:
     def integrate(self, f) -> float:
         """Fixed-order weighted sum of f over the nodes."""
         return float(np.dot(self.weights, f(self.nodes)))
-
-    def scaled(self, factor: float, time: float) -> "QuadratureRule":
-        """Self-similar rescaling: nodes scaled, weights unchanged."""
-        return QuadratureRule(
-            nodes=self.nodes * factor,
-            weights=self.weights,
-            tail_mass=self.tail_mass,
-            target=self.target,
-            beta=self.beta,
-            time=time,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .caputo import l1_weights
 from .specfun import FracOrder, mittag_leffler
 
 __all__ = [
     "RngSpec",
-    "SubordinatorPath",
     "sample_stable_unit",
     "sample_inverse",
-    "sample_path",
     "mc_exponential_functional",
     "mc_moment",
     "solve_psi_fode",
@@ -47,29 +44,6 @@ class RngSpec:
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.stream_id])
 
-    def substream(self, k: int) -> "RngSpec":
-        return RngSpec(seed=self.seed, stream_id=self.stream_id + k)
-
-
-@dataclass(frozen=True)
-class SubordinatorPath:
-    """One sampled trajectory of the subordinator on an internal grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    beta: FracOrder
-    seed: int
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid[0] != 0.0 or values[0] != 0.0:
-            raise ValueError("paths start at (0, 0)")
-        if np.any(np.diff(values) < 0.0):
-            raise ValueError("subordinator paths are nondecreasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
 
 def sample_stable_unit(beta: FracOrder, rng, size=None):
     """Draws of D_1, the unit-time one-sided stable variable.
@@ -89,16 +63,6 @@ def sample_stable_unit(beta: FracOrder, rng, size=None):
     w = gen.exponential(size=size)
     num = np.sin(b * u) / np.sin(u) ** (1.0 / b)
     return num * (np.sin((1.0 - b) * u) / w) ** ((1.0 - b) / b)
-
-
-def sample_path(beta: FracOrder, tau_max: float, dtau: float, rng: RngSpec) -> SubordinatorPath:
-    """One subordinator trajectory on the grid {0, dtau, 2 dtau, ...}."""
-    n = int(math.ceil(tau_max / dtau))
-    gen = rng.generator()
-    increments = dtau ** (1.0 / beta.beta) * sample_stable_unit(beta, gen, size=n)
-    values = np.concatenate([[0.0], np.cumsum(increments)])
-    grid = dtau * np.arange(n + 1, dtype=float)
-    return SubordinatorPath(grid=grid, values=values, beta=beta, seed=rng.seed)
 
 
 def mc_moment(beta: FracOrder, gammas, t: float, n: int, rng: RngSpec):
@@ -157,7 +121,7 @@ def solve_psi_fode(beta: FracOrder, lam: float, t_max: float, dt: float):
     if dt <= 0.0 or t_max <= dt:
         raise ValueError("requires 0 < dt < t_max")
     b = beta.beta
-    amp = lam * dt**b * gamma(2.0 - b)
+    amp = lam * dt**b * math.gamma(2.0 - b)
     if amp >= _FODE_STABILITY:
         raise ValueError(
             f"step rejected: lam*dt^beta*Gamma(2-beta) = {amp:.3g} >= {_FODE_STABILITY}"
@@ -165,7 +129,7 @@ def solve_psi_fode(beta: FracOrder, lam: float, t_max: float, dt: float):
     m = int(round(t_max / dt))
     grid = dt * np.arange(m + 1, dtype=float)
     w = l1_weights(b, m)
-    a = dt ** (-b) / gamma(2.0 - b)
+    a = dt ** (-b) / math.gamma(2.0 - b)
     psi = np.zeros(m + 1)
     for n in range(1, m + 1):
         rhs = lam * mittag_leffler(beta, lam * grid[n] ** b)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .measures import (
     MeasurePath,
     total_mass,
 )
-from .specfun import FracOrder, QuadratureRule, g_quadrature, h_quadrature, stable_cdf
+from .specfun import FracOrder, g_quadrature, h_quadrature, stable_cdf
 from .subordinator import RngSpec, sample_inverse
 
 __all__ = [
@@ -48,10 +48,6 @@ __all__ = [
     "attraction_field",
     "repulsion_field",
     "SolverConfig",
-    "FlowTable",
-    "effective_velocity",
-    "effective_velocity_from_path",
-    "integrate_flow",
     "solve_linear",
     "solve_linear_mc",
     "solve_nonlinear",
@@ -68,12 +64,11 @@ __all__ = [
 class ExplicitField:
     """Time-dependent field v(x, t): (N, d) positions -> (N, d) velocities.
 
-    ``bound`` and ``lip`` are the caller-supplied sup bound and Lipschitz
-    constant in x; both are needed by step-size guards and diagnostics.
+    ``lip`` is the caller-supplied Lipschitz constant in x, read by the
+    step-size guard.
     """
 
     func: object
-    bound: float
     lip: float
 
     def __call__(self, x, t):
@@ -125,7 +120,7 @@ def repulsion_field() -> InteractionField:
 
 
 # ---------------------------------------------------------------------------
-# Configuration and flow tables
+# Configuration
 # ---------------------------------------------------------------------------
 
 
@@ -164,31 +159,6 @@ class SolverConfig:
     @property
     def horizon(self) -> float:
         return self.t_ext if self.t_ext else self.times[-1]
-
-
-@dataclass(frozen=True)
-class FlowTable:
-    """Particle positions along the characteristic flow.
-
-    ``s_nodes`` starts at 0 where the flow is the identity; ``positions``
-    has shape (len(s_nodes), N, d) and holds the positions at the nodes
-    only.  Intermediate internal times are answered by linear
-    interpolation between recorded nodes, so its error is set by the node
-    spacing; nodes themselves are answered exactly.
-    """
-
-    s_nodes: np.ndarray
-    positions: np.ndarray
-
-    def at(self, s: float) -> np.ndarray:
-        nodes = self.s_nodes
-        if s <= nodes[0]:
-            return self.positions[0]
-        if s >= nodes[-1]:
-            return self.positions[-1]
-        j = int(np.searchsorted(nodes, s, side="right")) - 1
-        frac = (s - nodes[j]) / (nodes[j + 1] - nodes[j])
-        return (1.0 - frac) * self.positions[j] + frac * self.positions[j + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,45 +219,6 @@ def _path_average(path: MeasurePath, times, weights) -> EmpiricalMeasure:
     )
 
 
-def _check_g_rule(rule: QuadratureRule, t: float):
-    from .specfun import KernelTarget
-
-    if rule.target is not KernelTarget.G_KERNEL:
-        raise ValueError("effective velocity needs a g-kernel rule")
-    if abs(rule.time - t) > 1e-12 * max(t, 1.0):
-        raise ValueError(f"rule built for time {rule.time}, asked at {t}")
-
-
-def effective_velocity(beta: FracOrder, v: ExplicitField, x, t: float, rule: QuadratureRule):
-    """g-average of an explicit field: sum_q w_q v(x, s_q).
-
-    Weights are renormalized by the captured mass so constant-in-time
-    fields pass through exactly; the truncation error for general fields
-    is bounded by ``v.bound * rule.tail_mass``.
-    """
-    _check_g_rule(rule, t)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return _field_average(v, x, rule.nodes, rule.weights / rule.weights.sum())
-
-
-def effective_velocity_from_path(
-    beta: FracOrder, v: InteractionField, path: MeasurePath, x, s: float, rule: QuadratureRule
-):
-    """g-average of the interaction field along a measure path.
-
-    Evaluates sum_q w_q v[mu_{r_q}](x) with piecewise-constant lookup of
-    the path; real times beyond the recorded horizon reuse the final
-    measure (freezing), with the induced error bounded by
-    2 * bound * P(D_s > horizon).  The field is linear in the measure, so
-    this is the field induced by the path average sum_q w_q mu_{r_q}.
-    """
-    _check_g_rule(rule, s)
-    if not path.measures:
-        raise ValueError("empty measure path")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return v.induced(_path_average(path, rule.nodes, rule.weights / rule.weights.sum()))(x)
-
-
 def freezing_tail_probability(beta: FracOrder, s: float, horizon: float) -> float:
     """P(D_s > horizon): weight of path lookups frozen at the end."""
     if beta.is_classical:
@@ -325,25 +256,6 @@ def _advect_segment(vel, points, s_a, s_b, ode_step):
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += h
     return x
-
-
-def integrate_flow(vel, mu0: EmpiricalMeasure, s_nodes, ode_step: float, lip: float = 0.0) -> FlowTable:
-    """Classical RK4 characteristics x' = vel(x, s) for every particle.
-
-    ``s_nodes`` must increase from 0.  The flow is stepped leg by leg
-    between consecutive nodes, with RK4 steps of at most ``ode_step``, and
-    positions are recorded at the nodes only; a caller that needs the flow
-    between nodes passes nodes no further apart than the accuracy it needs.
-    The step guard rejects ``ode_step * lip > 1``.
-    """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    if s_nodes[0] != 0.0 or np.any(np.diff(s_nodes) <= 0.0):
-        raise ValueError("flow nodes must increase from 0")
-    _check_step(ode_step, lip)
-    positions = [mu0.points.astype(float)]
-    for s_a, s_b in zip(s_nodes[:-1], s_nodes[1:]):
-        positions.append(_advect_segment(vel, positions[-1], float(s_a), float(s_b), ode_step))
-    return FlowTable(s_nodes=s_nodes, positions=np.array(positions))
 
 
 def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, s_extra, ode_step, lip) -> list:
@@ -454,11 +366,14 @@ def solve_linear_mc(
     equal-weight mixture over paths (mass conserved exactly).  Only the
     marginal law of each E_t enters the mixture, and E_t has the law of
     t^beta E_1, so one exact E_1 draw per path is scaled to every output
-    time (a path's clocks increase with t).  At beta = 1 the clock is
+    time (a path's clocks increase with t).  The flow is recorded on a
+    uniform grid of steps of at most ``ode_step`` up to the largest clock
+    and interpolated linearly in between.  At beta = 1 the clock is
     deterministic and this is ``solve_linear``.
     """
     if beta.is_classical:
         return solve_linear(beta, v, mu0, config)
+    _check_step(config.ode_step, v.lip)
     g_rule = _g_rule(beta, config)
     rng = RngSpec(seed=config.seed, stream_id=1)
     e_1 = sample_inverse(beta, 1.0, rng, size=n_paths)
@@ -466,14 +381,21 @@ def solve_linear_mc(
     s_max = float(clocks.max())
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
-    flow = integrate_flow(
-        lambda x, s: _field_average(v, x, *g_rule(s)), mu0, s_grid, config.ode_step, lip=v.lip
-    )
+
+    def vel(x, s):
+        return _field_average(v, x, *g_rule(s))
+
+    flow = [mu0.points.astype(float)]
+    for s_a, s_b in zip(s_grid[:-1].tolist(), s_grid[1:].tolist()):
+        flow.append(_advect_segment(vel, flow[-1], s_a, s_b, config.ode_step))
+    flow = np.array(flow)
+    wts = np.tile(mu0.weights / n_paths, n_paths)
     measures = [mu0]
-    for col, _t in enumerate(config.times):
-        pts = np.concatenate([flow.at(float(s)) for s in clocks[:, col]])
-        wts = np.concatenate([mu0.weights / n_paths] * n_paths)
-        measures.append(EmpiricalMeasure(points=pts, weights=wts))
+    for c in clocks.T:
+        j = np.clip(np.searchsorted(s_grid, c, side="right") - 1, 0, n_steps - 1)
+        frac = ((c - s_grid[j]) / (s_grid[j + 1] - s_grid[j]))[:, None, None]
+        pts = (1.0 - frac) * flow[j] + frac * flow[j + 1]
+        measures.append(EmpiricalMeasure(points=pts.reshape(-1, mu0.dim), weights=wts))
     grid = np.concatenate([[0.0], np.asarray(config.times)])
     return MeasurePath(times=grid, measures=measures, beta=beta)
 

@@ -145,7 +145,7 @@ def test_criterion_05_fode_vs_monte_carlo():
 
 def test_criterion_06_dirac_transport():
     beta = FracOrder(0.5)
-    v = ExplicitField(func=lambda x, t: np.ones_like(x), bound=1.0, lip=0.0)
+    v = ExplicitField(func=lambda x, t: np.ones_like(x), lip=0.0)
     cfg = SolverConfig(beta=beta, times=(1.0,), q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
     path = solve_linear(beta, v, EmpiricalMeasure.dirac([0.0]), cfg)
     exact = 1.128379
@@ -179,7 +179,7 @@ def test_criterion_07_nonlinear_closed_form():
 
 def test_criterion_08_stability_bound():
     beta = FracOrder(0.5)
-    damp = ExplicitField(func=lambda x, t: -x, bound=10.0, lip=1.0)
+    damp = ExplicitField(func=lambda x, t: -x, lip=1.0)
     delta = 0.01
     times = (0.25, 0.5, 1.0)
     cfg = SolverConfig(beta=beta, times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
@@ -195,7 +195,7 @@ def test_criterion_08_stability_bound():
 
 def test_criterion_09_holder_modulus():
     beta = FracOrder(0.5)
-    v = ExplicitField(func=lambda x, t: np.ones_like(x), bound=1.0, lip=0.0)
+    v = ExplicitField(func=lambda x, t: np.ones_like(x), lip=0.0)
     times = tuple(np.linspace(0.0, 1.0, 9)[1:])
     cfg = SolverConfig(beta=beta, times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
     path = solve_linear(beta, v, EmpiricalMeasure.dirac([0.0]), cfg)
@@ -213,7 +213,7 @@ def test_criterion_10_weak_residual_refinement():
 
     def linear_residual(m, q):
         times = tuple(np.linspace(0.0, 1.0, m + 1)[1:])
-        v = ExplicitField(func=lambda x, t: np.ones_like(x), bound=1.0, lip=0.0)
+        v = ExplicitField(func=lambda x, t: np.ones_like(x), lip=0.0)
         cfg = SolverConfig(beta=beta, times=times, q_h=q, q_g=8, eps_tail=1e-10,
                            ode_step=1.0 / (4 * m))
         path = solve_linear(beta, v, EmpiricalMeasure.dirac([0.0]), cfg)

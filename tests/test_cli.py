@@ -5,7 +5,14 @@ import os
 
 import pytest
 
-from fractrans.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, main
+from fractrans.cli import (
+    EXIT_CONFIG,
+    EXIT_NO_CONVERGENCE,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_VERIFY_FAILED,
+    main,
+)
 
 
 def _write_config(tmp_path, name, payload):
@@ -155,6 +162,7 @@ def test_unreachable_tail_mass_exit_4(tmp_path, capsys):
     {"beta": 1.5},
     {"extra_key": 1},
     {"velocity": {"kind": "warp"}},
+    {"velocity": {"kind": "damping", "bound": 3}},
     {"solver": {"mystery": 2}},
 ])
 def test_bad_configs_exit_2(tmp_path, mutation):
@@ -195,3 +203,18 @@ def test_mixed_field_problem_rejected(tmp_path):
         "initial": {"kind": "dirac"},
     })
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("cfg, code, failing", [
+    ({}, EXIT_OK, []),
+    # a loose quadrature tail breaks the checks that integrate against h
+    ({"eps_tail": 0.05}, EXIT_VERIFY_FAILED,
+     ["moment_identity_quadrature", "exponential_identity_quadrature", "dirac_transport_first_moment"]),
+])
+def test_verify_report_and_exit_code(tmp_path, cfg, code, failing):
+    out = tmp_path / "o"
+    assert main(["verify", "--config", _write_config(tmp_path, "v.json", cfg), "--out", str(out)]) == code
+    report = json.loads((out / "verify.json").read_text())
+    assert len(report["checks"]) == 11
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == failing
+    assert report["all_pass"] == (not failing)

@@ -20,10 +20,8 @@ from fractrans.specfun import (
 )
 from fractrans.subordinator import (
     RngSpec,
-    SubordinatorPath,
     mc_exponential_functional,
     sample_inverse,
-    sample_path,
     sample_stable_unit,
     solve_psi_fode,
 )
@@ -63,14 +61,6 @@ def test_stable_ks_against_half_order_cdf():
 def test_stable_rejects_classical():
     with pytest.raises(ValueError):
         sample_stable_unit(FracOrder(1.0), RngSpec(0))
-
-
-def test_sample_path_invariants():
-    path = sample_path(FracOrder(0.5), 2.0, 0.01, RngSpec(3))
-    assert isinstance(path, SubordinatorPath)
-    assert path.values[0] == 0.0
-    assert np.all(np.diff(path.values) >= 0.0)
-    assert path.grid[-1] >= 2.0
 
 
 def test_inverse_moments_mc():

@@ -1,4 +1,4 @@
-"""Solver tests: flows, effective velocities, linear/nonlinear/source.
+"""Solver tests: flows, g-averages, linear/nonlinear/source.
 
 Closed forms: with the unit field from a Dirac, the first moment equals
 the mean internal time Gamma(2)/Gamma(1+b) t^b; under the damping field
@@ -22,18 +22,19 @@ from fractrans.measures import (
 )
 from fractrans.specfun import (
     FracOrder,
-    g_quadrature,
     inverse_moment_coeff,
     mittag_leffler,
 )
+from fractrans.subordinator import RngSpec, sample_inverse
 from fractrans.transport import (
     ExplicitField,
     InteractionField,
     SolverConfig,
+    _advect_segment,
+    _field_average,
+    _g_rule,
+    _path_average,
     attraction_field,
-    effective_velocity,
-    effective_velocity_from_path,
-    integrate_flow,
     repulsion_field,
     solve_linear,
     solve_linear_mc,
@@ -42,9 +43,9 @@ from fractrans.transport import (
 )
 
 B = FracOrder(0.5)
-ONES = ExplicitField(func=lambda x, t: np.ones_like(x), bound=1.0, lip=0.0)
-DAMP = ExplicitField(func=lambda x, t: -x, bound=10.0, lip=1.0)
-ZERO = ExplicitField(func=lambda x, t: np.zeros_like(x), bound=0.0, lip=0.0)
+ONES = ExplicitField(func=lambda x, t: np.ones_like(x), lip=0.0)
+DAMP = ExplicitField(func=lambda x, t: -x, lip=1.0)
+ZERO = ExplicitField(func=lambda x, t: np.zeros_like(x), lip=0.0)
 
 
 def _dirac(x=0.0):
@@ -55,53 +56,48 @@ def _two_diracs(a=1.0):
     return EmpiricalMeasure(points=np.array([[-a], [a]]), weights=np.array([0.5, 0.5]))
 
 
+def _cfg(times=(0.5, 1.0), **kw):
+    defaults = dict(beta=B, times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
+    defaults.update(kw)
+    return SolverConfig(**defaults)
+
+
 # ---------------------------------------------------------------------------
-# Effective velocity
+# g-averages of the velocity
 # ---------------------------------------------------------------------------
 
 
-def test_effective_velocity_constant_field_passes_through():
-    rule = g_quadrature(B, 1.0, 32, 1e-8)
-    v = effective_velocity(B, ONES, np.array([[0.3]]), 1.0, rule)
+def test_field_average_constant_field_passes_through():
+    v = _field_average(ONES, np.array([[0.3]]), *_g_rule(B, _cfg(q_g=32))(1.0))
     assert v[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_effective_velocity_exponential_decay_oracle():
+def test_field_average_exponential_decay_oracle():
     # v(x, s) = e^{-s} u: the g-average is the Laplace transform e^{-t^b}
-    rule = g_quadrature(B, 1.0, 96, 1e-8)
-    field = ExplicitField(func=lambda x, s: np.exp(-s) * np.ones_like(x), bound=1.0, lip=0.0)
-    v = effective_velocity(B, field, np.array([[0.0]]), 1.0, rule)
+    field = ExplicitField(func=lambda x, s: np.exp(-s) * np.ones_like(x), lip=0.0)
+    v = _field_average(field, np.array([[0.0]]), *_g_rule(B, _cfg(q_g=96))(1.0))
     assert v[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-4)
 
 
-def test_effective_velocity_rejects_wrong_rule():
-    from fractrans.specfun import h_quadrature
-
-    rule = h_quadrature(B, 1.0, 16, 1e-6)
-    with pytest.raises(ValueError):
-        effective_velocity(B, ONES, np.array([[0.0]]), 1.0, rule)
-
-
-def test_effective_velocity_from_path_cases():
-    rule = g_quadrature(B, 1.0, 32, 1e-8)
+def test_path_average_induced_field_cases():
+    nodes, weights = _g_rule(B, _cfg(q_g=32))(1.0)
     mu = _two_diracs()
     path = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, mu], beta=B)
     zero_kernel = InteractionField(kernel=lambda z: np.zeros_like(z), bound=0.0, lip=0.0)
-    v = effective_velocity_from_path(B, zero_kernel, path, np.array([[0.7]]), 1.0, rule)
+    v = zero_kernel.induced(_path_average(path, nodes, weights))(np.array([[0.7]]))
     assert np.all(v == 0.0)
     # symmetric pair with K(z) = -z induces v[mu](x) = -x (unit mass)
     attract = attraction_field()
-    v = effective_velocity_from_path(B, attract, path, np.array([[0.7]]), 1.0, rule)
+    v = attract.induced(_path_average(path, nodes, weights))(np.array([[0.7]]))
     assert v[0, 0] == pytest.approx(-0.7, abs=1e-10)
     # two different recorded measures, switching at r = 1 between g-nodes:
     # the field induced by the averaged path equals the average of the fields
     switch = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, _two_diracs(0.3)], beta=B)
-    assert rule.nodes[0] < 1.0 < rule.nodes[-1]
+    assert nodes[0] < 1.0 < nodes[-1]
     repel = repulsion_field()
     x = np.array([[0.7], [-0.2]])
-    w = rule.weights / rule.weights.sum()
-    expected = sum(w_q * repel.induced(switch.at(r_q))(x) for r_q, w_q in zip(rule.nodes, w))
-    got = effective_velocity_from_path(B, repel, switch, x, 1.0, rule)
+    expected = sum(w_q * repel.induced(switch.at(r_q))(x) for r_q, w_q in zip(nodes, weights))
+    got = repel.induced(_path_average(switch, nodes, weights))(x)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
 
 
@@ -132,42 +128,36 @@ def test_repulsion_self_interaction_is_finite():
 
 
 def test_flow_zero_velocity_is_identity():
-    mu = _two_diracs()
-    table = integrate_flow(lambda x, s: np.zeros_like(x), mu, np.array([0.0, 0.5, 1.0]), 0.1)
-    np.testing.assert_array_equal(table.at(0.0), mu.points)
-    np.testing.assert_array_equal(table.at(1.0), mu.points)
+    pts = _two_diracs().points
+    zero = _advect_segment(lambda x, s: np.zeros_like(x), pts, 0.0, 1.0, 0.1)
+    np.testing.assert_array_equal(zero, pts)
+    # an empty segment is the identity without a step
+    np.testing.assert_array_equal(_advect_segment(lambda x, s: x, pts, 1.0, 1.0, 0.1), pts)
 
 
 def test_flow_constant_velocity_exact():
-    mu = _dirac(0.0)
-    table = integrate_flow(lambda x, s: np.ones_like(x), mu, np.array([0.0, 1.0, 2.0]), 0.125)
-    assert table.at(2.0)[0, 0] == pytest.approx(2.0, rel=1e-12)
-    assert table.at(0.75)[0, 0] == pytest.approx(0.75, rel=1e-12)
+    for s_b in (2.0, 0.75):
+        x = _advect_segment(lambda x, s: np.ones_like(x), _dirac(0.0).points, 0.0, s_b, 0.125)
+        assert x[0, 0] == pytest.approx(s_b, rel=1e-12)
 
 
 def test_flow_linear_decay_rk4_accuracy():
-    mu = _dirac(1.0)
-    table = integrate_flow(lambda x, s: -x, mu, np.array([0.0, 1.0]), 1e-2)
-    assert table.at(1.0)[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+    x = _advect_segment(lambda x, s: -x, _dirac(1.0).points, 0.0, 1.0, 1e-2)
+    assert x[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
-def test_flow_rejects_bad_nodes_and_steps():
-    mu = _dirac()
-    with pytest.raises(ValueError):
-        integrate_flow(lambda x, s: x, mu, np.array([0.5, 1.0]), 0.1)
-    with pytest.raises(ValueError):
-        integrate_flow(lambda x, s: x, mu, np.array([0.0, 1.0]), 2.0, lip=1.0)
+def test_solvers_reject_steps_beyond_the_lipschitz_scale():
+    # ode_step * lip = 2 > 1
+    cfg = _cfg(times=(1.0,), ode_step=2.0)
+    with pytest.raises(ValueError, match="too large for Lipschitz constant"):
+        solve_linear(B, DAMP, _dirac(), cfg)
+    with pytest.raises(ValueError, match="too large for Lipschitz constant"):
+        solve_linear_mc(B, DAMP, _dirac(), cfg, n_paths=10)
 
 
 # ---------------------------------------------------------------------------
 # Linear solver
 # ---------------------------------------------------------------------------
-
-
-def _cfg(times=(0.5, 1.0), **kw):
-    defaults = dict(beta=B, times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
-    defaults.update(kw)
-    return SolverConfig(**defaults)
 
 
 def test_linear_zero_velocity_constant_path():
@@ -226,10 +216,14 @@ def test_linear_mc_zero_velocity_exact():
 def test_linear_mc_paths_nonnegative_and_monotone_in_time():
     # the unit field from a Dirac at 0 moves each path's particle to its
     # clock, so the index-aligned outputs are the sampled clocks themselves
-    path = solve_linear_mc(B, ONES, _dirac(), _cfg(times=(0.25, 0.5, 1.0)), n_paths=2_000)
+    times = (0.25, 0.5, 1.0)
+    path = solve_linear_mc(B, ONES, _dirac(), _cfg(times=times), n_paths=2_000)
     pts = np.stack([mu.points[:, 0] for mu in path.measures[1:]])
     assert np.all(pts >= 0.0)
     assert np.all(np.diff(pts, axis=0) >= 0.0)
+    # clocks fall between flow grid nodes, so this pins the interpolation
+    clocks = np.outer(np.asarray(times) ** 0.5, sample_inverse(B, 1.0, RngSpec(0, 1), size=2_000))
+    np.testing.assert_allclose(pts, clocks, rtol=0.0, atol=1e-12)
 
 
 def test_linear_holder_modulus_in_time():
