@@ -3,9 +3,11 @@
 A single strict JSON document configures each run; unknown keys are
 rejected.  Exit codes: 0 success, 1 verification failure, 2 configuration
 error, 3 solver non-convergence, 4 numerical failure (a quadrature tail
-mass that cannot be met).  Every output file is written through a
-temp-file rename, so no partial file survives a failure, and each solve
-emits a manifest recording every tolerance and seed used.
+mass that cannot be met, or a floating-point overflow).  Every output
+file is written through a temp-file rename, so no partial file survives a
+failure, and each solve emits a manifest recording every tolerance and
+seed used.  scipy is imported only inside the functions that call it, so
+``sample`` runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .transport import (
     solve_nonlinear,
     solve_with_source,
 )
-from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -199,6 +200,8 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
     gammas = [float(g) for g in cfg.get("gammas", [1.0, 2.0])]
     lambdas = [float(l) for l in cfg.get("lambdas", [])]
     n = int(cfg.get("n", 10_000))
+    if n < 2:
+        raise ConfigError(f"n must be at least 2 for a standard error, got {n}")
     records = []
     for k, t in enumerate(times):
         draws = sample_inverse(beta, t, RngSpec(seed, stream_id=k), size=n)
@@ -300,6 +303,8 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_verify(cfg: dict, out_dir: str, seed: int) -> int:
+    from .verify import run_checks
+
     _require_keys(cfg, {"eps_tail"}, set(), "config")
     report = run_checks(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -343,7 +348,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TailMassError as exc:
+    except (TailMassError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -17,8 +17,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import MassMismatchError, SupportCapError
 from .specfun import FracOrder
@@ -99,7 +97,7 @@ def moment(mu: EmpiricalMeasure, k: int) -> float:
     if mu.size == 0:
         return 0.0
     r = np.linalg.norm(mu.points, axis=1)
-    return float(np.dot(mu.weights, r**k))
+    return float(np.sum(mu.weights * r**k))
 
 
 def expectation(mu: EmpiricalMeasure, f) -> float:
@@ -107,7 +105,7 @@ def expectation(mu: EmpiricalMeasure, f) -> float:
     if mu.size == 0:
         return 0.0
     vals = np.asarray(f(mu.points), dtype=float).ravel()
-    return float(np.dot(mu.weights, vals))
+    return float(np.sum(mu.weights * vals))
 
 
 def push_forward(mu: EmpiricalMeasure, mapping) -> EmpiricalMeasure:
@@ -134,6 +132,9 @@ def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
     where c is the signed weight vector of mu - nu.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     pts = np.vstack([mu.points.reshape(-1, mu.dim), nu.points.reshape(-1, nu.dim)])
@@ -205,7 +206,7 @@ def w1_distance_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     order = np.argsort(x, kind="stable")
     x, w = x[order], w[order]
     cdf_diff = np.cumsum(w)[:-1]
-    return float(np.dot(np.abs(cdf_diff), np.diff(x)))
+    return float(np.sum(np.abs(cdf_diff) * np.diff(x)))
 
 
 @dataclass

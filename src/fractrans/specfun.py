@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.special import gammaln, roots_legendre
 
 from .errors import TailMassError
 
@@ -105,7 +103,7 @@ class QuadratureRule:
 
     def integrate(self, f) -> float:
         """Fixed-order weighted sum of f over the nodes."""
-        return float(np.dot(self.weights, f(self.nodes)))
+        return float(np.sum(self.weights * f(self.nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +119,7 @@ def _ml_series(beta: float, z: float) -> float:
     total = 1.0
     log_az = math.log(abs(z))
     for k in range(1, _ML_MAX_TERMS):
-        term = math.exp(k * log_az - gammaln(beta * k + 1.0))
+        term = math.exp(k * log_az - math.lgamma(beta * k + 1.0))
         if z < 0 and k % 2 == 1:
             term = -term
         total += term
@@ -131,16 +129,25 @@ def _ml_series(beta: float, z: float) -> float:
 
 
 def _ml_series_peak(beta: float, z: float) -> float:
-    """Estimated magnitude of the largest series term (cancellation guard)."""
+    """Estimated magnitude of the largest series term (cancellation guard).
+
+    inf, which selects the integral, when the peak index is out of the
+    floating-point range.
+    """
     az = abs(z)
     if az <= 1.0:
         return 1.0
-    k_peak = az ** (1.0 / beta) / beta
-    log_peak = k_peak * math.log(az) - gammaln(beta * k_peak + 1.0)
+    try:
+        k_peak = az ** (1.0 / beta) / beta
+        log_peak = k_peak * math.log(az) - math.lgamma(beta * k_peak + 1.0)
+    except OverflowError:
+        return math.inf
     return math.exp(min(log_peak, 700.0))
 
 
 def _ml_integral(beta: float, z: float) -> float:
+    from scipy import integrate
+
     # Hankel branch-cut representation; substitution u = r**beta makes the
     # integrand smooth at the origin:
     #   E(z) = [z > 0] * exp(z**(1/beta)) / beta
@@ -148,8 +155,13 @@ def _ml_integral(beta: float, z: float) -> float:
     #            int_0^inf exp(-u**(1/beta)) / (u^2 - 2 z u cos(pi beta) + z^2) du
     cos_pb = math.cos(math.pi * beta)
     sin_pb = math.sin(math.pi * beta)
+    # exp(-u**(1/beta)) is exactly 0.0 past this point, where u**(1/beta)
+    # itself may overflow
+    u_zero = 750.0**beta
 
     def integrand(u):
+        if u > u_zero:
+            return 0.0
         return math.exp(-(u ** (1.0 / beta))) / (u * u - 2.0 * z * u * cos_pb + z * z)
 
     points = [abs(z)] if abs(z) > 0 else None
@@ -209,7 +221,7 @@ def _stable_series(b: float, x: float) -> float:
     total = 0.0
     for k in range(1, _STABLE_MAX_TERMS):
         sin_k = math.sin(math.pi * b * k)
-        term = math.exp(gammaln(b * k + 1.0) - gammaln(k + 1.0) - (b * k + 1.0) * lx)
+        term = math.exp(math.lgamma(b * k + 1.0) - math.lgamma(k + 1.0) - (b * k + 1.0) * lx)
         contrib = ((-1.0) ** (k + 1)) * term * sin_k / math.pi
         total += contrib
         if term < 1e-18 * max(abs(total), 1e-300):
@@ -223,7 +235,7 @@ def _stable_sf_series(b: float, x: float) -> float:
     total = 0.0
     for k in range(1, _STABLE_MAX_TERMS):
         sin_k = math.sin(math.pi * b * k)
-        term = math.exp(gammaln(b * k) - gammaln(k + 1.0) - b * k * lx)
+        term = math.exp(math.lgamma(b * k) - math.lgamma(k + 1.0) - b * k * lx)
         total += ((-1.0) ** (k + 1)) * term * sin_k / math.pi
         if term < 1e-18 * max(abs(total), 1e-300):
             break
@@ -245,6 +257,8 @@ def _zolotarev_a0(b: float) -> float:
 
 
 def _stable_zolotarev_pdf(b: float, x: float) -> float:
+    from scipy import integrate
+
     lam = x ** (-b / (1.0 - b))
     if lam * _zolotarev_a0(b) > 740.0:
         return 0.0  # below the floating-point floor; essential zero at 0+
@@ -259,6 +273,8 @@ def _stable_zolotarev_pdf(b: float, x: float) -> float:
 
 
 def _stable_zolotarev_cdf(b: float, x: float) -> float:
+    from scipy import integrate
+
     lam = x ** (-b / (1.0 - b))
     if lam * _zolotarev_a0(b) > 740.0:
         return 0.0
@@ -337,7 +353,7 @@ def inverse_moment_coeff(beta: FracOrder, gamma: float) -> float:
     """Coefficient C(beta, gamma) in E[E_t^gamma] = C(beta, gamma) t^(gamma beta)."""
     if gamma <= 0.0:
         raise ValueError(f"moment order must be positive, got {gamma}")
-    return math.exp(gammaln(gamma + 1.0) - gammaln(gamma * beta.beta + 1.0))
+    return math.exp(math.lgamma(gamma + 1.0) - math.lgamma(gamma * beta.beta + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +383,7 @@ def _unit_sf(beta: FracOrder, target: KernelTarget, s: float) -> float:
 
 def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: float) -> float:
     """s with survival(s) = w, solved on a logarithmic bracket."""
+    from scipy import optimize
 
     def obj(ls):
         sf = _unit_sf(beta, target, math.exp(ls))
@@ -425,7 +442,7 @@ def _unit_rule(beta_value: float, target: KernelTarget, q: int, eps_tail: float)
     for (a, b), (wa, wb), n in zip(
         zip(edges[:-1], edges[1:]), zip(survivals[:-1], survivals[1:]), counts
     ):
-        x, v = roots_legendre(n)
+        x, v = np.polynomial.legendre.leggauss(n)
         if a > 0.0 and b / a > 8.0:
             # log-space panel: s = exp(y), extra Jacobian factor s
             ya, yb = math.log(a), math.log(b)

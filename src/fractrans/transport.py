@@ -319,7 +319,7 @@ def _coupling_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     Optimal Transport: Old and New, 2009, Ch. 6).  Exact for two Diracs.
     """
     r = np.linalg.norm(nu.points - mu.points[np.arange(nu.size) % mu.size], axis=1)
-    return float(np.dot(nu.weights, 2.0 * r / (2.0 + r)))
+    return float(np.sum(nu.weights * (2.0 * r / (2.0 + r))))
 
 
 def _grid_with_extension(config: SolverConfig) -> np.ndarray:

@@ -157,6 +157,15 @@ def test_unreachable_tail_mass_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical error:")
 
 
+def test_float_overflow_exit_4(tmp_path, capsys):
+    # E_{1/2}(800) = e^{640000} erfc(-800) is past the floating-point range
+    cfg = _write_config(tmp_path, "k.json", {"betas": [0.5], "z_grid": [800.0]})
+    assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mutation", [
     {"problem": "heat"},
     {"beta": 1.5},
@@ -176,6 +185,14 @@ def test_bad_configs_exit_2(tmp_path, mutation):
     base.update(mutation)
     cfg = _write_config(tmp_path, "bad.json", base)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_sample_needs_two_draws(tmp_path):
+    # one draw has no standard error (NaN, which is not strict JSON)
+    cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "n": 1})
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_missing_and_malformed_config(tmp_path):

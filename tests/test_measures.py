@@ -2,6 +2,8 @@
 
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fractrans
 from fractrans.errors import MassMismatchError, SupportCapError
 from fractrans.measures import (
     EmpiricalMeasure,
@@ -309,3 +312,25 @@ def test_written_files_get_the_umask_mode(tmp_path):
         os.umask(old)
     mode = lambda name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
     assert mode("manifest.json") == mode("plain.json") == 0o640
+
+
+_MOMENT_REPR = """
+import numpy as np
+from fractrans.measures import EmpiricalMeasure, moment
+rng = np.random.default_rng(0)
+n = 116_100
+mu = EmpiricalMeasure(points=rng.normal(size=(n, 2)), weights=np.full(n, 1.0 / n))
+print(repr(moment(mu, 1)), repr(moment(mu, 2)))
+"""
+
+
+def test_moment_does_not_depend_on_blas_threads():
+    # a BLAS dot product splits its sum by thread; the moments must not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fractrans.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _MOMENT_REPR], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
