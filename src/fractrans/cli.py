@@ -6,8 +6,8 @@ error, 3 solver non-convergence, 4 numerical failure (a quadrature tail
 mass that cannot be met, or a floating-point overflow).  Every output
 file is written through a temp-file rename, so no partial file survives a
 failure, and each solve emits a manifest recording every tolerance and
-seed used.  scipy is imported only inside the functions that call it, so
-``sample`` runs on numpy alone.
+seed used.  ``kernels``, ``sample`` and ``solve`` run on numpy alone;
+only ``verify`` imports scipy.
 """
 
 from __future__ import annotations

@@ -5,10 +5,23 @@ G_beta (law of the unit-time subordinator), the rescaled subordinator
 density g_beta(s, t), the inverse-subordinator density h_beta(s, t), and
 builds quadrature rules for integrals against g_beta and h_beta.
 
-Evaluation strategy for G_beta: the convergent inverse-power series for
-arguments >= 1 and the Zolotarev angular-integral representation below 1
-(the switchover was cross-validated against the beta = 1/2 closed form,
-where G is an inverse-Gaussian-type Levy density).
+Everything runs on numpy, with fixed-node integrals and no adaptive
+routine:
+
+- G_beta and its CDF: the convergent inverse-power series for arguments
+  >= 1, and below 1 the Zolotarev angular integrals over (0, pi), each a
+  composite Gauss-Legendre rule on panels cut where lam * a(phi) crosses
+  lam * a(0) + {1/4, 1, 3, 8, 20, 45, 100} (Nolan 1997).  The cuts are
+  read off a fixed phi grid by interpolation, so no root is solved.  Both
+  branches take arrays; a scalar in gives a float out.  The switchover
+  was cross-validated against the beta = 1/2 closed form, where G is an
+  inverse-Gaussian-type Levy density.
+- Mittag-Leffler: the power series where it does not cancel, else the
+  Hankel branch-cut integral on Gauss-Legendre panels whose edges follow
+  the decay of exp(-u^(1/beta)) and the near-pole of the denominator at
+  |u| = |z|.
+- Rule edges (quantiles at fixed survival levels): a safeguarded
+  Newton/bisection in log s, on all levels at once.
 """
 
 from __future__ import annotations
@@ -42,6 +55,9 @@ TOL_NORM = 1e-8
 
 #: hard cap on the internal-time horizon of any quadrature rule
 S_MAX_CAP = 1e40
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,24 @@ class QuadratureRule:
         return float(np.sum(self.weights * f(self.nodes)))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _panel_nodes(edges: np.ndarray, n: int):
+    """n-point Gauss-Legendre nodes and weights on the panels between
+    consecutive edges (last axis); panels are flattened along that axis."""
+    x, w = _gauss_legendre(n)
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    shape = edges.shape[:-1] + ((edges.shape[-1] - 1) * n,)
+    return (mid + half * x).reshape(shape), (half * w).reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # Mittag-Leffler function
 # ---------------------------------------------------------------------------
@@ -145,33 +179,38 @@ def _ml_series_peak(beta: float, z: float) -> float:
     return math.exp(min(log_peak, 700.0))
 
 
-def _ml_integral(beta: float, z: float) -> float:
-    from scipy import integrate
+#: r = u**(1/beta) at the panel edges of the Hankel integral: exp(-r) is
+#: resolved on a dyadic grid, graded toward the u**(1/beta) cusp at 0
+_ML_R_EDGES = 2.0 ** np.arange(-40, 10)
+#: exp(-r) is exactly 0.0 past r = 750, where the integral is cut
+_ML_R_MAX = 750.0
+#: panel edges around the denominator's near-pole at |u| = |z|, in log u
+#: and in units of the pole's angle off the positive axis
+_ML_POLE_EDGES = np.array([-8.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+_ML_NODES = 16
 
-    # Hankel branch-cut representation; substitution u = r**beta makes the
-    # integrand smooth at the origin:
+
+def _ml_integral(beta: float, z: float) -> float:
+    # Hankel branch-cut representation:
     #   E(z) = [z > 0] * exp(z**(1/beta)) / beta
-    #          - (z sin(pi beta) / (pi beta)) *
-    #            int_0^inf exp(-u**(1/beta)) / (u^2 - 2 z u cos(pi beta) + z^2) du
+    #          - (sin(pi beta) / (pi beta z)) *
+    #            int_0^inf exp(-u**(1/beta)) / ((u/z)^2 - 2 (u/z) cos(pi beta) + 1) du
+    # (scaled by z^2 so that z^2 cannot overflow).  The denominator's zeros
+    # sit at |u| = |z|, pole_angle off the positive axis.  Gauss-Legendre
+    # panels from 0 to the cut, with edges on both scales: adjacent edges
+    # are at most a factor 2**beta apart.
     cos_pb = math.cos(math.pi * beta)
     sin_pb = math.sin(math.pi * beta)
-    # exp(-u**(1/beta)) is exactly 0.0 past this point, where u**(1/beta)
-    # itself may overflow
-    u_zero = 750.0**beta
-
-    def integrand(u):
-        if u > u_zero:
-            return 0.0
-        return math.exp(-(u ** (1.0 / beta))) / (u * u - 2.0 * z * u * cos_pb + z * z)
-
-    points = [abs(z)] if abs(z) > 0 else None
-    # split the half line at the denominator minimum for the adaptive routine
-    upper = max(10.0, (2 * abs(z)) ** 1.0, 800.0 ** beta)
-    val, _ = integrate.quad(
-        integrand, 0.0, upper, points=points, limit=400, epsabs=1e-300, epsrel=1e-13
+    pole_angle = math.pi * (1.0 - beta) if z < 0 else math.pi * beta
+    log_u_max = beta * math.log(_ML_R_MAX)
+    log_edges = np.concatenate(
+        [beta * np.log(_ML_R_EDGES), math.log(abs(z)) + pole_angle * _ML_POLE_EDGES]
     )
-    val += integrate.quad(integrand, upper, np.inf, limit=200, epsabs=1e-300, epsrel=1e-13)[0]
-    result = -z * sin_pb / (math.pi * beta) * val
+    log_edges = np.unique(np.append(log_edges[log_edges < log_u_max], log_u_max))
+    u, w = _panel_nodes(np.concatenate([[0.0], np.exp(log_edges)]), _ML_NODES)
+    v = u / z
+    val = float(np.sum(w * np.exp(-(u ** (1.0 / beta))) / (v * v - 2.0 * v * cos_pb + 1.0)))
+    result = -sin_pb / (math.pi * beta * z) * val
     if z > 0:
         exponent = z ** (1.0 / beta)
         if exponent > 700.0:
@@ -204,51 +243,55 @@ def mittag_leffler(beta: FracOrder, z: float) -> float:
 
 _STABLE_SERIES_MIN_X = 1.0
 _STABLE_MAX_TERMS = 400
+#: rows of the series table evaluated at once, which bounds its memory
+_STABLE_SERIES_BLOCK = 256
 
 
-def _check_stable_args(beta: FracOrder, x: float) -> float:
+def _check_stable_args(beta: FracOrder, x) -> float:
     b = beta.beta
     if b >= 1.0:
         raise ValueError("stable density requires beta strictly below 1")
-    if x <= 0.0:
-        raise ValueError(f"stable density is supported on (0, inf), got x = {x}")
+    if np.any(np.asarray(x) <= 0.0):
+        raise ValueError(f"stable density is supported on (0, inf), got x = {np.min(x)}")
     return b
 
 
-def _stable_series(b: float, x: float) -> float:
-    # convergent inverse-power series, alternating in k
-    lx = math.log(x)
-    total = 0.0
-    for k in range(1, _STABLE_MAX_TERMS):
-        sin_k = math.sin(math.pi * b * k)
-        term = math.exp(math.lgamma(b * k + 1.0) - math.lgamma(k + 1.0) - (b * k + 1.0) * lx)
-        contrib = ((-1.0) ** (k + 1)) * term * sin_k / math.pi
-        total += contrib
-        if term < 1e-18 * max(abs(total), 1e-300):
-            break
-    return max(total, 0.0)
+@lru_cache(maxsize=64)
+def _stable_series_table(b: float, sf: bool):
+    """Log-magnitude, power of 1/x and signed factor of the terms
+    k = 1, 2, ... of the density series, or with ``sf`` of its termwise
+    integrated tail."""
+    k = np.arange(1, _STABLE_MAX_TERMS, dtype=float)
+    shift = 0.0 if sf else 1.0
+    log_mag = np.array([math.lgamma(b * j + shift) - math.lgamma(j + 1.0) for j in k])
+    sign = np.where(k % 2 == 1.0, 1.0, -1.0) * np.sin(np.pi * b * k) / np.pi
+    return log_mag, b * k + shift, sign
 
 
-def _stable_sf_series(b: float, x: float) -> float:
-    # termwise-integrated tail of the density series
-    lx = math.log(x)
-    total = 0.0
-    for k in range(1, _STABLE_MAX_TERMS):
-        sin_k = math.sin(math.pi * b * k)
-        term = math.exp(math.lgamma(b * k) - math.lgamma(k + 1.0) - b * k * lx)
-        total += ((-1.0) ** (k + 1)) * term * sin_k / math.pi
-        if term < 1e-18 * max(abs(total), 1e-300):
-            break
-    return min(max(total, 0.0), 1.0)
+def _stable_series(b: float, x: np.ndarray, sf: bool = False) -> np.ndarray:
+    """Convergent inverse-power series at x >= 1, alternating in k: the
+    density, or with ``sf`` the survival function.  Each x sums its terms
+    in order and stops at the first below 1e-18 of its partial sum."""
+    log_mag, power, sign = _stable_series_table(b, sf)
+    out = np.empty(x.shape)
+    for i in range(0, x.size, _STABLE_SERIES_BLOCK):
+        lx = np.log(x[i : i + _STABLE_SERIES_BLOCK])[:, None]
+        term = np.exp(log_mag - power * lx)
+        total = np.cumsum(term * sign, axis=1)
+        done = term < 1e-18 * np.maximum(np.abs(total), 1e-300)
+        stop = np.where(done.any(axis=1), done.argmax(axis=1), total.shape[1] - 1)
+        out[i : i + _STABLE_SERIES_BLOCK] = total[np.arange(stop.size), stop]
+    out = np.maximum(out, 0.0)
+    return np.minimum(out, 1.0) if sf else out
 
 
-def _zolotarev_a(phi: np.ndarray, b: float) -> np.ndarray:
-    # angular function of the Zolotarev representation, increasing on (0, pi)
-    s = np.sin(phi)
+def _log_zolotarev_a(phi: np.ndarray, b: float) -> np.ndarray:
+    # log of the angular function of the Zolotarev representation,
+    # increasing on (0, pi)
     return (
-        np.sin(b * phi) ** (b / (1.0 - b))
-        * np.sin((1.0 - b) * phi)
-        / s ** (1.0 / (1.0 - b))
+        b / (1.0 - b) * np.log(np.sin(b * phi))
+        + np.log(np.sin((1.0 - b) * phi))
+        - np.log(np.sin(phi)) / (1.0 - b)
     )
 
 
@@ -256,58 +299,88 @@ def _zolotarev_a0(b: float) -> float:
     return b ** (b / (1.0 - b)) * (1.0 - b)
 
 
-def _stable_zolotarev_pdf(b: float, x: float) -> float:
-    from scipy import integrate
+#: lam * (a(phi) - a(0)) at the panel cuts of the Zolotarev integrals
+_ZOLOTAREV_LEVELS = np.array([0.25, 1.0, 3.0, 8.0, 20.0, 45.0, 100.0])
+_ZOLOTAREV_NODES = 20
+#: the fixed grid on which the cuts are read off
+_ZOLOTAREV_GRID = np.pi * np.arange(512) / 512.0
 
+
+@lru_cache(maxsize=64)
+def _zolotarev_cut_grid(b: float) -> np.ndarray:
+    """sqrt(a(phi) - a(0)) on the fixed grid, made nondecreasing.  The
+    square root is linear in phi near 0, where the cuts of large lam sit,
+    so interpolating in it places those cuts well."""
+    a = np.exp(np.minimum(_log_zolotarev_a(_ZOLOTAREV_GRID[1:], b), 700.0))
+    rise = np.maximum.accumulate(np.maximum(a - _zolotarev_a0(b), 0.0))
+    root = np.concatenate([[0.0], np.sqrt(rise)])
+    root.setflags(write=False)
+    return root
+
+
+def _stable_zolotarev(b: float, x: np.ndarray):
+    """Density and CDF at x in (0, 1) from the Zolotarev integrals
+    int_0^pi a e^(-lam a) dphi and int_0^pi e^(-lam a) dphi, lam =
+    x^(-b/(1-b)).  Each is a 20-point Gauss-Legendre rule on the eight
+    panels between the cuts; both are 0 where lam * a(0) > 740, below the
+    floating-point floor (essential zero at 0+)."""
+    a0 = _zolotarev_a0(b)
+    pdf, cdf = np.zeros(x.shape), np.zeros(x.shape)
+    live = x >= (740.0 / a0) ** (-(1.0 - b) / b)
+    x = x[live]
     lam = x ** (-b / (1.0 - b))
-    if lam * _zolotarev_a0(b) > 740.0:
-        return 0.0  # below the floating-point floor; essential zero at 0+
-
-    def integrand(phi):
-        a = float(_zolotarev_a(np.asarray(phi), b))
-        e = lam * a
-        return 0.0 if e > 740.0 else a * math.exp(-e)
-
-    val, _ = integrate.quad(integrand, 0.0, math.pi, limit=300, epsabs=1e-300, epsrel=1e-12)
-    return b / (1.0 - b) / math.pi * x ** (-1.0 / (1.0 - b)) * val
-
-
-def _stable_zolotarev_cdf(b: float, x: float) -> float:
-    from scipy import integrate
-
-    lam = x ** (-b / (1.0 - b))
-    if lam * _zolotarev_a0(b) > 740.0:
-        return 0.0
-
-    def integrand(phi):
-        e = lam * float(_zolotarev_a(np.asarray(phi), b))
-        return 0.0 if e > 740.0 else math.exp(-e)
-
-    val, _ = integrate.quad(integrand, 0.0, math.pi, limit=300, epsabs=1e-300, epsrel=1e-12)
-    return val / math.pi
+    cuts = np.interp(
+        np.sqrt(_ZOLOTAREV_LEVELS / lam[:, None]),
+        _zolotarev_cut_grid(b), _ZOLOTAREV_GRID, right=math.pi,
+    )
+    edges = np.concatenate(
+        [np.zeros((x.size, 1)), cuts, np.full((x.size, 1), math.pi)], axis=1
+    )
+    phi, w = _panel_nodes(edges, _ZOLOTAREV_NODES)
+    a = np.exp(np.minimum(_log_zolotarev_a(phi, b), 700.0))
+    decay = w * np.exp(-lam[:, None] * a)
+    pdf[live] = b / (1.0 - b) / math.pi * x ** (-1.0 / (1.0 - b)) * np.sum(a * decay, axis=1)
+    cdf[live] = np.sum(decay, axis=1) / math.pi
+    return pdf, cdf
 
 
-def stable_density(beta: FracOrder, x: float) -> float:
-    """Density of the unit-time beta-stable subordinator at x > 0."""
+def _stable_eval(beta: FracOrder, x, series, zolotarev):
+    """Evaluate on the series branch at x >= 1 and the Zolotarev branch
+    below; a scalar x gives a float."""
     b = _check_stable_args(beta, x)
-    if x >= _STABLE_SERIES_MIN_X:
-        return _stable_series(b, x)
-    return _stable_zolotarev_pdf(b, x)
+    xa = np.asarray(x, dtype=float)
+    flat = xa.reshape(-1)
+    out = np.empty(flat.shape)
+    tail = flat >= _STABLE_SERIES_MIN_X
+    for mask, branch in ((tail, series), (~tail, zolotarev)):
+        if mask.any():
+            out[mask] = branch(b, flat[mask])
+    return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
-def stable_cdf(beta: FracOrder, x: float) -> float:
-    """P(D_1 <= x) for the unit-time subordinator."""
-    b = _check_stable_args(beta, x)
-    if x >= _STABLE_SERIES_MIN_X:
-        return 1.0 - _stable_sf_series(b, x)
-    return _stable_zolotarev_cdf(b, x)
+def stable_density(beta: FracOrder, x):
+    """Density of the unit-time beta-stable subordinator at x > 0 (scalar
+    or array)."""
+    return _stable_eval(
+        beta, x, _stable_series, lambda b, y: _stable_zolotarev(b, y)[0]
+    )
 
 
-def _stable_sf(beta: FracOrder, x: float) -> float:
-    b = _check_stable_args(beta, x)
-    if x >= _STABLE_SERIES_MIN_X:
-        return _stable_sf_series(b, x)
-    return 1.0 - _stable_zolotarev_cdf(b, x)
+def stable_cdf(beta: FracOrder, x):
+    """P(D_1 <= x) for the unit-time subordinator (scalar or array)."""
+    return _stable_eval(
+        beta, x,
+        lambda b, y: 1.0 - _stable_series(b, y, sf=True),
+        lambda b, y: _stable_zolotarev(b, y)[1],
+    )
+
+
+def _stable_sf(beta: FracOrder, x):
+    return _stable_eval(
+        beta, x,
+        lambda b, y: _stable_series(b, y, sf=True),
+        lambda b, y: 1.0 - _stable_zolotarev(b, y)[1],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +440,15 @@ _PANEL_SURVIVALS = (
 )
 
 
-def _unit_pdf(beta: FracOrder, target: KernelTarget, s: float) -> float:
+def _unit_pdf(beta: FracOrder, target: KernelTarget, s):
     if target is KernelTarget.H_KERNEL:
-        return inverse_subordinator_density(beta, s, 1.0)
+        # h_beta(s, 1), as in inverse_subordinator_density
+        b = beta.beta
+        return (1.0 / b) * s ** (-1.0 - 1.0 / b) * stable_density(beta, s ** (-1.0 / b))
     return stable_density(beta, s)
 
 
-def _unit_sf(beta: FracOrder, target: KernelTarget, s: float) -> float:
+def _unit_sf(beta: FracOrder, target: KernelTarget, s):
     if target is KernelTarget.H_KERNEL:
         # P(E_1 > s) = P(D_s < 1): evaluate the stable CDF directly so the
         # deep tail keeps full relative accuracy (no 1 - (1 - cdf) round trip)
@@ -381,29 +456,63 @@ def _unit_sf(beta: FracOrder, target: KernelTarget, s: float) -> float:
     return _stable_sf(beta, s)
 
 
-def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: float) -> float:
-    """s with survival(s) = w, solved on a logarithmic bracket."""
-    from scipy import optimize
+#: iteration cap of the quantile solve; bisection alone needs about 60
+_QUANTILE_MAX_ITER = 200
 
-    def obj(ls):
-        sf = _unit_sf(beta, target, math.exp(ls))
-        if sf <= 0.0:
-            return -700.0 - math.log(w)
-        return math.log(sf) - math.log(w)
 
-    lo, hi = -40.0, 1.0
+def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: np.ndarray) -> np.ndarray:
+    """s with survival(s) = w, for every level w at once.
+
+    Safeguarded Newton in log s (Numerical Recipes' rtsafe): a bisection
+    step whenever the Newton step leaves the bracket or fails to halve the
+    step before last.  The bracket starts at [-40, 1] and its top grows by
+    2 up to log(S_MAX_CAP) for the levels that need it.
+    """
+    log_w = np.log(w)
+
+    def excess(ls, lw):
+        # log survival minus log target, and its slope in log s
+        s = np.exp(ls)
+        sf = np.maximum(_unit_sf(beta, target, s), _TINY)
+        return np.log(sf) - lw, -s * _unit_pdf(beta, target, s) / sf
+
+    lo = np.full(w.shape, -40.0)
+    hi = np.full(w.shape, 1.0)
     lhi_cap = math.log(S_MAX_CAP)
-    while obj(hi) > 0.0:
-        hi = min(hi + 2.0, lhi_cap)
-        if hi >= lhi_cap and obj(hi) > 0.0:
-            raise TailMassError(
-                f"tail-mass target {w} unreachable below the horizon cap {S_MAX_CAP}"
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        short = np.arange(w.size)
+        while short.size:
+            above = excess(hi[short], log_w[short])[0] > 0.0
+            short = short[above]
+            capped = short[hi[short] >= lhi_cap]
+            if capped.size:
+                raise TailMassError(
+                    f"tail-mass target {w[capped[0]]} unreachable below the horizon "
+                    f"cap {S_MAX_CAP}"
+                )
+            lo[short] = hi[short]
+            hi[short] = np.minimum(hi[short] + 2.0, lhi_cap)
+
+        x = hi.copy()
+        step = hi - lo
+        before = step.copy()
+        live = np.arange(w.size)
+        for _ in range(_QUANTILE_MAX_ITER):
+            f, slope = excess(x[live], log_w[live])
+            lo[live] = np.where(f > 0.0, x[live], lo[live])
+            hi[live] = np.where(f < 0.0, x[live], hi[live])
+            newton = x[live] - f / slope
+            bisect = ~((newton > lo[live]) & (newton < hi[live])) | (
+                np.abs(2.0 * f) > np.abs(before[live] * slope)
             )
-    while obj(lo) < 0.0:
-        lo -= 5.0
-        if lo < -600.0:  # pragma: no cover - defensive
-            raise TailMassError("quantile bracket collapsed")
-    return math.exp(optimize.brentq(obj, lo, hi, xtol=1e-14, rtol=1e-14))
+            new = np.where(bisect, 0.5 * (lo[live] + hi[live]), newton)
+            before[live] = step[live]
+            step[live] = np.abs(new - x[live])
+            x[live] = new
+            live = live[step[live] > 4.0 * _EPS * (1.0 + np.abs(new))]
+            if not live.size:
+                break
+    return np.exp(x)
 
 
 def _allocate(q: int, n_panels: int) -> list[int]:
@@ -436,13 +545,13 @@ def _unit_rule(beta_value: float, target: KernelTarget, q: int, eps_tail: float)
         )
         survivals = [survivals[i] for i in idx]
         n_panels = len(survivals) - 1
-    edges = [0.0] + [_unit_quantile_sf(beta, target, w) for w in survivals[1:]]
+    edges = [0.0] + _unit_quantile_sf(beta, target, np.array(survivals[1:])).tolist()
     counts = _allocate(q, n_panels)
     nodes, weights = [], []
     for (a, b), (wa, wb), n in zip(
         zip(edges[:-1], edges[1:]), zip(survivals[:-1], survivals[1:]), counts
     ):
-        x, v = np.polynomial.legendre.leggauss(n)
+        x, v = _gauss_legendre(n)
         if a > 0.0 and b / a > 8.0:
             # log-space panel: s = exp(y), extra Jacobian factor s
             ya, yb = math.log(a), math.log(b)
@@ -453,7 +562,7 @@ def _unit_rule(beta_value: float, target: KernelTarget, q: int, eps_tail: float)
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             s = mid + half * x
             w_gl = v * half
-        pdf = np.array([_unit_pdf(beta, target, si) for si in s])
+        pdf = _unit_pdf(beta, target, s)
         panel_w = w_gl * pdf
         mass_exact = wa - wb
         mass_gl = float(panel_w.sum())

@@ -219,12 +219,12 @@ def _path_average(path: MeasurePath, times, weights) -> EmpiricalMeasure:
     )
 
 
-def freezing_tail_probability(beta: FracOrder, s: float, horizon: float) -> float:
-    """P(D_s > horizon): weight of path lookups frozen at the end."""
+def freezing_tail_probability(beta: FracOrder, s: np.ndarray, horizon: float) -> np.ndarray:
+    """P(D_s > horizon) at each internal time s: weight of path lookups
+    frozen at the end."""
     if beta.is_classical:
-        return 0.0 if s <= horizon else 1.0
-    x = horizon * s ** (-1.0 / beta.beta)
-    return 1.0 - stable_cdf(beta, x)
+        return np.where(s <= horizon, 0.0, 1.0)
+    return 1.0 - stable_cdf(beta, horizon * s ** (-1.0 / beta.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +463,8 @@ def solve_nonlinear(
         beta=beta,
     )
     freeze = max(
-        sum(w * freezing_tail_probability(beta, s, horizon) for s, w in zip(*h_rules[k - 1]))
-        for k in keep[1:]
+        float(np.sum(w * freezing_tail_probability(beta, s, horizon)))
+        for s, w in (h_rules[k - 1] for k in keep[1:])
     )
     out.diagnostics.update(
         {

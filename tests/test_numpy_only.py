@@ -1,8 +1,10 @@
-"""The package and the ``sample`` command run on numpy alone.
+"""Every command but ``verify`` runs on numpy alone.
 
-scipy is imported inside the few functions that call it (adaptive
-quadrature and root finding in rule construction, the bounded-Lipschitz
-LP, ``verify``), so importing the CLI and drawing clocks never load it.
+The special functions integrate on fixed Gauss-Legendre nodes and solve
+rule quantiles by a vectorized Newton iteration, so building rules and
+solving never load scipy.  scipy is only used by ``measures.bl_distance``
+(the bounded-Lipschitz LP) and ``verify`` (independent oracles), each
+imported inside the function that calls it.
 """
 
 import json
@@ -11,6 +13,7 @@ import subprocess
 import sys
 
 import pytest
+from scipy.special import erfcx
 
 import fractrans
 from fractrans.specfun import FracOrder, mittag_leffler
@@ -18,31 +21,62 @@ from fractrans.specfun import FracOrder, mittag_leffler
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(fractrans.__file__)))
 
 _NO_SCIPY = """
-import sys
+import json, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import fractrans, fractrans.cli
 assert not scipy_modules(), ("import", scipy_modules())
-code = fractrans.cli.main(["sample", "--config", sys.argv[1], "--out", sys.argv[2]])
-assert code == 0, code
-assert not scipy_modules(), ("sample", scipy_modules())
+out = sys.argv[1]
+for name, (command, cfg) in json.loads(sys.argv[2]).items():
+    path = f"{out}/{name}.json"
+    with open(path, "w") as handle:
+        json.dump(cfg, handle)
+    code = fractrans.cli.main([command, "--config", path, "--out", f"{out}/{name}", "--seed", "0"])
+    assert code == 0, (name, code)
+    assert not scipy_modules(), (name, scipy_modules())
 """
+
+# the benchmark's configurations at seed 0
+_RUNS = {
+    "clock-sample": ("sample", {"beta": 0.5, "times": [0.5, 1.0], "gammas": [1.0, 2.0],
+                                "lambdas": [-1.0], "n": 20000, "dtau": 1e-3}),
+    "linear-2d": ("solve", {"problem": "linear", "beta": 0.5, "times": [0.5, 1.0],
+                            "velocity": {"kind": "damping"},
+                            "initial": {"kind": "uniform-grid",
+                                        "low": [-0.9268728488224802, -0.9268728488224802],
+                                        "high": [0.9268728488224802, 0.9268728488224802],
+                                        "n": 30}}),
+    "nonlinear-repulsion": ("solve", {"problem": "nonlinear", "beta": 0.5, "times": [0.5],
+                                      "velocity": {"kind": "repulsion"},
+                                      "initial": {"kind": "uniform-grid", "low": [-1.0],
+                                                  "high": [1.0], "n": 16},
+                                      "solver": {"q_h": 16, "q_g": 8}}),
+    "source-2d": ("solve", {"problem": "source", "beta": 0.5, "times": [0.5, 1.0],
+                            "velocity": {"kind": "damping"},
+                            "initial": {"kind": "uniform-grid",
+                                        "low": [-1.09120685437785, -1.09120685437785],
+                                        "high": [1.09120685437785, 1.09120685437785],
+                                        "n": 10},
+                            "source": {"kind": "dirac",
+                                       "point": [0.4475929254183783, 0.4475929254183783]}}),
+    "kernels": ("kernels", {}),
+}
 
 
 def test_cli_import_and_sample_load_no_scipy(tmp_path):
-    # the benchmark's clock-sample configuration
-    cfg = tmp_path / "clock.json"
-    cfg.write_text(json.dumps({"beta": 0.5, "times": [0.5, 1.0], "gammas": [1.0, 2.0],
-                               "lambdas": [-1.0], "n": 20000, "dtau": 1e-3}))
+    # also runs the three benchmark solves and `kernels` on its defaults
     env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path), json.dumps(_RUNS)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "samples.jsonl").read_text().count("\n") == 6
+    assert (tmp_path / "clock-sample" / "samples.jsonl").read_text().count("\n") == 6
+    for name in ("linear-2d", "nonlinear-repulsion", "source-2d"):
+        assert (tmp_path / name / "manifest.json").exists(), name
+    assert (tmp_path / "kernels" / "mittag_leffler.csv").exists()
 
 
 @pytest.mark.parametrize("z", [-1e153, -1e160])
@@ -52,3 +86,10 @@ def test_ml_far_negative_argument_does_not_overflow(z):
     # integral; E_{1/2}(z) ~ 1 / (sqrt(pi) |z|) < 1e-150
     value = mittag_leffler(FracOrder(0.5), z)
     assert 0.0 <= value <= 1e-150
+
+
+@pytest.mark.parametrize("z", [-1e3, -1e4, -1e5, -1e7])
+def test_ml_half_order_far_negative_axis(z):
+    # E_{1/2}(z) = e^{z^2} erfc(-z) = erfcx(|z|) for z < 0; the integrand's
+    # mass sits near u ~ 1 however large |z| is
+    assert mittag_leffler(FracOrder(0.5), z) == pytest.approx(erfcx(-z), rel=1e-10)
