@@ -102,7 +102,7 @@ def _parse_measure(spec: dict, where: str) -> EmpiricalMeasure:
         mass = float(spec.get("mass", 1.0))
         return EmpiricalMeasure(points=pts, weights=np.full(pts.shape[0], mass / pts.shape[0]))
     if kind == "file":
-        path = path_from_csv(spec["path"], FracOrder(1.0))
+        path = path_from_csv(spec["path"])
         return path.measures[0]
     raise ConfigError(f"unknown measure kind {kind!r} in {where}")
 
@@ -129,15 +129,21 @@ def _parse_velocity(spec: dict):
     raise ConfigError(f"unknown velocity kind {kind!r}")
 
 
-#: the "solver" block sets every SolverConfig field but the three given
-#: at the top level of the config
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)} - {"beta", "times", "seed"}
+#: the "solver" block sets every SolverConfig field but ``times``, which
+#: is given at the top level of the config
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)} - {"times"}
 
 
-def _parse_solver_config(cfg: dict, beta: FracOrder, times, seed: int) -> SolverConfig:
+def _parse_times(cfg: dict) -> list:
+    if not isinstance(cfg["times"], list):
+        raise ConfigError("times must be a JSON list")
+    return [float(t) for t in cfg["times"]]
+
+
+def _parse_solver_config(cfg: dict, times) -> SolverConfig:
     solver = cfg.get("solver", {})
     _require_keys(solver, _SOLVER_KEYS, set(), "solver")
-    return SolverConfig(beta=beta, times=tuple(times), seed=seed, **solver)
+    return SolverConfig(times=tuple(times), **solver)
 
 
 def _write_jsonl(filename: str, records):
@@ -196,7 +202,7 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
         "config",
     )
     beta = FracOrder(float(cfg["beta"]))
-    times = [float(t) for t in cfg["times"]]
+    times = _parse_times(cfg)
     gammas = [float(g) for g in cfg.get("gammas", [1.0, 2.0])]
     lambdas = [float(l) for l in cfg.get("lambdas", [])]
     n = int(cfg.get("n", 10_000))
@@ -250,10 +256,10 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
     if problem not in ("linear", "nonlinear", "source"):
         raise ConfigError(f"unknown problem {problem!r}")
     beta = FracOrder(float(cfg["beta"]))
-    times = [float(t) for t in cfg["times"]]
+    times = _parse_times(cfg)
     mu0 = _parse_measure(cfg["initial"], "initial")
     field = _parse_velocity(cfg["velocity"])
-    solver_cfg = _parse_solver_config(cfg, beta, times, seed)
+    solver_cfg = _parse_solver_config(cfg, times)
 
     os.makedirs(out_dir, exist_ok=True)
     if problem == "linear":
@@ -276,9 +282,7 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
         if not isinstance(field, ExplicitField):
             raise ConfigError("source problem needs an explicit velocity")
         nu = _parse_measure(cfg["source"], "source")
-        gamma_path = MeasurePath(
-            times=np.array([0.0, times[-1]]), measures=[nu, nu], beta=beta
-        )
+        gamma_path = MeasurePath(times=np.array([0.0, times[-1]]), measures=[nu, nu])
         path = solve_with_source(beta, field, mu0, gamma_path, solver_cfg)
 
     path_to_csv(path, os.path.join(out_dir, "path.csv"))

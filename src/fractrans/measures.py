@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MassMismatchError, SupportCapError
-from .specfun import FracOrder
 
 __all__ = [
     "EmpiricalMeasure",
@@ -215,7 +214,6 @@ class MeasurePath:
 
     times: np.ndarray
     measures: list
-    beta: FracOrder
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -287,7 +285,7 @@ def path_to_csv(path: MeasurePath, filename: str):
     _atomic_write(filename, write)
 
 
-def path_from_csv(filename: str, beta: FracOrder) -> MeasurePath:
+def path_from_csv(filename: str) -> MeasurePath:
     with open(filename, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
@@ -305,7 +303,7 @@ def path_from_csv(filename: str, beta: FracOrder) -> MeasurePath:
         EmpiricalMeasure(points=np.array(by_time[t][0]), weights=np.array(by_time[t][1]))
         for t in times
     ]
-    return MeasurePath(times=np.array(times), measures=measures, beta=beta)
+    return MeasurePath(times=np.array(times), measures=measures)
 
 
 def write_manifest(filename: str, payload: dict):

@@ -37,7 +37,6 @@ from .errors import TailMassError
 
 __all__ = [
     "FracOrder",
-    "KernelTarget",
     "QuadratureRule",
     "mittag_leffler",
     "stable_density",
@@ -76,13 +75,16 @@ class FracOrder:
 
 
 class KernelTarget(enum.Enum):
+    """Which unit-time kernel ``_unit_rule`` integrates against."""
+
     H_KERNEL = "h"  # inverse-subordinator density h_beta(., t)
     G_KERNEL = "g"  # subordinator density g_beta(., t)
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for an integral against h_beta or g_beta.
+    """Nodes and weights for an integral against h_beta or g_beta, as built
+    by ``h_quadrature`` or ``g_quadrature``.
 
     ``integrate(f)`` approximates the kernel-weighted integral of f over
     (0, inf); the probability mass beyond the last node is recorded in
@@ -92,9 +94,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     tail_mass: float
-    target: KernelTarget
-    beta: FracOrder
-    time: float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -606,9 +605,6 @@ def h_quadrature(beta: FracOrder, t: float, q: int, eps_tail: float) -> Quadratu
         nodes=nodes * t**beta.beta,
         weights=weights,
         tail_mass=cut,
-        target=KernelTarget.H_KERNEL,
-        beta=beta,
-        time=t,
     )
 
 
@@ -624,7 +620,4 @@ def g_quadrature(beta: FracOrder, s: float, q: int, eps_tail: float) -> Quadratu
         nodes=nodes * s ** (1.0 / beta.beta),
         weights=weights,
         tail_mass=cut,
-        target=KernelTarget.G_KERNEL,
-        beta=beta,
-        time=s,
     )

@@ -39,7 +39,7 @@ from .measures import (
     MeasurePath,
     total_mass,
 )
-from .specfun import FracOrder, g_quadrature, h_quadrature, stable_cdf
+from .specfun import FracOrder, _stable_sf, g_quadrature, h_quadrature
 from .subordinator import RngSpec, sample_inverse
 
 __all__ = [
@@ -131,11 +131,9 @@ class SolverConfig:
     ``times`` is the output grid (excluding 0, which is always included
     in the returned path); ``t_ext`` extends the working grid beyond the
     last output time for the nonlinear velocity lookup, with the induced
-    freezing error logged per run.  Picard stops on a coupling bound, so
-    ``seed`` drives the Monte Carlo clocks only.
+    freezing error logged per run.
     """
 
-    beta: FracOrder
     times: tuple
     q_h: int = 64
     q_g: int = 32
@@ -144,9 +142,11 @@ class SolverConfig:
     picard_tol: float = 1e-3
     picard_max_iters: int = 30
     t_ext: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
+        counts = (self.q_h, self.q_g, self.picard_max_iters)
+        if not all(isinstance(n, (int, np.integer)) for n in counts):
+            raise ValueError("q_h, q_g and picard_max_iters must be integers")
         times = tuple(float(t) for t in self.times)
         if not times or any(t <= 0.0 for t in times) or list(times) != sorted(times):
             raise ValueError("output times must be positive and increasing")
@@ -155,10 +155,6 @@ class SolverConfig:
             raise ValueError("t_ext must reach at least the last output time")
         if self.ode_step <= 0.0 or self.picard_tol <= 0.0 or self.picard_max_iters < 1:
             raise ValueError("ode_step, picard_tol, picard_max_iters must be positive")
-
-    @property
-    def horizon(self) -> float:
-        return self.t_ext if self.t_ext else self.times[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,7 @@ def freezing_tail_probability(beta: FracOrder, s: np.ndarray, horizon: float) ->
     frozen at the end."""
     if beta.is_classical:
         return np.where(s <= horizon, 0.0, 1.0)
-    return 1.0 - stable_cdf(beta, horizon * s ** (-1.0 / beta.beta))
+    return _stable_sf(beta, horizon * s ** (-1.0 / beta.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +301,9 @@ def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, s_extra, ode_s
 # ---------------------------------------------------------------------------
 
 
-def _empty_path(mu0: EmpiricalMeasure, beta: FracOrder) -> MeasurePath:
+def _empty_path(mu0: EmpiricalMeasure) -> MeasurePath:
     empty = EmpiricalMeasure(points=np.zeros((0, mu0.dim)), weights=np.zeros(0))
-    return MeasurePath(times=np.zeros(1), measures=[empty], beta=beta)
+    return MeasurePath(times=np.zeros(1), measures=[empty])
 
 
 def _coupling_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -323,12 +319,13 @@ def _coupling_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 
 def _grid_with_extension(config: SolverConfig) -> np.ndarray:
-    """Output times plus 0, extended up to the lookup horizon."""
+    """Output times plus 0, extended to end exactly at ``t_ext``: steps of
+    the finest output spacing, the last one between 1/2 and 3/2 of it."""
     times = [0.0] + list(config.times)
     if config.t_ext and config.t_ext > times[-1]:
         step = min(np.diff(times).min(), config.t_ext - times[-1])
-        extra = np.arange(times[-1] + step, config.t_ext + 0.5 * step, step)
-        times = times + [float(t) for t in extra]
+        extra = np.arange(times[-1] + step, config.t_ext - 0.5 * step, step)
+        times = times + [float(t) for t in extra] + [config.t_ext]
     return np.asarray(times)
 
 
@@ -346,7 +343,7 @@ def solve_linear(beta: FracOrder, v: ExplicitField, mu0: EmpiricalMeasure, confi
     the weight-renormalized mixture of node push-forwards, so mass is
     conserved exactly.
     """
-    path = solve_with_source(beta, v, mu0, _empty_path(mu0, beta), config)
+    path = solve_with_source(beta, v, mu0, _empty_path(mu0), config)
     del path.diagnostics["source_mass"]
     return path
 
@@ -357,6 +354,7 @@ def solve_linear_mc(
     mu0: EmpiricalMeasure,
     config: SolverConfig,
     n_paths: int,
+    seed: int = 0,
 ) -> MeasurePath:
     """Monte Carlo oracle: sample the internal clock instead of
     integrating against its density.
@@ -368,14 +366,15 @@ def solve_linear_mc(
     t^beta E_1, so one exact E_1 draw per path is scaled to every output
     time (a path's clocks increase with t).  The flow is recorded on a
     uniform grid of steps of at most ``ode_step`` up to the largest clock
-    and interpolated linearly in between.  At beta = 1 the clock is
-    deterministic and this is ``solve_linear``.
+    and interpolated linearly in between.  ``seed`` fixes the clock draws
+    (stream 1).  At beta = 1 the clock is deterministic and this is
+    ``solve_linear``.
     """
     if beta.is_classical:
         return solve_linear(beta, v, mu0, config)
     _check_step(config.ode_step, v.lip)
     g_rule = _g_rule(beta, config)
-    rng = RngSpec(seed=config.seed, stream_id=1)
+    rng = RngSpec(seed=seed, stream_id=1)
     e_1 = sample_inverse(beta, 1.0, rng, size=n_paths)
     clocks = np.outer(e_1, np.asarray(config.times) ** beta.beta)
     s_max = float(clocks.max())
@@ -397,7 +396,7 @@ def solve_linear_mc(
         pts = (1.0 - frac) * flow[j] + frac * flow[j + 1]
         measures.append(EmpiricalMeasure(points=pts.reshape(-1, mu0.dim), weights=wts))
     grid = np.concatenate([[0.0], np.asarray(config.times)])
-    return MeasurePath(times=grid, measures=measures, beta=beta)
+    return MeasurePath(times=grid, measures=measures)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +423,10 @@ def solve_nonlinear(
     """
     grid = _grid_with_extension(config)
     horizon = float(grid[-1])
-    current = MeasurePath(
-        times=grid, measures=[mu0] * grid.size, beta=beta
-    )
+    current = MeasurePath(times=grid, measures=[mu0] * grid.size)
     g_rule = _g_rule(beta, config)
     h_rules = _h_rules(beta, grid[1:], config)
-    no_source = _empty_path(mu0, beta)
+    no_source = _empty_path(mu0)
     log = []
     mass = total_mass(mu0)
     lip = v.lip * max(mass, 1.0)
@@ -443,7 +440,7 @@ def solve_nonlinear(
             return v.induced(_path_average(_p, *g_rule(s)))(x)
 
         measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, (), config.ode_step, lip)
-        current = MeasurePath(times=grid, measures=[mu0] + measures, beta=beta)
+        current = MeasurePath(times=grid, measures=[mu0] + measures)
         bound = max(_coupling_bound(a, b) for a, b in zip(prev.measures, current.measures))
         wall = _time.perf_counter() - t0
         log.append({"sweep": sweep, "coupling_bound": bound, "wall_time": wall})
@@ -460,7 +457,6 @@ def solve_nonlinear(
     out = MeasurePath(
         times=grid[keep],
         measures=[current.measures[k] for k in keep],
-        beta=beta,
     )
     freeze = max(
         float(np.sum(w * freezing_tail_probability(beta, s, horizon)))
@@ -520,6 +516,6 @@ def solve_with_source(
         v.lip,
     )
     grid = np.concatenate([[0.0], np.asarray(config.times)])
-    out = MeasurePath(times=grid, measures=[mu0] + measures, beta=beta)
+    out = MeasurePath(times=grid, measures=[mu0] + measures)
     out.diagnostics["source_mass"] = [total_mass(m) - total_mass(mu0) for m in measures]
     return out

@@ -133,7 +133,7 @@ def check_dirac_transport(eps_tail=1e-10):
     t = 1 equals the mean internal time."""
     beta = FracOrder(0.5)
     v = ExplicitField(func=lambda x, t: np.ones_like(x), lip=0.0)
-    cfg = SolverConfig(beta=beta, times=(1.0,), q_h=64, q_g=16, eps_tail=eps_tail, ode_step=1e-2)
+    cfg = SolverConfig(times=(1.0,), q_h=64, q_g=16, eps_tail=eps_tail, ode_step=1e-2)
     path = solve_linear(beta, v, EmpiricalMeasure.dirac([0.0]), cfg)
     exact = inverse_moment_coeff(beta, 1.0)
     got = moment(path.measures[-1], 1)
@@ -144,10 +144,8 @@ def check_dirac_transport_mc(seed=314, n=50_000):
     """MC solver brackets the same first moment at 3 sigma."""
     beta = FracOrder(0.5)
     v = ExplicitField(func=lambda x, t: np.ones_like(x), lip=0.0)
-    cfg = SolverConfig(
-        beta=beta, times=(1.0,), q_h=32, q_g=16, eps_tail=1e-8, ode_step=1e-2, seed=seed
-    )
-    path = solve_linear_mc(beta, v, EmpiricalMeasure.dirac([0.0]), cfg, n_paths=n)
+    cfg = SolverConfig(times=(1.0,), q_h=32, q_g=16, eps_tail=1e-8, ode_step=1e-2)
+    path = solve_linear_mc(beta, v, EmpiricalMeasure.dirac([0.0]), cfg, n_paths=n, seed=seed)
     exact = inverse_moment_coeff(beta, 1.0)
     mu = path.measures[-1]
     vals = mu.points.ravel()

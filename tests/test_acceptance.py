@@ -146,16 +146,14 @@ def test_criterion_05_fode_vs_monte_carlo():
 def test_criterion_06_dirac_transport():
     beta = FracOrder(0.5)
     v = ExplicitField(func=lambda x, t: np.ones_like(x), lip=0.0)
-    cfg = SolverConfig(beta=beta, times=(1.0,), q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
+    cfg = SolverConfig(times=(1.0,), q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
     path = solve_linear(beta, v, EmpiricalMeasure.dirac([0.0]), cfg)
     exact = 1.128379
     got = moment(path.measures[-1], 1)
     ok = abs(got - exact) / exact <= 1e-3
 
-    mc_cfg = SolverConfig(
-        beta=beta, times=(1.0,), q_h=32, q_g=16, eps_tail=1e-8, ode_step=1e-2, seed=314
-    )
-    mc = solve_linear_mc(beta, v, EmpiricalMeasure.dirac([0.0]), mc_cfg, n_paths=50_000)
+    mc_cfg = SolverConfig(times=(1.0,), q_h=32, q_g=16, eps_tail=1e-8, ode_step=1e-2)
+    mc = solve_linear_mc(beta, v, EmpiricalMeasure.dirac([0.0]), mc_cfg, n_paths=50_000, seed=314)
     vals = mc.measures[-1].points.ravel()
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     ok = ok and abs(vals.mean() - exact) <= 3.0 * se
@@ -165,13 +163,12 @@ def test_criterion_06_dirac_transport():
 def test_criterion_07_nonlinear_closed_form():
     beta = FracOrder(0.5)
     two = EmpiricalMeasure(points=np.array([[-1.0], [1.0]]), weights=np.array([0.5, 0.5]))
-    cfg = SolverConfig(beta=beta, times=(1.0,), q_h=48, q_g=24, eps_tail=1e-10,
+    cfg = SolverConfig(times=(1.0,), q_h=48, q_g=24, eps_tail=1e-10,
                        ode_step=5e-3, picard_tol=1e-5, t_ext=4.0)
     path = solve_nonlinear(beta, attraction_field(), two, cfg)
     ok = abs(moment(path.measures[-1], 1) - 0.427584) <= 5e-3
 
-    classical = SolverConfig(beta=FracOrder(1.0), times=(1.0,), ode_step=1e-3,
-                             picard_tol=1e-6)
+    classical = SolverConfig(times=(1.0,), ode_step=1e-3, picard_tol=1e-6)
     path1 = solve_nonlinear(FracOrder(1.0), attraction_field(), two, classical)
     ok = ok and abs(moment(path1.measures[-1], 1) - math.exp(-1.0)) <= 1e-6
     _report(7, "aggregation spread: 0.427584 within 5e-3, classical exp(-1)", ok)
@@ -182,7 +179,7 @@ def test_criterion_08_stability_bound():
     damp = ExplicitField(func=lambda x, t: -x, lip=1.0)
     delta = 0.01
     times = (0.25, 0.5, 1.0)
-    cfg = SolverConfig(beta=beta, times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
+    cfg = SolverConfig(times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
     p1 = solve_linear(beta, damp, EmpiricalMeasure.dirac([1.0]), cfg)
     p2 = solve_linear(beta, damp, EmpiricalMeasure.dirac([1.0 + delta]), cfg)
     d0 = bl_distance(p1.measures[0], p2.measures[0])
@@ -197,7 +194,7 @@ def test_criterion_09_holder_modulus():
     beta = FracOrder(0.5)
     v = ExplicitField(func=lambda x, t: np.ones_like(x), lip=0.0)
     times = tuple(np.linspace(0.0, 1.0, 9)[1:])
-    cfg = SolverConfig(beta=beta, times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
+    cfg = SolverConfig(times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
     path = solve_linear(beta, v, EmpiricalMeasure.dirac([0.0]), cfg)
     const = inverse_moment_coeff(beta, 1.0) * 1.0 * 1.0  # C(beta,1) V0 mass
     ok = True
@@ -214,7 +211,7 @@ def test_criterion_10_weak_residual_refinement():
     def linear_residual(m, q):
         times = tuple(np.linspace(0.0, 1.0, m + 1)[1:])
         v = ExplicitField(func=lambda x, t: np.ones_like(x), lip=0.0)
-        cfg = SolverConfig(beta=beta, times=times, q_h=q, q_g=8, eps_tail=1e-10,
+        cfg = SolverConfig(times=times, q_h=q, q_g=8, eps_tail=1e-10,
                            ode_step=1.0 / (4 * m))
         path = solve_linear(beta, v, EmpiricalMeasure.dirac([0.0]), cfg)
         res = weak_residual(path, lambda mu, t: np.ones_like(mu.points),
@@ -224,7 +221,7 @@ def test_criterion_10_weak_residual_refinement():
     def nonlinear_residual(m, q):
         times = tuple(np.linspace(0.0, 1.0, m + 1)[1:])
         kernel = attraction_field()
-        cfg = SolverConfig(beta=beta, times=times, q_h=q, q_g=max(8, q // 4),
+        cfg = SolverConfig(times=times, q_h=q, q_g=max(8, q // 4),
                            eps_tail=1e-10, ode_step=1.0 / (4 * m),
                            picard_tol=1e-6, t_ext=2.0)
         two = EmpiricalMeasure(points=np.array([[-1.0], [1.0]]),

@@ -140,7 +140,7 @@ def test_linearity(a, b, seed):
 
 def _constant_path(mu, m=16, t_max=1.0):
     times = np.linspace(0.0, t_max, m + 1)
-    return MeasurePath(times=times, measures=[mu] * (m + 1), beta=FracOrder(0.5))
+    return MeasurePath(times=times, measures=[mu] * (m + 1))
 
 
 def test_weak_residual_constant_path_zero_velocity():
@@ -162,7 +162,7 @@ def test_weak_residual_constant_test_function():
     nu = EmpiricalMeasure.dirac([2.0])
     times = np.linspace(0.0, 1.0, 9)
     measures = [mu if k % 2 == 0 else nu for k in range(9)]
-    path = MeasurePath(times=times, measures=measures, beta=FracOrder(0.5))
+    path = MeasurePath(times=times, measures=measures)
     res = weak_residual(
         path,
         lambda m, t: np.ones_like(m.points),
@@ -182,7 +182,7 @@ def test_weak_residual_classical_transport():
     measures = [
         EmpiricalMeasure(points=mu0.points + v0 * t, weights=mu0.weights) for t in times
     ]
-    path = MeasurePath(times=times, measures=measures, beta=beta)
+    path = MeasurePath(times=times, measures=measures)
     res = weak_residual(
         path,
         lambda m, t: np.full_like(m.points, v0),

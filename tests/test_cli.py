@@ -173,6 +173,10 @@ def test_float_overflow_exit_4(tmp_path, capsys):
     {"velocity": {"kind": "warp"}},
     {"velocity": {"kind": "damping", "bound": 3}},
     {"solver": {"mystery": 2}},
+    {"solver": {"q_h": 16.5}},
+    {"solver": {"q_g": 8.0}},
+    {"solver": {"q_h": "16"}},
+    {"times": 1.0},
 ])
 def test_bad_configs_exit_2(tmp_path, mutation):
     base = {
@@ -193,6 +197,11 @@ def test_sample_needs_two_draws(tmp_path):
     out = tmp_path / "o"
     assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_sample_times_must_be_a_list(tmp_path):
+    cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": 5})
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
 def test_missing_and_malformed_config(tmp_path):

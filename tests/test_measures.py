@@ -26,7 +26,6 @@ from fractrans.measures import (
     w1_distance_1d,
     write_manifest,
 )
-from fractrans.specfun import FracOrder
 from fractrans.transport import _coupling_bound
 
 
@@ -254,21 +253,19 @@ def test_bl_dominated_by_w1_random():
 
 
 def test_path_validation():
-    beta = FracOrder(0.5)
     mu = EmpiricalMeasure.dirac([0.0])
     with pytest.raises(ValueError):
-        MeasurePath(times=np.array([0.5, 1.0]), measures=[mu, mu], beta=beta)
+        MeasurePath(times=np.array([0.5, 1.0]), measures=[mu, mu])
     with pytest.raises(ValueError):
-        MeasurePath(times=np.array([0.0, 1.0, 1.0]), measures=[mu, mu, mu], beta=beta)
+        MeasurePath(times=np.array([0.0, 1.0, 1.0]), measures=[mu, mu, mu])
     with pytest.raises(ValueError):
-        MeasurePath(times=np.array([0.0, 1.0]), measures=[mu], beta=beta)
+        MeasurePath(times=np.array([0.0, 1.0]), measures=[mu])
 
 
 def test_path_lookup_is_right_continuous_and_frozen():
-    beta = FracOrder(0.5)
     a = EmpiricalMeasure.dirac([0.0])
     b = EmpiricalMeasure.dirac([1.0])
-    path = MeasurePath(times=np.array([0.0, 1.0]), measures=[a, b], beta=beta)
+    path = MeasurePath(times=np.array([0.0, 1.0]), measures=[a, b])
     assert path.at(0.0) is a
     assert path.at(0.99) is a
     assert path.at(1.0) is b
@@ -276,16 +273,15 @@ def test_path_lookup_is_right_continuous_and_frozen():
 
 
 def test_csv_round_trip(tmp_path):
-    beta = FracOrder(0.5)
     rng = np.random.default_rng(5)
     measures = [
         EmpiricalMeasure(points=rng.normal(size=(3, 2)), weights=rng.uniform(0.1, 1, 3))
         for _ in range(3)
     ]
-    path = MeasurePath(times=np.array([0.0, 0.5, 1.0]), measures=measures, beta=beta)
+    path = MeasurePath(times=np.array([0.0, 0.5, 1.0]), measures=measures)
     target = tmp_path / "path.csv"
     path_to_csv(path, str(target))
-    back = path_from_csv(str(target), beta)
+    back = path_from_csv(str(target))
     np.testing.assert_array_equal(back.times, path.times)
     for mu, nu in zip(path.measures, back.measures):
         np.testing.assert_array_equal(mu.points, nu.points)

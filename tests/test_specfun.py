@@ -18,7 +18,6 @@ from scipy.special import erfc, gamma
 from fractrans.errors import TailMassError
 from fractrans.specfun import (
     FracOrder,
-    KernelTarget,
     QuadratureRule,
     g_quadrature,
     h_quadrature,
@@ -347,33 +346,23 @@ def test_unreachable_tail_target_signals():
 
 
 def test_quadrature_rule_rejects_bad_data():
-    beta = FracOrder(0.5)
     with pytest.raises(ValueError):
         QuadratureRule(
             nodes=np.array([1.0, 0.5]),
             weights=np.array([0.5, 0.5]),
             tail_mass=0.0,
-            target=KernelTarget.H_KERNEL,
-            beta=beta,
-            time=1.0,
         )
     with pytest.raises(ValueError):
         QuadratureRule(
             nodes=np.array([0.5, 1.0]),
             weights=np.array([0.5, -0.5]),
             tail_mass=0.0,
-            target=KernelTarget.H_KERNEL,
-            beta=beta,
-            time=1.0,
         )
     with pytest.raises(ValueError):
         QuadratureRule(
             nodes=np.array([0.5, 1.0]),
             weights=np.array([0.2, 0.2]),
             tail_mass=0.0,
-            target=KernelTarget.H_KERNEL,
-            beta=beta,
-            time=1.0,
         )
 
 

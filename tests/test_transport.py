@@ -35,6 +35,7 @@ from fractrans.transport import (
     _g_rule,
     _path_average,
     attraction_field,
+    freezing_tail_probability,
     repulsion_field,
     solve_linear,
     solve_linear_mc,
@@ -57,7 +58,7 @@ def _two_diracs(a=1.0):
 
 
 def _cfg(times=(0.5, 1.0), **kw):
-    defaults = dict(beta=B, times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
+    defaults = dict(times=times, q_h=64, q_g=16, eps_tail=1e-10, ode_step=1e-2)
     defaults.update(kw)
     return SolverConfig(**defaults)
 
@@ -82,7 +83,7 @@ def test_field_average_exponential_decay_oracle():
 def test_path_average_induced_field_cases():
     nodes, weights = _g_rule(B, _cfg(q_g=32))(1.0)
     mu = _two_diracs()
-    path = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, mu], beta=B)
+    path = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, mu])
     zero_kernel = InteractionField(kernel=lambda z: np.zeros_like(z), bound=0.0, lip=0.0)
     v = zero_kernel.induced(_path_average(path, nodes, weights))(np.array([[0.7]]))
     assert np.all(v == 0.0)
@@ -92,7 +93,7 @@ def test_path_average_induced_field_cases():
     assert v[0, 0] == pytest.approx(-0.7, abs=1e-10)
     # two different recorded measures, switching at r = 1 between g-nodes:
     # the field induced by the averaged path equals the average of the fields
-    switch = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, _two_diracs(0.3)], beta=B)
+    switch = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, _two_diracs(0.3)])
     assert nodes[0] < 1.0 < nodes[-1]
     repel = repulsion_field()
     x = np.array([[0.7], [-0.2]])
@@ -193,15 +194,15 @@ def test_linear_mass_conserved():
 
 def test_linear_classical_push_forward():
     beta1 = FracOrder(1.0)
-    cfg = SolverConfig(beta=beta1, times=(1.0,), ode_step=1e-2)
+    cfg = SolverConfig(times=(1.0,), ode_step=1e-2)
     path = solve_linear(beta1, ONES, _dirac(), cfg)
     assert path.measures[-1].points[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_linear_mc_agreement():
-    cfg = _cfg(times=(1.0,), seed=5)
+    cfg = _cfg(times=(1.0,))
     det = solve_linear(B, DAMP, _dirac(1.0), cfg)
-    mc = solve_linear_mc(B, DAMP, _dirac(1.0), cfg, n_paths=20_000)
+    mc = solve_linear_mc(B, DAMP, _dirac(1.0), cfg, n_paths=20_000, seed=5)
     vals = mc.measures[-1].points.ravel()
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - expectation(det.measures[-1], lambda x: x[:, 0])) < 3.0 * se
@@ -224,30 +225,6 @@ def test_linear_mc_paths_nonnegative_and_monotone_in_time():
     # clocks fall between flow grid nodes, so this pins the interpolation
     clocks = np.outer(np.asarray(times) ** 0.5, sample_inverse(B, 1.0, RngSpec(0, 1), size=2_000))
     np.testing.assert_allclose(pts, clocks, rtol=0.0, atol=1e-12)
-
-
-def test_linear_holder_modulus_in_time():
-    # adjacent-time BL increments obey C(b,1) V0 mass dt^b with 5% slack
-    times = tuple(np.linspace(0.0, 1.0, 9)[1:])
-    path = solve_linear(B, ONES, _dirac(), _cfg(times=times))
-    const = inverse_moment_coeff(B, 1.0) * 1.0  # C(b,1) * V0 * mass
-    for k in range(len(path.times) - 1):
-        dt = path.times[k + 1] - path.times[k]
-        d = bl_distance(path.measures[k], path.measures[k + 1])
-        assert d <= const * dt**0.5 * 1.05, f"k={k}"
-
-
-def test_linear_stability_bound():
-    # two Dirac pairs at distance delta under damping, L = 1
-    delta = 0.01
-    times = (0.25, 0.5, 1.0)
-    cfg = _cfg(times=times)
-    p1 = solve_linear(B, DAMP, _dirac(1.0), cfg)
-    p2 = solve_linear(B, DAMP, _dirac(1.0 + delta), cfg)
-    d0 = bl_distance(p1.measures[0], p2.measures[0])
-    for t, mu, nu in zip(times, p1.measures[1:], p2.measures[1:]):
-        bound = mittag_leffler(B, t**0.5) * d0 * 1.05
-        assert bl_distance(mu, nu) <= bound, f"t={t}"
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +250,7 @@ def test_nonlinear_aggregation_spread_oracle():
 
 def test_nonlinear_classical_aggregation():
     beta1 = FracOrder(1.0)
-    cfg = SolverConfig(beta=beta1, times=(1.0,), ode_step=1e-3, picard_tol=1e-6)
+    cfg = SolverConfig(times=(1.0,), ode_step=1e-3, picard_tol=1e-6)
     path = solve_nonlinear(beta1, attraction_field(), _two_diracs(), cfg)
     assert moment(path.measures[-1], 1) == pytest.approx(math.exp(-1.0), rel=1e-6)
 
@@ -306,11 +283,12 @@ def test_nonlinear_nonconvergence_signals_with_trace():
 
 def test_nonlinear_stopping_does_not_depend_on_seed():
     # the 16-particle repulsion problem of the benchmark: the stopping rule
-    # is deterministic, so the seed changes neither the sweeps nor the answer
+    # is deterministic and the solver takes no seed, so two runs agree in
+    # their sweeps and bitwise in their answer
     grid = EmpiricalMeasure(points=np.linspace(-1.0, 1.0, 16)[:, None], weights=np.full(16, 1 / 16))
     paths = [
-        solve_nonlinear(B, repulsion_field(), grid, SolverConfig(beta=B, times=(0.5,), q_h=16, q_g=8, seed=seed))
-        for seed in (0, 2)
+        solve_nonlinear(B, repulsion_field(), grid, SolverConfig(times=(0.5,), q_h=16, q_g=8))
+        for _ in range(2)
     ]
     assert [p.diagnostics["sweeps"] for p in paths] == [5, 5]
     for mu, nu in zip(paths[0].measures, paths[1].measures):
@@ -326,15 +304,25 @@ def test_nonlinear_empty_initial_measure_converges_at_once():
 
 def test_nonlinear_freezing_probability_is_h_weighted():
     # with horizon t the h-weighted freezing probability is
-    # P(E'_t > E_t) = 1/2 for independent copies; a longer horizon lowers it
+    # P(E'_t > E_t) = 1/2 for independent copies; a longer horizon lowers
+    # it, also between t_ext values that share no multiple of the output
+    # spacing (2.3 and 2.6), because the grid ends at t_ext itself
     freeze = [
         solve_nonlinear(
             B, attraction_field(), _two_diracs(), _cfg(q_h=32, q_g=8, ode_step=0.02, t_ext=t_ext)
         ).diagnostics["freezing_tail_probability"]
-        for t_ext in (0.0, 2.0, 4.0)
+        for t_ext in (0.0, 2.0, 2.3, 2.6, 4.0)
     ]
     assert freeze[0] == pytest.approx(0.5, abs=1e-6)
-    assert freeze[0] > freeze[1] > freeze[2]
+    assert all(a > b for a, b in zip(freeze, freeze[1:]))
+
+
+def test_freezing_tail_probability_half_order_closed_form():
+    # at beta = 1/2, P(D_s > h) = erf(s / (2 sqrt(h))); small s needs the
+    # survival function itself, not 1 - cdf
+    s = np.array([1e-9, 1e-6, 1e-3, 0.5, 2.0])
+    exact = [math.erf(x / 2.0) for x in s]
+    np.testing.assert_allclose(freezing_tail_probability(B, s, 1.0), exact, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +331,7 @@ def test_nonlinear_freezing_probability_is_h_weighted():
 
 
 def _const_source_path(nu, t_max=1.0):
-    return MeasurePath(times=np.array([0.0, t_max]), measures=[nu, nu], beta=B)
+    return MeasurePath(times=np.array([0.0, t_max]), measures=[nu, nu])
 
 
 def test_source_zero_reduces_to_linear():
@@ -369,8 +357,8 @@ def test_source_mass_growth_fractional():
 def test_source_mass_growth_classical():
     beta1 = FracOrder(1.0)
     nu = EmpiricalMeasure.dirac([0.5], 1.0)
-    cfg = SolverConfig(beta=beta1, times=(0.5, 1.0), ode_step=1e-2)
-    gamma_path = MeasurePath(times=np.array([0.0, 1.0]), measures=[nu, nu], beta=beta1)
+    cfg = SolverConfig(times=(0.5, 1.0), ode_step=1e-2)
+    gamma_path = MeasurePath(times=np.array([0.0, 1.0]), measures=[nu, nu])
     path = solve_with_source(beta1, ZERO, _dirac(), gamma_path, cfg)
     assert total_mass(path.measures[1]) == pytest.approx(1.5, rel=1e-10)
     assert total_mass(path.measures[2]) == pytest.approx(2.0, rel=1e-10)
@@ -392,10 +380,10 @@ def test_source_rejects_negative():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(beta=B, times=())
+        SolverConfig(times=())
     with pytest.raises(ValueError):
-        SolverConfig(beta=B, times=(1.0, 0.5))
+        SolverConfig(times=(1.0, 0.5))
     with pytest.raises(ValueError):
-        SolverConfig(beta=B, times=(1.0,), t_ext=0.5)
+        SolverConfig(times=(1.0,), t_ext=0.5)
     with pytest.raises(ValueError):
-        SolverConfig(beta=B, times=(1.0,), ode_step=-1.0)
+        SolverConfig(times=(1.0,), ode_step=-1.0)
