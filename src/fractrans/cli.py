@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -112,16 +113,19 @@ def _parse_velocity(spec: dict):
         spec, {"kind", "value", "matrix", "offset", "lip"}, {"kind"}, "velocity"
     )
     kind = spec["kind"]
+    # the explicit kinds are autonomous: the solvers skip their g-average
     if kind == "constant":
         value = np.atleast_1d(np.asarray(spec.get("value", [1.0]), dtype=float))
-        return ExplicitField(func=lambda x, t: np.broadcast_to(value, x.shape).copy(), lip=0.0)
+        return ExplicitField(
+            func=lambda x, t: np.broadcast_to(value, x.shape).copy(), lip=0.0, autonomous=True
+        )
     if kind == "damping":
-        return ExplicitField(func=lambda x, t: -x, lip=1.0)
+        return ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
     if kind == "affine":
         matrix = np.asarray(spec["matrix"], dtype=float)
         offset = np.atleast_1d(np.asarray(spec.get("offset", np.zeros(matrix.shape[0])), dtype=float))
         lip = float(np.linalg.norm(matrix, 2))
-        return ExplicitField(func=lambda x, t: x @ matrix.T + offset, lip=lip)
+        return ExplicitField(func=lambda x, t: x @ matrix.T + offset, lip=lip, autonomous=True)
     if kind == "attraction":
         return attraction_field(lip=float(spec.get("lip", 1.0)))
     if kind == "repulsion":
@@ -134,10 +138,21 @@ def _parse_velocity(spec: dict):
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)} - {"times"}
 
 
-def _parse_times(cfg: dict) -> list:
-    if not isinstance(cfg["times"], list):
-        raise ConfigError("times must be a JSON list")
-    return [float(t) for t in cfg["times"]]
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _parse_beta(cfg: dict) -> FracOrder:
+    if not _is_number(cfg["beta"]):
+        raise ConfigError(f"beta must be a number, got {cfg['beta']!r}")
+    return FracOrder(float(cfg["beta"]))
+
+
+def _float_list(cfg: dict, key: str, default=None) -> list:
+    values = cfg.get(key, default)
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+        raise ConfigError(f"{key} must be a JSON list of numbers")
+    return [float(v) for v in values]
 
 
 def _parse_solver_config(cfg: dict, times) -> SolverConfig:
@@ -163,10 +178,10 @@ def _write_jsonl(filename: str, records):
 
 def cmd_kernels(cfg: dict, out_dir: str, seed: int) -> int:
     _require_keys(cfg, {"betas", "s_grid", "t_grid", "z_grid"}, set(), "config")
-    betas = [float(b) for b in cfg.get("betas", [0.3, 0.5, 0.7])]
-    s_grid = [float(s) for s in cfg.get("s_grid", np.linspace(0.0, 4.0, 21))]
-    t_grid = [float(t) for t in cfg.get("t_grid", [0.5, 1.0, 2.0])]
-    z_grid = [float(z) for z in cfg.get("z_grid", np.linspace(-5.0, 2.0, 15))]
+    betas = _float_list(cfg, "betas", [0.3, 0.5, 0.7])
+    s_grid = _float_list(cfg, "s_grid", np.linspace(0.0, 4.0, 21).tolist())
+    t_grid = _float_list(cfg, "t_grid", [0.5, 1.0, 2.0])
+    z_grid = _float_list(cfg, "z_grid", np.linspace(-5.0, 2.0, 15).tolist())
 
     def write_kernels(handle):
         writer = csv.writer(handle)
@@ -201,10 +216,10 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
         {"beta", "times"},
         "config",
     )
-    beta = FracOrder(float(cfg["beta"]))
-    times = _parse_times(cfg)
-    gammas = [float(g) for g in cfg.get("gammas", [1.0, 2.0])]
-    lambdas = [float(l) for l in cfg.get("lambdas", [])]
+    beta = _parse_beta(cfg)
+    times = _float_list(cfg, "times")
+    gammas = _float_list(cfg, "gammas", [1.0, 2.0])
+    lambdas = _float_list(cfg, "lambdas", [])
     n = int(cfg.get("n", 10_000))
     if n < 2:
         raise ConfigError(f"n must be at least 2 for a standard error, got {n}")
@@ -255,8 +270,8 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
     problem = cfg["problem"]
     if problem not in ("linear", "nonlinear", "source"):
         raise ConfigError(f"unknown problem {problem!r}")
-    beta = FracOrder(float(cfg["beta"]))
-    times = _parse_times(cfg)
+    beta = _parse_beta(cfg)
+    times = _float_list(cfg, "times")
     mu0 = _parse_measure(cfg["initial"], "initial")
     field = _parse_velocity(cfg["velocity"])
     solver_cfg = _parse_solver_config(cfg, times)

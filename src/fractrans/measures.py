@@ -267,20 +267,31 @@ def _atomic_write(path: str, writer):
         raise
 
 
+#: rows formatted by one string operation in ``path_to_csv``
+_CSV_CHUNK_ROWS = 1024
+
+
 def path_to_csv(path: MeasurePath, filename: str):
-    """Columns: t, particle_id, x_1..x_d, weight; one row per particle."""
+    """Columns: t, particle_id, x_1..x_d, weight; one row per particle.
+
+    Each float is written as its ``repr`` (exact round trip), the rows as
+    ``csv.writer`` writes them.  Rows are formatted ``_CSV_CHUNK_ROWS`` at a
+    time by one ``%`` on a repeated row template.
+    """
     d = path.dim
+    row = "%r,%d," + "%r," * d + "%r\r\n"
 
     def write(handle):
-        writer = csv.writer(handle)
-        writer.writerow(["t", "particle_id"] + [f"x_{k + 1}" for k in range(d)] + ["weight"])
-        for t, mu in zip(path.times, path.measures):
-            for i in range(mu.size):
-                writer.writerow(
-                    [repr(float(t)), i]
-                    + [repr(float(v)) for v in mu.points[i]]
-                    + [repr(float(mu.weights[i]))]
-                )
+        csv.writer(handle).writerow(["t", "particle_id"] + [f"x_{k + 1}" for k in range(d)] + ["weight"])
+        for t, mu in zip(path.times.tolist(), path.measures):
+            for a in range(0, mu.size, _CSV_CHUNK_ROWS):
+                b = min(a + _CSV_CHUNK_ROWS, mu.size)
+                block = np.empty((b - a, d + 3))
+                block[:, 0] = t
+                block[:, 1] = np.arange(a, b)
+                block[:, 2:-1] = mu.points[a:b]
+                block[:, -1] = mu.weights[a:b]
+                handle.write(row * (b - a) % tuple(block.ravel().tolist()))
 
     _atomic_write(filename, write)
 

@@ -395,18 +395,28 @@ def subordinator_density(beta: FracOrder, s: float, t: float) -> float:
     return stable_density(beta, s / scale) / scale
 
 
-def inverse_subordinator_density(beta: FracOrder, s: float, t: float) -> float:
-    """h_beta(s, t): density of the inverse process E_t; right limit at s = 0."""
+def inverse_subordinator_density(beta: FracOrder, s, t):
+    """h_beta(s, t): density of the inverse process E_t; right limit at s = 0.
+
+    ``s`` and ``t`` are scalars or arrays (broadcast together); an array is
+    evaluated elementwise, bit for bit as the scalar calls would be, and two
+    scalars give a float.
+    """
     b = beta.beta
-    if t <= 0.0:
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    if np.any(t <= 0.0):
         raise ValueError("inverse subordinator density requires t > 0")
-    if s < 0.0:
+    if np.any(s < 0.0):
         raise ValueError("inverse subordinator density requires s >= 0")
     if b >= 1.0:
         raise ValueError("inverse subordinator density requires beta strictly below 1")
-    if s == 0.0:
-        return t ** (-b) / math.gamma(1.0 - b)
-    return (t / b) * s ** (-1.0 - 1.0 / b) * stable_density(beta, s ** (-1.0 / b) * t)
+    flat_s, flat_t = s.reshape(-1), t.reshape(-1)
+    out = np.empty(flat_s.shape)
+    zero = flat_s == 0.0
+    out[zero] = flat_t[zero] ** (-b) / math.gamma(1.0 - b)
+    sp, tp = flat_s[~zero], flat_t[~zero]
+    out[~zero] = (tp / b) * sp ** (-1.0 - 1.0 / b) * stable_density(beta, sp ** (-1.0 / b) * tp)
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 def inverse_subordinator_cdf(beta: FracOrder, s: float, t: float) -> float:

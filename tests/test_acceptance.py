@@ -104,15 +104,10 @@ def test_criterion_04_kernel_equation_refinement():
         t_grid = np.linspace(0.0, 2.0, nt + 1)
         r_grid = np.linspace(0.2, 3.0, nr + 1)
         dr = r_grid[1] - r_grid[0]
-        h = np.array(
-            [
-                [
-                    inverse_subordinator_density(beta, float(r), float(t)) if t > 0 else 0.0
-                    for t in t_grid
-                ]
-                for r in r_grid
-            ]
-        )
+        # h vanishes at t = 0 (t_grid[0]); one array call per row r
+        h = np.zeros((nr + 1, nt + 1))
+        for i, r in enumerate(r_grid):
+            h[i, 1:] = inverse_subordinator_density(beta, r, t_grid[1:])
         worst = 0.0
         mask = t_grid >= 0.5
         for i in range(1, nr):

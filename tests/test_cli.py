@@ -191,6 +191,42 @@ def test_bad_configs_exit_2(tmp_path, mutation):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, mutation", [
+    ("solve", {"solver": {"ode_step": "0.01"}}),
+    ("solve", {"solver": {"t_ext": "2"}}),
+    ("solve", {"solver": {"eps_tail": [1e-10]}}),
+    ("solve", {"solver": {"picard_tol": None}}),
+    ("solve", {"solver": {"ode_step": True}}),
+    ("solve", {"beta": [0.5]}),
+    ("solve", {"beta": "0.5"}),
+    ("solve", {"times": ["1.0"]}),
+    ("sample", {"beta": [0.5]}),
+    ("sample", {"beta": None}),
+    ("sample", {"gammas": 1.0}),
+    ("sample", {"lambdas": ["a"]}),
+    ("kernels", {"betas": 0.5}),
+    ("kernels", {"s_grid": "0.5"}),
+    ("kernels", {"t_grid": 1.0}),
+    ("kernels", {"z_grid": None}),
+])
+def test_malformed_numbers_exit_2(tmp_path, capsys, command, mutation):
+    # a non-number where a float or a list of floats belongs is a
+    # configuration error, not a TypeError traceback with the
+    # verification-failure code
+    base = {
+        "solve": {"problem": "linear", "beta": 0.5, "times": [1.0],
+                  "velocity": {"kind": "constant"}, "initial": {"kind": "dirac"}},
+        "sample": {"beta": 0.5, "times": [1.0], "n": 10},
+        "kernels": {"betas": [0.5], "s_grid": [1.0], "t_grid": [1.0], "z_grid": [-1.0]},
+    }[command]
+    base.update(mutation)
+    cfg = _write_config(tmp_path, "bad.json", base)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
 def test_sample_needs_two_draws(tmp_path):
     # one draw has no standard error (NaN, which is not strict JSON)
     cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "n": 1})

@@ -1,5 +1,6 @@
 """Unit and property tests for the particle-measure layer."""
 
+import csv
 import os
 import stat
 import subprocess
@@ -286,6 +287,51 @@ def test_csv_round_trip(tmp_path):
     for mu, nu in zip(path.measures, back.measures):
         np.testing.assert_array_equal(mu.points, nu.points)
         np.testing.assert_array_equal(mu.weights, nu.weights)
+
+
+def _reference_csv(path, filename):
+    """The row-by-row writer that ``path_to_csv`` must match byte for byte."""
+    with open(filename, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "particle_id"] + [f"x_{k + 1}" for k in range(path.dim)] + ["weight"])
+        for t, mu in zip(path.times, path.measures):
+            for i in range(mu.size):
+                writer.writerow(
+                    [repr(float(t)), i]
+                    + [repr(float(v)) for v in mu.points[i]]
+                    + [repr(float(mu.weights[i]))]
+                )
+
+
+_AWKWARD = np.array([1e-05, 1e16, -0.0, 0.1 + 0.2, 5e-324, -1.5e-300, 123456.789, 2.0**-1074 * 3])
+
+
+def _awkward_measure(rng, n, d):
+    points = rng.choice(_AWKWARD, size=(n, d)) * rng.choice([1.0, -1.0], size=(n, d))
+    points[: _AWKWARD.size, 0] = _AWKWARD[:n]
+    weights = rng.choice(np.abs(_AWKWARD[_AWKWARD != 0.0]), size=n)
+    return EmpiricalMeasure(points=points, weights=weights)
+
+
+@pytest.mark.parametrize("d, sizes", [(1, [2500, 0, 7]), (3, [5, 1100, 0])])
+def test_csv_writer_matches_row_writer_bytewise(tmp_path, d, sizes):
+    # 2500 and 1100 rows span more than one formatting chunk; size 0 writes
+    # no row for that time
+    rng = np.random.default_rng(d)
+    measures = [_awkward_measure(rng, n, d) for n in sizes]
+    path = MeasurePath(times=np.array([0.0, 1e-05, 0.1 + 0.2]), measures=measures)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    path_to_csv(path, str(got))
+    _reference_csv(path, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    # the round trip is bitwise; a time with no particle has no row
+    back = path_from_csv(str(got))
+    kept = [k for k, n in enumerate(sizes) if n]
+    np.testing.assert_array_equal(back.times, path.times[kept])
+    for k, nu in zip(kept, back.measures):
+        mu = path.measures[k]
+        assert mu.points.tobytes() == nu.points.tobytes()
+        assert mu.weights.tobytes() == nu.weights.tobytes()
 
 
 def test_manifest_write(tmp_path):

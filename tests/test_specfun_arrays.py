@@ -1,4 +1,5 @@
-"""Array contract of the stable-law layer and the vectorized quantile solve.
+"""Array contract of the stable-law layer, the inverse-subordinator
+density and the vectorized quantile solve.
 
 An array argument is evaluated elementwise, bit for bit as the scalar
 calls would be, on both the series branch (x >= 1) and the Zolotarev
@@ -15,6 +16,7 @@ from fractrans.specfun import (
     _stable_sf,
     _unit_quantile_sf,
     _unit_sf,
+    inverse_subordinator_density,
     stable_cdf,
     stable_density,
 )
@@ -40,6 +42,28 @@ def test_array_equals_scalar_calls_bitwise(fn, b):
 def test_array_outside_support_raises(fn, bad):
     with pytest.raises(ValueError):
         fn(FracOrder(0.5), np.array([0.5, 2.0, bad]))
+
+
+@pytest.mark.parametrize("b", [0.3, 0.5, 0.7, 0.9])
+def test_inverse_subordinator_density_array_equals_scalar_calls_bitwise(b):
+    # s = 0 takes the closed-form right limit; the others reach both
+    # branches of the stable density through x = s^(-1/b) t
+    beta = FracOrder(b)
+    s = np.concatenate([[0.0], np.geomspace(1e-3, 30.0, 20)])
+    t = np.array([0.01, 0.5, 1.0, 2.0, 7.5])
+    got = inverse_subordinator_density(beta, s[:, None], t[None, :])
+    want = np.array([[inverse_subordinator_density(beta, float(a), float(c)) for c in t] for a in s])
+    assert isinstance(inverse_subordinator_density(beta, 0.5, 1.0), float)
+    assert isinstance(inverse_subordinator_density(beta, 0.0, 1.0), float)
+    np.testing.assert_array_equal(got, want)
+    # one row of criterion 04's table: scalar s against an array of t
+    np.testing.assert_array_equal(inverse_subordinator_density(beta, s[3], t), want[3])
+
+
+@pytest.mark.parametrize("s, t", [(np.array([0.5, -1.0]), 1.0), (0.5, np.array([1.0, 0.0]))])
+def test_inverse_subordinator_density_array_outside_support_raises(s, t):
+    with pytest.raises(ValueError):
+        inverse_subordinator_density(FracOrder(0.5), s, t)
 
 
 @pytest.mark.parametrize("target", list(KernelTarget), ids=lambda t: t.value)

@@ -25,6 +25,7 @@ from fractrans.specfun import (
     inverse_moment_coeff,
     mittag_leffler,
 )
+from fractrans import transport
 from fractrans.subordinator import RngSpec, sample_inverse
 from fractrans.transport import (
     ExplicitField,
@@ -374,6 +375,85 @@ def test_source_rejects_negative():
 
 
 # ---------------------------------------------------------------------------
+# Autonomous fields: the g-average is skipped
+# ---------------------------------------------------------------------------
+
+
+def _rotate_damp(x, t):
+    # affine in 2-d, independent of t: a damped rotation plus a drift
+    return x @ np.array([[-1.0, 0.5], [-0.5, -1.0]]).T + np.array([0.25, -0.1])
+
+
+def _square_2d():
+    pts = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [0.2, 0.3]])
+    return EmpiricalMeasure(points=pts, weights=np.full(5, 0.2))
+
+
+def _assert_paths_close(a, b, tol):
+    np.testing.assert_array_equal(a.times, b.times)
+    for mu, nu in zip(a.measures, b.measures):
+        np.testing.assert_allclose(mu.points, nu.points, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(mu.weights, nu.weights, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_autonomous_flag_does_not_change_the_answers(beta):
+    beta = FracOrder(beta)
+    plain = ExplicitField(func=_rotate_damp, lip=1.2)
+    auto = ExplicitField(func=_rotate_damp, lip=1.2, autonomous=True)
+    cfg = _cfg(times=(0.5, 1.0), q_h=16, q_g=16, ode_step=0.05)
+    mu0 = _square_2d()
+    _assert_paths_close(solve_linear(beta, auto, mu0, cfg), solve_linear(beta, plain, mu0, cfg), 1e-14)
+    source = _const_source_path(EmpiricalMeasure.dirac([0.5, 0.5], 0.3))
+    _assert_paths_close(
+        solve_with_source(beta, auto, mu0, source, cfg),
+        solve_with_source(beta, plain, mu0, source, cfg),
+        1e-14,
+    )
+    _assert_paths_close(
+        solve_linear_mc(beta, auto, mu0, cfg, n_paths=50, seed=2),
+        solve_linear_mc(beta, plain, mu0, cfg, n_paths=50, seed=2),
+        1e-14,
+    )
+
+
+@pytest.mark.parametrize("autonomous", [True, False])
+def test_autonomous_field_is_called_once_per_rk4_stage(monkeypatch, autonomous):
+    # every RK4 step makes 4 velocity calls (stages); a stage calls the func
+    # once for an autonomous field and once per g-node otherwise, where the
+    # g-rule at s = 0 is the single node (0, 1)
+    q_g = 8
+    calls = {"func": 0, "stages": 0, "stages_at_zero": 0}
+
+    def func(x, t):
+        calls["func"] += 1
+        return -x
+
+    advect = transport._advect_segment
+
+    def counting_advect(vel, *args):
+        def stage(x, s):
+            calls["stages"] += 1
+            calls["stages_at_zero"] += s <= 0.0
+            return vel(x, s)
+
+        return advect(stage, *args)
+
+    monkeypatch.setattr(transport, "_advect_segment", counting_advect)
+    field = ExplicitField(func=func, lip=1.0, autonomous=autonomous)
+    cfg = _cfg(times=(0.5, 1.0), q_h=8, q_g=q_g, ode_step=0.05)
+    solve_linear(B, field, _dirac(1.0), cfg)
+    solve_with_source(B, field, _dirac(1.0), _const_source_path(_dirac(0.5)), cfg)
+    solve_linear_mc(B, field, _dirac(1.0), cfg, n_paths=20)
+    assert calls["stages"] > 0 and calls["stages"] % 4 == 0
+    if autonomous:
+        assert calls["func"] == calls["stages"]
+    else:
+        zero = calls["stages_at_zero"]
+        assert calls["func"] == q_g * (calls["stages"] - zero) + zero
+
+
+# ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
 
@@ -387,3 +467,12 @@ def test_solver_config_validation():
         SolverConfig(times=(1.0,), t_ext=0.5)
     with pytest.raises(ValueError):
         SolverConfig(times=(1.0,), ode_step=-1.0)
+
+
+@pytest.mark.parametrize("knob", ["eps_tail", "ode_step", "picard_tol", "t_ext"])
+@pytest.mark.parametrize("value", ["0.5", [0.5], None, True])
+def test_solver_config_rejects_non_real_floats(knob, value):
+    with pytest.raises(ValueError, match="must be real numbers"):
+        SolverConfig(times=(1.0,), **{knob: value})
+    # numpy scalars are real numbers
+    SolverConfig(times=(1.0,), **{knob: np.float64(2.0)})
