@@ -96,14 +96,19 @@ def _parse_measure(spec: dict, where: str) -> EmpiricalMeasure:
     if kind == "uniform-grid":
         low = np.atleast_1d(np.asarray(spec["low"], dtype=float))
         high = np.atleast_1d(np.asarray(spec["high"], dtype=float))
-        n = int(spec["n"])
+        n = _count(spec["n"], "n")
+        if n < 1:
+            raise ConfigError(f"uniform-grid n must be at least 1, got {n}")
         axes = [np.linspace(lo, hi, n) for lo, hi in zip(low, high)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         mass = float(spec.get("mass", 1.0))
         return EmpiricalMeasure(points=pts, weights=np.full(pts.shape[0], mass / pts.shape[0]))
     if kind == "file":
-        path = path_from_csv(spec["path"])
+        try:
+            path = path_from_csv(spec["path"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read measure file in {where}: {exc}")
         return path.measures[0]
     raise ConfigError(f"unknown measure kind {kind!r} in {where}")
 
@@ -123,6 +128,8 @@ def _parse_velocity(spec: dict):
         return ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
     if kind == "affine":
         matrix = np.asarray(spec["matrix"], dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ConfigError(f"affine matrix must be square, got shape {matrix.shape}")
         offset = np.atleast_1d(np.asarray(spec.get("offset", np.zeros(matrix.shape[0])), dtype=float))
         lip = float(np.linalg.norm(matrix, 2))
         return ExplicitField(func=lambda x, t: x @ matrix.T + offset, lip=lip, autonomous=True)
@@ -140,6 +147,12 @@ _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)} - {"times"}
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _count(value, key: str) -> int:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_beta(cfg: dict) -> FracOrder:
@@ -220,7 +233,7 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
     times = _float_list(cfg, "times")
     gammas = _float_list(cfg, "gammas", [1.0, 2.0])
     lambdas = _float_list(cfg, "lambdas", [])
-    n = int(cfg.get("n", 10_000))
+    n = _count(cfg.get("n", 10_000), "n")
     if n < 2:
         raise ConfigError(f"n must be at least 2 for a standard error, got {n}")
     records = []
@@ -362,7 +375,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = _load_config(args.config) if args.config else {}
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _count(cfg.get("seed", 0), "seed")
         return handlers[args.command](cfg, args.out, seed)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -24,8 +24,10 @@ explicit field marked autonomous (independent of t) skips the field
 average: the g-rule weights sum to 1, so its g-average is the field
 itself, evaluated once per RK4 stage instead of q_g times.  The
 interaction field is linear in the measure, so its g-average is the field
-induced by the path average.  beta = 1 needs no special case: the g- and
-h-rules become point masses and the same code is classical transport.
+induced by the path average; a Picard sweep stacks the previous iterate
+into one lookup table, and per RK4 stage only the masses of its recorded
+measures change.  beta = 1 needs no special case: the g- and h-rules
+become point masses and the same code is classical transport.
 """
 
 from __future__ import annotations
@@ -97,19 +99,20 @@ class InteractionField:
     bound: float
     lip: float
 
+    def field(self, x, points, weights) -> np.ndarray:
+        """v[mu](x) for mu = sum_j weights_j delta_{points_j}, given as raw
+        (M, d) and (M,) arrays, so no measure is built per evaluation."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if weights.size == 0:
+            return np.zeros_like(x)
+        disp = x[:, None, :] - points[None, :, :]
+        k = np.asarray(self.kernel(disp.reshape(-1, x.shape[1])), dtype=float)
+        k = k.reshape(x.shape[0], weights.size, x.shape[1])
+        return np.einsum("j,njd->nd", weights, k)
+
     def induced(self, mu: EmpiricalMeasure):
         """Velocity function x -> v[mu](x) for a frozen measure."""
-        if mu.size == 0:
-            return lambda x: np.zeros_like(np.atleast_2d(x), dtype=float)
-
-        def vel(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            disp = x[:, None, :] - mu.points[None, :, :]
-            k = np.asarray(self.kernel(disp.reshape(-1, mu.dim)), dtype=float)
-            k = k.reshape(x.shape[0], mu.size, mu.dim)
-            return np.einsum("j,njd->nd", mu.weights, k)
-
-        return vel
+        return lambda x: self.field(x, mu.points, mu.weights)
 
 
 def attraction_field(lip: float = 1.0) -> InteractionField:
@@ -220,19 +223,24 @@ def _effective_velocity(v: ExplicitField, g_rule):
     return lambda x, s: _field_average(v, x, *g_rule(s))
 
 
-def _path_average(path: MeasurePath, times, weights) -> EmpiricalMeasure:
-    """Path average sum_q w_q mu_{r_q}, with piecewise-constant lookup of
-    the path.  Nodes that hit the same recorded measure share one copy of
-    it, carrying the sum of their weights."""
-    hit = np.maximum(np.searchsorted(path.times, times, side="right") - 1, 0)
-    mass = np.bincount(hit, weights=weights, minlength=len(path.measures))
-    parts = [(mu, m) for mu, m in zip(path.measures, mass) if m > 0.0 and mu.size]
-    if not parts:
-        return EmpiricalMeasure(points=np.zeros((0, path.dim)), weights=np.zeros(0))
-    return EmpiricalMeasure(
-        points=np.concatenate([mu.points for mu, _ in parts]),
-        weights=np.concatenate([m * mu.weights for mu, m in parts]),
-    )
+def _path_lookup(path: MeasurePath):
+    """Map (real times r_q, weights w_q) -> raw (points, weights) of the path
+    average sum_q w_q mu_{r_q}, with piecewise-constant lookup of the path.
+    The path is stacked once; per call only the segment masses m_k (the
+    summed weights of the nodes that hit measure k) change, so atom i of
+    measure k carries m_k w_i.  Atoms with no mass are dropped and the rest
+    keep path order, the concatenation of the hit measures."""
+    points = np.concatenate([mu.points for mu in path.measures])
+    weights = np.concatenate([mu.weights for mu in path.measures])
+    seg = np.repeat(np.arange(len(path.measures)), [mu.size for mu in path.measures])
+
+    def average(times, w):
+        hit = np.maximum(np.searchsorted(path.times, times, side="right") - 1, 0)
+        a = np.bincount(hit, weights=w, minlength=len(path.measures))[seg] * weights
+        keep = a > 0.0
+        return points[keep], a[keep]
+
+    return average
 
 
 def freezing_tail_probability(beta: FracOrder, s: np.ndarray, horizon: float) -> np.ndarray:
@@ -296,11 +304,12 @@ def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, s_extra, ode_s
     src_pts = np.zeros((0, mu0.dim))
     src_wts = np.zeros(0)
     at_node = {0.0: (x, src_pts, src_wts)}
+    source = _path_lookup(gamma_path)
     for s_a, s_b in zip(s_union[:-1].tolist(), s_union[1:].tolist()):
-        gamma_avg = _path_average(gamma_path, *g_rule(s_a))
-        if gamma_avg.size:
-            src_pts = np.concatenate([src_pts, gamma_avg.points])
-            src_wts = np.concatenate([src_wts, (s_b - s_a) * gamma_avg.weights])
+        g_pts, g_wts = source(*g_rule(s_a))
+        if g_wts.size:
+            src_pts = np.concatenate([src_pts, g_pts])
+            src_wts = np.concatenate([src_wts, (s_b - s_a) * g_wts])
         moved = _advect_segment(vel, np.concatenate([x, src_pts]), s_a, s_b, ode_step)
         x, src_pts = moved[: x.shape[0]], moved[x.shape[0] :]
         at_node[s_b] = (x, src_pts, src_wts)
@@ -428,11 +437,14 @@ def solve_nonlinear(
 
     Starting from the constant-in-time path mu0, each sweep solves the
     auxiliary linear problem whose velocity is the g-averaged interaction
-    field induced by the previous iterate.  Consecutive iterates are
-    index-aligned (see ``_average_push_forwards``; the first sweep pairs
-    with mu0 split by rule weight), so ``_coupling_bound`` certifies an
-    upper bound on their d_BL in O(N); the iteration stops when its sup
-    over the grid drops below ``picard_tol``.  The diagnostics hold the
+    field induced by the previous iterate.  The previous iterate is stacked
+    once per sweep (``_path_lookup``); each RK4 stage only reweights its
+    recorded measures by the g-rule masses and evaluates the field on the
+    raw arrays.  Consecutive iterates are index-aligned (see
+    ``_average_push_forwards``; the first sweep pairs with mu0 split by
+    rule weight), so ``_coupling_bound`` certifies an upper bound on their
+    d_BL in O(N); the iteration stops when its sup over the grid drops
+    below ``picard_tol``.  The diagnostics hold the
     iteration log (one dict per sweep: sweep, coupling_bound, wall_time)
     and the freezing term: the h-weighted probability
     sum_q w_q P(D_{s_q} > horizon) of a lookup past the horizon, worst
@@ -450,11 +462,12 @@ def solve_nonlinear(
     for sweep in range(1, config.picard_max_iters + 1):
         t0 = _time.perf_counter()
         prev = current
+        lookup = _path_lookup(prev)
 
-        def vel(x, s, _p=prev):
+        def vel(x, s, _lookup=lookup):
             # the field is linear in the measure: one kernel call on the
             # path average instead of one per g-node
-            return v.induced(_path_average(_p, *g_rule(s)))(x)
+            return v.field(x, *_lookup(*g_rule(s)))
 
         measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, (), config.ode_step, lip)
         current = MeasurePath(times=grid, measures=[mu0] + measures)

@@ -208,10 +208,17 @@ def test_bad_configs_exit_2(tmp_path, mutation):
     ("kernels", {"s_grid": "0.5"}),
     ("kernels", {"t_grid": 1.0}),
     ("kernels", {"z_grid": None}),
+    ("sample", {"n": [5]}),
+    ("solve", {"seed": [1]}),
+    ("solve", {"initial": {"kind": "uniform-grid", "low": [0.0], "high": [1.0], "n": [3]}}),
+    ("solve", {"initial": {"kind": "uniform-grid", "low": [0.0], "high": [1.0], "n": 0}}),
+    ("solve", {"velocity": {"kind": "affine", "matrix": 2}}),
+    ("solve", {"initial": {"kind": "file", "path": "no/such/measure.csv"}}),
 ])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, mutation):
-    # a non-number where a float or a list of floats belongs is a
-    # configuration error, not a TypeError traceback with the
+    # a non-number where a float, a count or a list of floats belongs, an
+    # empty grid, a matrix that is not square, or an unreadable measure
+    # file is a configuration error, not a traceback with the
     # verification-failure code
     base = {
         "solve": {"problem": "linear", "beta": 0.5, "times": [1.0],

@@ -34,7 +34,7 @@ from fractrans.transport import (
     _advect_segment,
     _field_average,
     _g_rule,
-    _path_average,
+    _path_lookup,
     attraction_field,
     freezing_tail_probability,
     repulsion_field,
@@ -83,6 +83,10 @@ def test_field_average_exponential_decay_oracle():
 
 def test_path_average_induced_field_cases():
     nodes, weights = _g_rule(B, _cfg(q_g=32))(1.0)
+
+    def _path_average(path, nodes, weights):
+        return EmpiricalMeasure(*_path_lookup(path)(nodes, weights))
+
     mu = _two_diracs()
     path = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, mu])
     zero_kernel = InteractionField(kernel=lambda z: np.zeros_like(z), bound=0.0, lip=0.0)
@@ -101,6 +105,40 @@ def test_path_average_induced_field_cases():
     expected = sum(w_q * repel.induced(switch.at(r_q))(x) for r_q, w_q in zip(nodes, weights))
     got = repel.induced(_path_average(switch, nodes, weights))(x)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("field", [repulsion_field(), attraction_field()], ids=["repulsion", "attraction"])
+def test_path_lookup_field_matches_measure_by_measure_average(field):
+    # the Picard stage's field on the stacked path table equals the field
+    # induced by the path average built measure by measure, bit for bit
+    cfg = _cfg(times=(0.1, 0.2), q_g=32, t_ext=1.0)
+    grid = transport._grid_with_extension(cfg)
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(1, 6, size=grid.size)
+    sizes[2] = 0
+    measures = [
+        EmpiricalMeasure(points=rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 1.0, size=n))
+        for n in sizes
+    ]
+    path = MeasurePath(times=grid, measures=measures)
+    nodes, weights = _g_rule(B, cfg)(0.5)
+    # one more node exactly on a recorded time, which hits that measure
+    nodes, weights = np.append(nodes, grid[4]), np.append(weights, 0.25)
+    # right-continuous lookup, frozen at the end: node r hits the last
+    # measure recorded at or before r
+    mass = [0.0] * grid.size
+    for r_q, w_q in zip(nodes, weights):
+        mass[max([k for k, t in enumerate(grid) if t <= r_q], default=0)] += w_q
+    assert grid.size >= 5 and mass[2] > 0.0
+    assert any(m == 0.0 and mu.size for m, mu in zip(mass, measures))
+    parts = [(mu, m) for mu, m in zip(measures, mass) if m > 0.0 and mu.size]
+    average = EmpiricalMeasure(
+        points=np.concatenate([mu.points for mu, _ in parts]),
+        weights=np.concatenate([m * mu.weights for mu, m in parts]),
+    )
+    x = rng.normal(size=(7, 2))
+    got = field.field(x, *_path_lookup(path)(nodes, weights))
+    np.testing.assert_array_equal(got, field.induced(average)(x))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
