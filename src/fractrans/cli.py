@@ -94,8 +94,14 @@ def _parse_measure(spec: dict, where: str) -> EmpiricalMeasure:
         masses = np.asarray(spec.get("masses", [0.5, 0.5]), dtype=float)
         return EmpiricalMeasure(points=pts, weights=masses)
     if kind == "uniform-grid":
+        _require_keys(spec, set(spec), {"low", "high", "n"}, f"{where} ({kind})")
         low = np.atleast_1d(np.asarray(spec["low"], dtype=float))
         high = np.atleast_1d(np.asarray(spec["high"], dtype=float))
+        if low.shape != high.shape:
+            raise ConfigError(
+                f"uniform-grid low and high must have the same length in {where}, "
+                f"got shapes {low.shape} and {high.shape}"
+            )
         n = _count(spec["n"], "n")
         if n < 1:
             raise ConfigError(f"uniform-grid n must be at least 1, got {n}")
@@ -105,6 +111,7 @@ def _parse_measure(spec: dict, where: str) -> EmpiricalMeasure:
         mass = float(spec.get("mass", 1.0))
         return EmpiricalMeasure(points=pts, weights=np.full(pts.shape[0], mass / pts.shape[0]))
     if kind == "file":
+        _require_keys(spec, set(spec), {"path"}, f"{where} ({kind})")
         try:
             path = path_from_csv(spec["path"])
         except OSError as exc:
@@ -127,6 +134,7 @@ def _parse_velocity(spec: dict):
     if kind == "damping":
         return ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
     if kind == "affine":
+        _require_keys(spec, set(spec), {"matrix"}, "velocity (affine)")
         matrix = np.asarray(spec["matrix"], dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ConfigError(f"affine matrix must be square, got shape {matrix.shape}")

@@ -274,12 +274,17 @@ _CSV_CHUNK_ROWS = 1024
 def path_to_csv(path: MeasurePath, filename: str):
     """Columns: t, particle_id, x_1..x_d, weight; one row per particle.
 
-    Each float is written as its ``repr`` (exact round trip), the rows as
-    ``csv.writer`` writes them.  Rows are formatted ``_CSV_CHUNK_ROWS`` at a
-    time by one ``%`` on a repeated row template.
+    Each float is written as its ``repr`` (shortest exact round trip), the
+    rows as ``csv.writer`` writes them.  Rows are formatted
+    ``_CSV_CHUNK_ROWS`` at a time by one ``%`` on a repeated row template.
+    Within a chunk each distinct float bit pattern is formatted once and
+    its string reused for every cell holding it (t is constant within a
+    measure, and weights and grid coordinates repeat), so the bytes are
+    the same as formatting every cell.  Bit patterns, not values, are
+    compared, so ``-0.0`` and ``0.0`` keep their own strings.
     """
     d = path.dim
-    row = "%r,%d," + "%r," * d + "%r\r\n"
+    row = "%s,%d," + "%s," * d + "%s\r\n"
 
     def write(handle):
         csv.writer(handle).writerow(["t", "particle_id"] + [f"x_{k + 1}" for k in range(d)] + ["weight"])
@@ -287,11 +292,16 @@ def path_to_csv(path: MeasurePath, filename: str):
             for a in range(0, mu.size, _CSV_CHUNK_ROWS):
                 b = min(a + _CSV_CHUNK_ROWS, mu.size)
                 block = np.empty((b - a, d + 3))
-                block[:, 0] = t
-                block[:, 1] = np.arange(a, b)
+                # column 1 holds t until particle_id replaces its strings,
+                # so it adds no distinct value
+                block[:, :2] = t
                 block[:, 2:-1] = mu.points[a:b]
                 block[:, -1] = mu.weights[a:b]
-                handle.write(row * (b - a) % tuple(block.ravel().tolist()))
+                bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+                text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+                cells = text[inverse.reshape(block.shape)]
+                cells[:, 1] = range(a, b)
+                handle.write(row * (b - a) % tuple(cells.ravel().tolist()))
 
     _atomic_write(filename, write)
 

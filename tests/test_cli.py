@@ -234,6 +234,34 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, mutation):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("block, spec", [
+    ("initial", {"kind": "uniform-grid", "high": [1.0], "n": 3}),
+    ("initial", {"kind": "uniform-grid", "low": [0.0], "n": 3}),
+    ("initial", {"kind": "uniform-grid", "low": [0.0], "high": [1.0]}),
+    ("initial", {"kind": "file"}),
+    ("velocity", {"kind": "affine"}),
+])
+def test_missing_per_kind_keys_exit_2(tmp_path, capsys, block, spec):
+    base = {"problem": "linear", "beta": 0.5, "times": [1.0],
+            "velocity": {"kind": "constant"}, "initial": {"kind": "dirac"}}
+    base[block] = spec
+    cfg = _write_config(tmp_path, "bad.json", base)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: missing keys")
+    assert len(err.splitlines()) == 1
+
+
+def test_uniform_grid_bounds_of_different_lengths_exit_2(tmp_path, capsys):
+    # zip(low, high) would drop the second axis and write a 1-D path
+    cfg = _linear_config(tmp_path, initial={
+        "kind": "uniform-grid", "low": [-1.0, -1.0], "high": [1.0], "n": 3})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "same length" in capsys.readouterr().err
+    assert not (out / "path.csv").exists()
+
+
 def test_sample_needs_two_draws(tmp_path):
     # one draw has no standard error (NaN, which is not strict JSON)
     cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "n": 1})

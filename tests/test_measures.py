@@ -27,7 +27,8 @@ from fractrans.measures import (
     w1_distance_1d,
     write_manifest,
 )
-from fractrans.transport import _coupling_bound
+from fractrans.specfun import FracOrder
+from fractrans.transport import ExplicitField, SolverConfig, _coupling_bound, solve_linear
 
 
 def _ensemble(draw_points, draw_weights):
@@ -332,6 +333,46 @@ def test_csv_writer_matches_row_writer_bytewise(tmp_path, d, sizes):
         mu = path.measures[k]
         assert mu.points.tobytes() == nu.points.tobytes()
         assert mu.weights.tobytes() == nu.weights.tobytes()
+
+
+def test_csv_writer_on_a_solved_grid_path(tmp_path):
+    # a 2-D grid under damping repeats t, weights and coordinates inside a
+    # chunk; 49 particles times 24 h-nodes is 1176 rows, so the chunk
+    # boundary at row 1024 falls inside the 21st node's block
+    ax = np.linspace(-1.0, 1.0, 7)
+    grid = np.stack([m.ravel() for m in np.meshgrid(ax, ax, indexing="ij")], axis=1)
+    mu0 = EmpiricalMeasure(points=grid, weights=np.full(grid.shape[0], 1.0 / grid.shape[0]))
+    damping = ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
+    path = solve_linear(FracOrder(0.5), damping, mu0,
+                        SolverConfig(times=(0.5, 1.0), q_h=24, q_g=12, ode_step=0.02))
+    assert [mu.size for mu in path.measures] == [49, 1176, 1176]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    path_to_csv(path, str(got))
+    _reference_csv(path, str(want))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_writer_keeps_signed_zeros_apart(tmp_path):
+    # -0.0 == 0.0, so only a bitwise comparison keeps their strings apart
+    # when both sit in one chunk, as a time and as coordinates
+    path = MeasurePath(
+        times=np.array([-0.0, 1.0]),
+        measures=[
+            EmpiricalMeasure(points=[[0.0, -0.0], [-0.0, 0.0]], weights=[0.5, 0.5]),
+            EmpiricalMeasure(points=[[-0.0, 0.0]], weights=[1.0]),
+        ],
+    )
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    path_to_csv(path, str(got))
+    _reference_csv(path, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().split(b"\r\n") == [
+        b"t,particle_id,x_1,x_2,weight",
+        b"-0.0,0,0.0,-0.0,0.5",
+        b"-0.0,1,-0.0,0.0,0.5",
+        b"1.0,0,-0.0,0.0,1.0",
+        b"",
+    ]
 
 
 def test_manifest_write(tmp_path):
