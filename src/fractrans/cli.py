@@ -1,10 +1,12 @@
 """Command-line front end: kernels | sample | solve | verify.
 
-A single strict JSON document configures each run; unknown keys are
-rejected.  Exit codes: 0 success, 1 verification failure, 2 configuration
-error, 3 solver non-convergence, 4 numerical failure (a quadrature tail
-mass that cannot be met, or a floating-point overflow).  Every output
-file is written through a temp-file rename, so no partial file survives a
+A single strict JSON document configures each run, read against one key
+table per command and per measure or velocity kind: a key that is
+unknown, missing or of the wrong type is a configuration error.  Exit
+codes: 0 success, 1 verification failure, 2 configuration error, 3
+solver non-convergence, 4 numerical failure (a quadrature tail mass that
+cannot be met, or a floating-point overflow).  Every output file is
+written through a temp-file rename, so no partial file survives a
 failure, and each solve emits a manifest recording every tolerance and
 seed used.  ``kernels``, ``sample`` and ``solve`` run on numpy alone;
 only ``verify`` imports scipy.
@@ -64,122 +66,167 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_keys(obj: dict, allowed: set, required: set, where: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+_REQUIRED = object()  # the default of a key that must be given
+
+
+@dataclasses.dataclass(frozen=True)
+class _Key:
+    """A config key: its type (in ``_TYPES``), default and least value."""
+
+    type: str
+    default: object = _REQUIRED
+    least: int | None = None
+
+
+#: each type's description, its JSON class (bool is never a number) and its conversion
+_TYPES = {
+    "number": ("a finite number", numbers.Real, float),
+    "integer": ("an integer", numbers.Integral, int),
+    "numbers": ("a list of numbers", list, lambda v: [_typed(x, "number") for x in v]),
+    "matrix": ("a list of equal-length lists of numbers", list, lambda v: [_typed(x, "numbers") for x in v]),
+    "string": ("a string", str, str),
+    "object": ("a JSON object", dict, dict),
+}
+
+
+def _typed(value, type_: str):
+    """``value`` converted to ``type_``; TypeError if it is not one."""
+    _, cls, convert = _TYPES[type_]
+    if isinstance(value, bool) or not isinstance(value, cls):
+        raise TypeError
+    value = convert(value)
+    # json.load takes NaN and Infinity, which JSON itself does not have
+    if type_ == "number" and not math.isfinite(value) or type_ == "matrix" and len(set(map(len, value))) > 1:
+        raise TypeError
+    return value
+
+
+def _read(block, table: dict, where: str) -> dict:
+    """Every key of ``table``: its value in ``block``, typed, or its default."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
+    missing = [name for name, key in table.items() if key.default is _REQUIRED and name not in block]
+    unknown = sorted(set(block) - set(table))
+    if missing or unknown:
+        raise ConfigError(f"{'missing' if missing else 'unknown'} keys in {where}: {missing or unknown}")
+    values = {name: key.default for name, key in table.items()}
+    for name, value in block.items():
+        key = table[name]
+        try:
+            values[name] = _typed(value, key.type)
+        except (TypeError, OverflowError):
+            raise ConfigError(f"{name} in {where} must be {_TYPES[key.type][0]}, got {value!r}") from None
+        if key.least is not None and values[name] < key.least:
+            raise ConfigError(f"{name} in {where} must be at least {key.least}, got {values[name]}")
+    return values
+
+
+def _read_kind(block, kinds: dict, where: str) -> dict:
+    """A measure or velocity block, read with the table of its kind only."""
+    kind = block.get("kind") if isinstance(block, dict) else None
+    if not isinstance(kind, str):
+        return _read(block, {"kind": _Key("string")}, where)
+    if kind not in kinds:
+        raise ConfigError(f"unknown {where} kind {kind!r}")
+    return _read(block, {"kind": _Key("string"), **kinds[kind]}, f"{where} ({kind})")
+
+
+_MEASURES = {
+    "dirac": {"point": _Key("numbers", [0.0]), "mass": _Key("number", 1.0)},
+    "two-dirac": {"points": _Key("matrix", [[-1.0], [1.0]]), "masses": _Key("numbers", [0.5, 0.5])},
+    "uniform-grid": {"low": _Key("numbers"), "high": _Key("numbers"),
+                     "n": _Key("integer", least=1), "mass": _Key("number", 1.0)},
+    "file": {"path": _Key("string")},
+}
+
+_VELOCITIES = {
+    "constant": {"value": _Key("numbers", [1.0])},
+    "damping": {},
+    "affine": {"matrix": _Key("matrix"), "offset": _Key("numbers", [0.0])},
+    "attraction": {"lip": _Key("number", 1.0)},
+    "repulsion": {},
+}
+
+#: every SolverConfig field but ``times`` (a top-level key), typed as its default
+_SOLVER = {f.name: _Key({int: "integer", float: "number"}[type(f.default)], f.default)
+           for f in dataclasses.fields(SolverConfig) if f.name != "times"}
+
+_COMMANDS = {
+    "kernels": {
+        "betas": _Key("numbers", [0.3, 0.5, 0.7]), "t_grid": _Key("numbers", [0.5, 1.0, 2.0]),
+        "s_grid": _Key("numbers", np.linspace(0.0, 4.0, 21).tolist()),
+        "z_grid": _Key("numbers", np.linspace(-5.0, 2.0, 15).tolist()),
+    },
+    "sample": {
+        "beta": _Key("number"), "times": _Key("numbers"),
+        "gammas": _Key("numbers", [1.0, 2.0]), "lambdas": _Key("numbers", []),
+        "n": _Key("integer", 10_000, least=2),  # 2 draws for a standard error
+        # accepted and not read: the clock is drawn exactly, but configs
+        # written for first passage (the benchmark's clock-sample) send it
+        "dtau": _Key("number", None),
+        "seed": _Key("integer", 0),
+    },
+    "solve": {
+        "problem": _Key("string"), "beta": _Key("number"), "times": _Key("numbers"),
+        "velocity": _Key("object"), "initial": _Key("object"),
+        "solver": _Key("object", {}), "source": _Key("object", None),
+        # accepted and read by no solver, which is deterministic: it labels
+        # the run in the manifest, as every benchmark run's --seed does
+        "seed": _Key("integer", 0),
+    },
+    "verify": {"eps_tail": _Key("number", None)},  # absent: each check's own
+}
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as handle:
-            cfg = json.load(handle)
+            return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
 
 
-def _parse_measure(spec: dict, where: str) -> EmpiricalMeasure:
-    _require_keys(spec, {"kind", "point", "points", "mass", "masses", "low", "high", "n", "path"}, {"kind"}, where)
+def _parse_measure(block, where: str) -> EmpiricalMeasure:
+    spec = _read_kind(block, _MEASURES, where)
     kind = spec["kind"]
     if kind == "dirac":
-        return EmpiricalMeasure.dirac(spec.get("point", [0.0]), spec.get("mass", 1.0))
+        return EmpiricalMeasure.dirac(spec["point"], spec["mass"])
     if kind == "two-dirac":
-        pts = np.asarray(spec.get("points", [[-1.0], [1.0]]), dtype=float)
-        masses = np.asarray(spec.get("masses", [0.5, 0.5]), dtype=float)
-        return EmpiricalMeasure(points=pts, weights=masses)
+        return EmpiricalMeasure(points=np.array(spec["points"]), weights=np.array(spec["masses"]))
     if kind == "uniform-grid":
-        _require_keys(spec, set(spec), {"low", "high", "n"}, f"{where} ({kind})")
-        low = np.atleast_1d(np.asarray(spec["low"], dtype=float))
-        high = np.atleast_1d(np.asarray(spec["high"], dtype=float))
-        if low.shape != high.shape:
-            raise ConfigError(
-                f"uniform-grid low and high must have the same length in {where}, "
-                f"got shapes {low.shape} and {high.shape}"
-            )
-        n = _count(spec["n"], "n")
-        if n < 1:
-            raise ConfigError(f"uniform-grid n must be at least 1, got {n}")
-        axes = [np.linspace(lo, hi, n) for lo, hi in zip(low, high)]
+        low, high = spec["low"], spec["high"]
+        if not low or len(low) != len(high):
+            raise ConfigError(f"{where} low and high must have the same length >= 1, got {low} and {high}")
+        axes = [np.linspace(lo, hi, spec["n"]) for lo, hi in zip(low, high)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        mass = float(spec.get("mass", 1.0))
-        return EmpiricalMeasure(points=pts, weights=np.full(pts.shape[0], mass / pts.shape[0]))
-    if kind == "file":
-        _require_keys(spec, set(spec), {"path"}, f"{where} ({kind})")
-        try:
-            path = path_from_csv(spec["path"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read measure file in {where}: {exc}")
-        return path.measures[0]
-    raise ConfigError(f"unknown measure kind {kind!r} in {where}")
+        return EmpiricalMeasure(points=pts, weights=np.full(pts.shape[0], spec["mass"] / pts.shape[0]))
+    try:
+        return path_from_csv(spec["path"]).measures[0]
+    except OSError as exc:
+        raise ConfigError(f"cannot read measure file in {where}: {exc}")
 
 
 def _parse_velocity(spec: dict):
-    _require_keys(
-        spec, {"kind", "value", "matrix", "offset", "lip"}, {"kind"}, "velocity"
-    )
     kind = spec["kind"]
     # the explicit kinds are autonomous: the solvers skip their g-average
     if kind == "constant":
-        value = np.atleast_1d(np.asarray(spec.get("value", [1.0]), dtype=float))
+        value = np.array(spec["value"])
         return ExplicitField(
             func=lambda x, t: np.broadcast_to(value, x.shape).copy(), lip=0.0, autonomous=True
         )
     if kind == "damping":
         return ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
     if kind == "affine":
-        _require_keys(spec, set(spec), {"matrix"}, "velocity (affine)")
-        matrix = np.asarray(spec["matrix"], dtype=float)
+        matrix = np.array(spec["matrix"])
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ConfigError(f"affine matrix must be square, got shape {matrix.shape}")
-        offset = np.atleast_1d(np.asarray(spec.get("offset", np.zeros(matrix.shape[0])), dtype=float))
+        offset = np.array(spec["offset"])
         lip = float(np.linalg.norm(matrix, 2))
         return ExplicitField(func=lambda x, t: x @ matrix.T + offset, lip=lip, autonomous=True)
     if kind == "attraction":
-        return attraction_field(lip=float(spec.get("lip", 1.0)))
-    if kind == "repulsion":
-        return repulsion_field()
-    raise ConfigError(f"unknown velocity kind {kind!r}")
-
-
-#: the "solver" block sets every SolverConfig field but ``times``, which
-#: is given at the top level of the config
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)} - {"times"}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _count(value, key: str) -> int:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _parse_beta(cfg: dict) -> FracOrder:
-    if not _is_number(cfg["beta"]):
-        raise ConfigError(f"beta must be a number, got {cfg['beta']!r}")
-    return FracOrder(float(cfg["beta"]))
-
-
-def _float_list(cfg: dict, key: str, default=None) -> list:
-    values = cfg.get(key, default)
-    if not isinstance(values, list) or not all(_is_number(v) for v in values):
-        raise ConfigError(f"{key} must be a JSON list of numbers")
-    return [float(v) for v in values]
-
-
-def _parse_solver_config(cfg: dict, times) -> SolverConfig:
-    solver = cfg.get("solver", {})
-    _require_keys(solver, _SOLVER_KEYS, set(), "solver")
-    return SolverConfig(times=tuple(times), **solver)
+        return attraction_field(lip=spec["lip"])
+    return repulsion_field()
 
 
 def _write_jsonl(filename: str, records):
@@ -198,30 +245,24 @@ def _write_jsonl(filename: str, records):
 
 
 def cmd_kernels(cfg: dict, out_dir: str, seed: int) -> int:
-    _require_keys(cfg, {"betas", "s_grid", "t_grid", "z_grid"}, set(), "config")
-    betas = _float_list(cfg, "betas", [0.3, 0.5, 0.7])
-    s_grid = _float_list(cfg, "s_grid", np.linspace(0.0, 4.0, 21).tolist())
-    t_grid = _float_list(cfg, "t_grid", [0.5, 1.0, 2.0])
-    z_grid = _float_list(cfg, "z_grid", np.linspace(-5.0, 2.0, 15).tolist())
+    orders = [FracOrder(b) for b in cfg["betas"]]
 
     def write_kernels(handle):
         writer = csv.writer(handle)
         writer.writerow(["beta", "s", "t", "g", "h"])
-        for b in betas:
-            beta = FracOrder(b)
-            for t in t_grid:
-                for s in s_grid:
+        for beta in orders:
+            for t in cfg["t_grid"]:
+                for s in cfg["s_grid"]:
                     g = subordinator_density(beta, s, t) if s > 0.0 else float("nan")
                     h = inverse_subordinator_density(beta, s, t)
-                    writer.writerow([b, s, t, repr(g), repr(h)])
+                    writer.writerow([beta.beta, s, t, repr(g), repr(h)])
 
     def write_ml(handle):
         writer = csv.writer(handle)
         writer.writerow(["beta", "z", "value"])
-        for b in betas:
-            beta = FracOrder(b)
-            for z in z_grid:
-                writer.writerow([b, z, repr(mittag_leffler(beta, z))])
+        for beta in orders:
+            for z in cfg["z_grid"]:
+                writer.writerow([beta.beta, z, repr(mittag_leffler(beta, z))])
 
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "kernels.csv"), write_kernels)
@@ -230,51 +271,18 @@ def cmd_kernels(cfg: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
-    _require_keys(
-        cfg,
-        # "dtau" is accepted and ignored: the clock is drawn exactly
-        {"beta", "times", "gammas", "lambdas", "n", "dtau", "seed"},
-        {"beta", "times"},
-        "config",
-    )
-    beta = _parse_beta(cfg)
-    times = _float_list(cfg, "times")
-    gammas = _float_list(cfg, "gammas", [1.0, 2.0])
-    lambdas = _float_list(cfg, "lambdas", [])
-    n = _count(cfg.get("n", 10_000), "n")
-    if n < 2:
-        raise ConfigError(f"n must be at least 2 for a standard error, got {n}")
+    beta, n = FracOrder(cfg["beta"]), cfg["n"]
     records = []
-    for k, t in enumerate(times):
+    for k, t in enumerate(cfg["times"]):
+        run = {"beta": beta.beta, "t": t, "n": n, "seed": seed}  # n: the draws behind each record
         draws = sample_inverse(beta, t, RngSpec(seed, stream_id=k), size=n)
-        for g in gammas:
+        for g in cfg["gammas"]:
             vals = draws**g
-            records.append(
-                {
-                    "beta": beta.beta,
-                    "t": t,
-                    "gamma": g,
-                    "estimate": float(vals.mean()),
-                    "stderr": float(vals.std(ddof=1) / math.sqrt(n)),
-                    "n": n,
-                    "seed": seed,
-                }
-            )
-        for lam in lambdas:
-            est, se = mc_exponential_functional(
-                beta, lam, t, max(n, 100), RngSpec(seed, stream_id=1000 + k)
-            )
-            records.append(
-                {
-                    "beta": beta.beta,
-                    "t": t,
-                    "lambda": lam,
-                    "estimate": est,
-                    "stderr": se,
-                    "n": n,
-                    "seed": seed,
-                }
-            )
+            stderr = float(vals.std(ddof=1) / math.sqrt(n))
+            records.append({**run, "gamma": g, "estimate": float(vals.mean()), "stderr": stderr})
+        for lam in cfg["lambdas"]:
+            est, se = mc_exponential_functional(beta, lam, t, n, RngSpec(seed, stream_id=1000 + k))
+            records.append({**run, "lambda": lam, "estimate": est, "stderr": se})
 
     os.makedirs(out_dir, exist_ok=True)
     _write_jsonl(os.path.join(out_dir, "samples.jsonl"), records)
@@ -282,29 +290,31 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
-    _require_keys(
-        cfg,
-        {"problem", "beta", "times", "velocity", "initial", "solver", "source", "seed"},
-        {"problem", "beta", "times", "velocity", "initial"},
-        "config",
-    )
-    problem = cfg["problem"]
+    problem, times = cfg["problem"], cfg["times"]
     if problem not in ("linear", "nonlinear", "source"):
         raise ConfigError(f"unknown problem {problem!r}")
-    beta = _parse_beta(cfg)
-    times = _float_list(cfg, "times")
+    if (cfg["source"] is None) == (problem == "source"):
+        raise ConfigError("a 'source' block is needed by the source problem and read by no other")
+    beta = FracOrder(cfg["beta"])
     mu0 = _parse_measure(cfg["initial"], "initial")
-    field = _parse_velocity(cfg["velocity"])
-    solver_cfg = _parse_solver_config(cfg, times)
+    velocity = _read_kind(cfg["velocity"], _VELOCITIES, "velocity")
+    nu = None if cfg["source"] is None else _parse_measure(cfg["source"], "source")
+    # a velocity matrix or vector (but a broadcast scalar) or a source of
+    # another dimension than the initial measure's would fail mid-solve
+    dims = {f"velocity {k}": len(v) for k, v in velocity.items()
+            if isinstance(v, list) and (k == "matrix" or len(v) != 1)}
+    for where, dim in {**dims, "source": nu.dim if nu else mu0.dim}.items():
+        if dim != mu0.dim:
+            raise ConfigError(f"{where} has dimension {dim} but initial has dimension {mu0.dim}")
+    field = _parse_velocity(velocity)
+    if (problem == "nonlinear") != isinstance(field, InteractionField):
+        raise ConfigError(f"velocity kind {velocity['kind']!r} does not fit the {problem} problem")
+    solver_cfg = SolverConfig(times=tuple(times), **_read(cfg["solver"], _SOLVER, "solver"))
 
     os.makedirs(out_dir, exist_ok=True)
     if problem == "linear":
-        if not isinstance(field, ExplicitField):
-            raise ConfigError("linear problem needs an explicit velocity")
         path = solve_linear(beta, field, mu0, solver_cfg)
     elif problem == "nonlinear":
-        if not isinstance(field, InteractionField):
-            raise ConfigError("nonlinear problem needs an interaction kernel")
         try:
             path = solve_nonlinear(beta, field, mu0, solver_cfg)
         except PicardConvergenceError as exc:
@@ -313,11 +323,6 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
             return EXIT_NO_CONVERGENCE
         _write_jsonl(os.path.join(out_dir, "picard.jsonl"), path.diagnostics["picard_log"])
     else:
-        if "source" not in cfg:
-            raise ConfigError("source problem needs a 'source' block")
-        if not isinstance(field, ExplicitField):
-            raise ConfigError("source problem needs an explicit velocity")
-        nu = _parse_measure(cfg["source"], "source")
         gamma_path = MeasurePath(times=np.array([0.0, times[-1]]), measures=[nu, nu])
         path = solve_with_source(beta, field, mu0, gamma_path, solver_cfg)
 
@@ -328,7 +333,7 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
         "beta": beta.beta,
         "times": times,
         "seed": seed,
-        "solver": {k: getattr(solver_cfg, k) for k in _SOLVER_KEYS},
+        "solver": {k: getattr(solver_cfg, k) for k in _SOLVER},
         "outputs": {
             "total_mass": [total_mass(m) for m in path.measures],
             "first_moment": [moment(m, 1) for m in path.measures],
@@ -345,8 +350,7 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
 def cmd_verify(cfg: dict, out_dir: str, seed: int) -> int:
     from .verify import run_checks
 
-    _require_keys(cfg, {"eps_tail"}, set(), "config")
-    report = run_checks(cfg)
+    report = run_checks({k: v for k, v in cfg.items() if v is not None})
     os.makedirs(out_dir, exist_ok=True)
     write_manifest(os.path.join(out_dir, "verify.json"), report)
     for check in report["checks"]:
@@ -363,28 +367,23 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("kernels", "tabulate the subordinator kernels and Mittag-Leffler values"),
-        ("sample", "Monte Carlo estimates for the internal clock"),
-        ("solve", "run a transport solver"),
-        ("verify", "run the self-verification suite"),
+    for name, handler, helptext in (
+        ("kernels", cmd_kernels, "tabulate the subordinator kernels and Mittag-Leffler values"),
+        ("sample", cmd_sample, "Monte Carlo estimates for the internal clock"),
+        ("solve", cmd_solve, "run a transport solver"),
+        ("verify", cmd_verify, "run the self-verification suite"),
     ):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
 
     args = parser.parse_args(argv)
-    handlers = {
-        "kernels": cmd_kernels,
-        "sample": cmd_sample,
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-    }
     try:
-        cfg = _load_config(args.config) if args.config else {}
-        seed = args.seed if args.seed is not None else _count(cfg.get("seed", 0), "seed")
-        return handlers[args.command](cfg, args.out, seed)
+        cfg = _read(_load_config(args.config) if args.config else {}, _COMMANDS[args.command], "config")
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        return args.handler(cfg, args.out, seed)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

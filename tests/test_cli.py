@@ -6,6 +6,11 @@ import os
 import pytest
 
 from fractrans.cli import (
+    _COMMANDS,
+    _MEASURES,
+    _REQUIRED,
+    _SOLVER,
+    _VELOCITIES,
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERICAL,
@@ -71,6 +76,7 @@ def test_sample_classical_clock_is_exact(tmp_path):
     records = [json.loads(line) for line in (out / "samples.jsonl").read_text().splitlines()]
     moments = [rec for rec in records if "gamma" in rec]
     assert len(moments) == 4
+    assert all(rec["n"] == 500 for rec in records)
     for rec in moments:
         assert rec["estimate"] == rec["t"] ** rec["gamma"]
         assert rec["stderr"] == 0.0
@@ -177,8 +183,26 @@ def test_float_overflow_exit_4(tmp_path, capsys):
     {"solver": {"q_g": 8.0}},
     {"solver": {"q_h": "16"}},
     {"times": 1.0},
+    {"velocity": "constant"},
+    {"initial": {"kind": "file", "path": 0}},
+    {"initial": {"kind": "file", "path": 12345}},
+    {"problem": "nonlinear", "velocity": {"kind": "repulsion", "lip": 7}},
+    {"initial": {"kind": "dirac", "low": [5]}},
+    {"velocity": {"kind": "damping", "matrix": [[1.0]]}},
+    {"source": {"kind": "dirac"}},
+    {"problem": "source", "source": {"kind": "dirac", "point": [0.5, 0.5]}},
+    {"velocity": {"kind": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+    {"velocity": {"kind": "affine", "matrix": [[1.0]], "offset": [0.0, 0.0]}},
+    {"problem": "source", "initial": {"kind": "dirac", "point": [0.0, 0.0]},
+     "source": {"kind": "dirac"}},
+    {"initial": {"kind": "dirac", "point": [0.0, 0.0]},
+     "velocity": {"kind": "constant", "value": [1.0, 1.0, 1.0]}},
 ])
-def test_bad_configs_exit_2(tmp_path, mutation):
+def test_bad_configs_exit_2(tmp_path, capsys, mutation):
+    # a key that the command or the block's kind does not read, a block
+    # that is not an object, a measure file path that is not a string
+    # (open() would take 0 as stdin), and a velocity or source of another
+    # dimension than the initial measure's exit 2 before any output exists
     base = {
         "problem": "linear",
         "beta": 0.5,
@@ -189,6 +213,10 @@ def test_bad_configs_exit_2(tmp_path, mutation):
     base.update(mutation)
     cfg = _write_config(tmp_path, "bad.json", base)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, mutation", [
@@ -214,17 +242,32 @@ def test_bad_configs_exit_2(tmp_path, mutation):
     ("solve", {"initial": {"kind": "uniform-grid", "low": [0.0], "high": [1.0], "n": 0}}),
     ("solve", {"velocity": {"kind": "affine", "matrix": 2}}),
     ("solve", {"initial": {"kind": "file", "path": "no/such/measure.csv"}}),
+    ("solve", {"initial": {"kind": "dirac", "point": {"a": 1}}}),
+    ("solve", {"initial": {"kind": "uniform-grid", "low": [0.0], "high": [1.0], "n": 3,
+                           "mass": [1, 2]}}),
+    ("solve", {"velocity": {"kind": "constant", "value": {"a": 1}}}),
+    ("solve", {"velocity": {"kind": "attraction", "lip": None}}),
+    ("solve", {"solver": []}),
+    ("verify", {"eps_tail": "x"}),
+    ("sample", {"n": 5, "lambdas": [1.0]}),
+    ("solve", {"times": [float("nan")]}),
+    ("solve", {"solver": {"ode_step": float("inf")}}),
+    ("sample", {"beta": 10**400}),
+    ("solve", {"initial": {"kind": "uniform-grid", "low": [], "high": [], "n": 2}}),
 ])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, mutation):
-    # a non-number where a float, a count or a list of floats belongs, an
-    # empty grid, a matrix that is not square, or an unreadable measure
-    # file is a configuration error, not a traceback with the
-    # verification-failure code
+    # a non-number where a float, a count or a list of floats belongs (NaN,
+    # Infinity and an integer past the float range are not finite numbers),
+    # an empty grid, a matrix that is not square, an unreadable measure
+    # file, or fewer draws than the exponential functional's 100 is a
+    # configuration error, not a traceback with the verification-failure
+    # code
     base = {
         "solve": {"problem": "linear", "beta": 0.5, "times": [1.0],
                   "velocity": {"kind": "constant"}, "initial": {"kind": "dirac"}},
         "sample": {"beta": 0.5, "times": [1.0], "n": 10},
         "kernels": {"betas": [0.5], "s_grid": [1.0], "t_grid": [1.0], "z_grid": [-1.0]},
+        "verify": {},
     }[command]
     base.update(mutation)
     cfg = _write_config(tmp_path, "bad.json", base)
@@ -232,6 +275,49 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, mutation):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+#: a value of another type for each key type: a string where a number or
+#: an object belongs, a number where a list belongs, and so on
+_WRONG = {"number": "1", "integer": 2.5, "numbers": 1.0, "matrix": [1.0],
+          "string": 5, "object": "x"}
+#: a value of each key type, for the required keys of a kind's block
+_VALID = {"number": 1.0, "integer": 2, "numbers": [1.0], "matrix": [[1.0]],
+          "string": "x", "object": {}}
+_BASES = {
+    "kernels": {},
+    "sample": {"beta": 0.5, "times": [1.0]},
+    "solve": {"problem": "linear", "beta": 0.5, "times": [1.0],
+              "velocity": {"kind": "constant"}, "initial": {"kind": "dirac"}},
+    "verify": {},
+}
+
+
+def _wrong_type_cases():
+    """One case per key of every command, solver, measure and velocity
+    table, so a key added to a table is covered without new test code."""
+    for command, table in _COMMANDS.items():
+        for name, key in table.items():
+            yield pytest.param(command, {name: _WRONG[key.type]}, name, id=f"{command}.{name}")
+    for name, key in _SOLVER.items():
+        yield pytest.param("solve", {"solver": {name: _WRONG[key.type]}}, name, id=f"solver.{name}")
+    for block, kinds in (("initial", _MEASURES), ("velocity", _VELOCITIES)):
+        for kind, table in kinds.items():
+            required = {k: _VALID[key.type] for k, key in table.items() if key.default is _REQUIRED}
+            for name, key in table.items():
+                spec = {"kind": kind, **required, name: _WRONG[key.type]}
+                yield pytest.param("solve", {block: spec}, name, id=f"{block}.{kind}.{name}")
+
+
+@pytest.mark.parametrize("command, mutation, key", _wrong_type_cases())
+def test_every_table_key_rejects_a_wrong_type(tmp_path, capsys, command, mutation, key):
+    cfg = _write_config(tmp_path, "bad.json", {**_BASES[command], **mutation})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key} in ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("block, spec", [
@@ -250,6 +336,19 @@ def test_missing_per_kind_keys_exit_2(tmp_path, capsys, block, spec):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: missing keys")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("velocity", [
+    {"kind": "constant", "value": [1.0]},
+    {"kind": "affine", "matrix": [[0.0, 1.0], [-1.0, 0.0]], "offset": [0.5]},
+])
+def test_one_entry_velocity_vectors_broadcast(tmp_path, velocity):
+    # a value or offset of one entry applies to every axis of a 2-D problem
+    cfg = _linear_config(tmp_path, velocity=velocity, initial={"kind": "dirac", "point": [0.0, 0.0]})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    with open(out / "manifest.json") as handle:
+        assert json.load(handle)["outputs"]["first_moment"][-1] > 0.0
 
 
 def test_uniform_grid_bounds_of_different_lengths_exit_2(tmp_path, capsys):
