@@ -150,6 +150,8 @@ _VELOCITIES = {
 #: every SolverConfig field but ``times`` (a top-level key), typed as its default
 _SOLVER = {f.name: _Key({int: "integer", float: "number"}[type(f.default)], f.default)
            for f in dataclasses.fields(SolverConfig) if f.name != "times"}
+#: the solver keys that only the nonlinear problem reads
+_NONLINEAR_ONLY = [f.name for f in dataclasses.fields(SolverConfig) if f.metadata.get("nonlinear")]
 
 _COMMANDS = {
     "kernels": {
@@ -244,7 +246,7 @@ def _write_jsonl(filename: str, records):
 # ---------------------------------------------------------------------------
 
 
-def cmd_kernels(cfg: dict, out_dir: str, seed: int) -> int:
+def cmd_kernels(cfg: dict, out_dir: str) -> int:
     orders = [FracOrder(b) for b in cfg["betas"]]
 
     def write_kernels(handle):
@@ -270,8 +272,8 @@ def cmd_kernels(cfg: dict, out_dir: str, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
-    beta, n = FracOrder(cfg["beta"]), cfg["n"]
+def cmd_sample(cfg: dict, out_dir: str) -> int:
+    beta, n, seed = FracOrder(cfg["beta"]), cfg["n"], cfg["seed"]
     records = []
     for k, t in enumerate(cfg["times"]):
         run = {"beta": beta.beta, "t": t, "n": n, "seed": seed}  # n: the draws behind each record
@@ -289,7 +291,7 @@ def cmd_sample(cfg: dict, out_dir: str, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
+def cmd_solve(cfg: dict, out_dir: str) -> int:
     problem, times = cfg["problem"], cfg["times"]
     if problem not in ("linear", "nonlinear", "source"):
         raise ConfigError(f"unknown problem {problem!r}")
@@ -309,7 +311,14 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
     field = _parse_velocity(velocity)
     if (problem == "nonlinear") != isinstance(field, InteractionField):
         raise ConfigError(f"velocity kind {velocity['kind']!r} does not fit the {problem} problem")
-    solver_cfg = SolverConfig(times=tuple(times), **_read(cfg["solver"], _SOLVER, "solver"))
+    solver = _read(cfg["solver"], _SOLVER, "solver")
+    if problem != "nonlinear":
+        unread = [k for k in _NONLINEAR_ONLY if k in cfg["solver"]]
+        if unread:
+            raise ConfigError(f"solver keys {unread} are read only by the nonlinear problem, "
+                              f"not by {problem}")
+        solver = {k: v for k, v in solver.items() if k not in _NONLINEAR_ONLY}
+    solver_cfg = SolverConfig(times=tuple(times), **solver)
 
     os.makedirs(out_dir, exist_ok=True)
     if problem == "linear":
@@ -332,8 +341,8 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
         "problem": problem,
         "beta": beta.beta,
         "times": times,
-        "seed": seed,
-        "solver": {k: getattr(solver_cfg, k) for k in _SOLVER},
+        "seed": cfg["seed"],
+        "solver": solver,
         "outputs": {
             "total_mass": [total_mass(m) for m in path.measures],
             "first_moment": [moment(m, 1) for m in path.measures],
@@ -347,7 +356,7 @@ def cmd_solve(cfg: dict, out_dir: str, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, out_dir: str, seed: int) -> int:
+def cmd_verify(cfg: dict, out_dir: str) -> int:
     from .verify import run_checks
 
     report = run_checks({k: v for k, v in cfg.items() if v is not None})
@@ -376,14 +385,16 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if "seed" in _COMMANDS[name]:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
 
     args = parser.parse_args(argv)
     try:
         cfg = _read(_load_config(args.config) if args.config else {}, _COMMANDS[args.command], "config")
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        return args.handler(cfg, args.out, seed)
+        if getattr(args, "seed", None) is not None:
+            cfg["seed"] = args.seed
+        return args.handler(cfg, args.out)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -307,18 +307,29 @@ def path_to_csv(path: MeasurePath, filename: str):
 
 
 def path_from_csv(filename: str) -> MeasurePath:
+    """Read a ``path_to_csv`` file; ValueError on an empty file, a header
+    it does not write, no rows, or a row without one field per column."""
     with open(filename, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"measure CSV {filename} is empty")
         d = len(header) - 3
         if d < 1 or header[0] != "t" or header[-1] != "weight":
             raise ValueError(f"unrecognized measure CSV header: {header}")
         by_time: dict = {}
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"measure CSV {filename} line {reader.line_num} has {len(row)} fields, "
+                    f"expected {len(header)}"
+                )
             t = float(row[0])
             by_time.setdefault(t, ([], []))
             by_time[t][0].append([float(v) for v in row[2 : 2 + d]])
             by_time[t][1].append(float(row[-1]))
+    if not by_time:
+        raise ValueError(f"measure CSV {filename} has no rows")
     times = sorted(by_time)
     measures = [
         EmpiricalMeasure(points=np.array(by_time[t][0]), weights=np.array(by_time[t][1]))

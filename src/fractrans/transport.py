@@ -18,15 +18,19 @@ and serves as an independent oracle.
 Every solver is built from three shared pieces: one g-rule map
 s -> (real times, weights), whose two consumers are the field average
 sum_q w_q v(x, r_q) and the path average sum_q w_q mu_{r_q}; one RK4
-stepper; and one routine that advects mu0 (plus any injected source) over
-the union of the h-rule nodes and mixes the node push-forwards.  An
-explicit field marked autonomous (independent of t) skips the field
-average: the g-rule weights sum to 1, so its g-average is the field
-itself, evaluated once per RK4 stage instead of q_g times.  The
-interaction field is linear in the measure, so its g-average is the field
-induced by the path average; a Picard sweep stacks the previous iterate
-into one lookup table, and per RK4 stage only the masses of its recorded
-measures change.  beta = 1 needs no special case: the g- and h-rules
+stepper, which walks a stage schedule laid out once per solve and passes
+each velocity call its stage index; and one routine that advects mu0
+(plus any injected source) over the union of the h-rule nodes and mixes
+the node push-forwards.  An explicit field marked autonomous (independent
+of t) skips the field average: the g-rule weights sum to 1, so its
+g-average is the field itself, evaluated once per RK4 stage instead of
+q_g times.  The interaction field is linear in the measure, so its
+g-average is the field induced by the path average.  The path average
+weights each recorded measure by a segment mass, the g-weight whose real
+time looks it up; the stage times and the lookup grid are the same in
+every Picard sweep, so one table holds the masses of every stage for the
+whole solve, and a sweep only stacks the previous iterate and reads a
+row per stage.  beta = 1 needs no special case: the g- and h-rules
 become point masses and the same code is classical transport.
 """
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 import numbers
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,18 +105,19 @@ class InteractionField:
 
     def field(self, x, points, weights) -> np.ndarray:
         """v[mu](x) for mu = sum_j weights_j delta_{points_j}, given as raw
-        (M, d) and (M,) arrays, so no measure is built per evaluation."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        arrays: float (n, d) positions x, (M, d) points and (M,) weights.
+        Nothing is built or converted per evaluation, so ``kernel`` must map
+        float (m, d) displacements to a float (m, d) array."""
         if weights.size == 0:
             return np.zeros_like(x)
         disp = x[:, None, :] - points[None, :, :]
-        k = np.asarray(self.kernel(disp.reshape(-1, x.shape[1])), dtype=float)
-        k = k.reshape(x.shape[0], weights.size, x.shape[1])
+        k = self.kernel(disp.reshape(-1, x.shape[1])).reshape(x.shape[0], weights.size, x.shape[1])
         return np.einsum("j,njd->nd", weights, k)
 
     def induced(self, mu: EmpiricalMeasure):
-        """Velocity function x -> v[mu](x) for a frozen measure."""
-        return lambda x: self.field(x, mu.points, mu.weights)
+        """Velocity function x -> v[mu](x) for a frozen measure; x is any
+        array-like of positions, a 1-D one being a single point."""
+        return lambda x: self.field(np.atleast_2d(np.asarray(x, dtype=float)), mu.points, mu.weights)
 
 
 def attraction_field(lip: float = 1.0) -> InteractionField:
@@ -124,8 +129,7 @@ def repulsion_field() -> InteractionField:
     """K(z) = z / (1 + |z|^2): bounded repulsion from nearby mass."""
 
     def kernel(z):
-        z = np.atleast_2d(z)
-        return z / (1.0 + np.sum(z * z, axis=-1, keepdims=True))
+        return z / (1.0 + (z * z).sum(axis=-1, keepdims=True))
 
     return InteractionField(kernel=kernel, bound=0.5, lip=1.0)
 
@@ -142,7 +146,8 @@ class SolverConfig:
     ``times`` is the output grid (excluding 0, which is always included
     in the returned path); ``t_ext`` extends the working grid beyond the
     last output time for the nonlinear velocity lookup, with the induced
-    freezing error logged per run.
+    freezing error logged per run.  The knobs that only the nonlinear
+    solver reads carry ``metadata={"nonlinear": True}``.
     """
 
     times: tuple
@@ -150,9 +155,9 @@ class SolverConfig:
     q_g: int = 32
     eps_tail: float = 1e-10
     ode_step: float = 1e-2
-    picard_tol: float = 1e-3
-    picard_max_iters: int = 30
-    t_ext: float = 0.0
+    picard_tol: float = field(default=1e-3, metadata={"nonlinear": True})
+    picard_max_iters: int = field(default=30, metadata={"nonlinear": True})
+    t_ext: float = field(default=0.0, metadata={"nonlinear": True})
 
     def __post_init__(self):
         counts = (self.q_h, self.q_g, self.picard_max_iters)
@@ -176,25 +181,59 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-def _g_rule(beta: FracOrder, config: SolverConfig):
-    """Map s -> (real times r_q, weights summing to 1) of the g_beta(., s)
-    rule: the unit rule with nodes scaled by s^(1/beta).  At s <= 0 and at
-    beta = 1 the rule is the single node (s, 1)."""
+#: stage rows per search in ``_GRule.segment_masses``
+_STAGE_BLOCK = 256
 
-    def point(s):
-        return np.array([s]), np.ones(1)
 
-    if beta.is_classical:
-        return point
-    unit = g_quadrature(beta, 1.0, config.q_g, max(config.eps_tail, 1e-8))
-    weights = unit.weights / unit.weights.sum()
+class _GRule:
+    """The g_beta(., s) rule as a map s -> (real times r_q, weights summing
+    to 1): the unit rule with nodes scaled by s^(1/beta).  At s <= 0, and at
+    every s when beta = 1 (``nodes`` is None), the rule is the single node
+    (s, 1)."""
 
-    def rule(s):
-        if s <= 0.0:
-            return point(s)
-        return unit.nodes * s ** (1.0 / beta.beta), weights
+    def __init__(self, beta: FracOrder, config: SolverConfig):
+        self.nodes = None
+        if not beta.is_classical:
+            unit = g_quadrature(beta, 1.0, config.q_g, max(config.eps_tail, 1e-8))
+            self.nodes, self.weights = unit.nodes, unit.weights / unit.weights.sum()
+            self.power = 1.0 / beta.beta
 
-    return rule
+    def __call__(self, s):
+        if self.nodes is None or s <= 0.0:
+            return np.array([s]), np.ones(1)
+        return self.nodes * s ** self.power, self.weights
+
+    def segment_masses(self, grid: np.ndarray, stage_times: list) -> np.ndarray:
+        """(len(stage_times), grid.size) table: row k holds, for each grid
+        time t_j, the summed weights of the nodes of the rule at
+        s = stage_times[k] (Python floats) that look up t_j, piecewise
+        constant (right-continuous, frozen at the end).
+
+        One search and one bincount cover each block of ``_STAGE_BLOCK``
+        rows, so the temporaries stay small on long horizons.  The scale
+        s^(1/beta) is the Python-float power of ``__call__``, and a bincount
+        adds each bin's weights in node order, so every row is bitwise the
+        bincount of the rule at s on its own.
+        """
+        table = np.zeros((len(stage_times), grid.size))
+        for a in range(0, len(stage_times), _STAGE_BLOCK):
+            block = stage_times[a : a + _STAGE_BLOCK]
+            masses = table[a : a + len(block)]
+            s = np.array(block, dtype=float)
+            point = s <= 0.0 if self.nodes is not None else np.ones(s.size, dtype=bool)
+            if not point.all():
+                scale = np.fromiter((x ** self.power if x > 0.0 else 0.0 for x in block), float, s.size)
+                cell = np.searchsorted(grid, np.multiply.outer(scale, self.nodes), side="right")
+                cell -= 1
+                np.maximum(cell, 0, out=cell)
+                cell += grid.size * np.arange(s.size)[:, None]
+                weights = np.broadcast_to(self.weights, cell.shape).ravel()
+                masses[:] = np.bincount(cell.ravel(), weights, minlength=masses.size).reshape(masses.shape)
+            # a point rule puts its whole weight 1 on the time it looks up
+            hit = np.maximum(np.searchsorted(grid, s[point], side="right") - 1, 0)
+            masses[point] = 0.0
+            masses[np.flatnonzero(point), hit] = 1.0
+        return table
 
 
 def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
@@ -214,29 +253,51 @@ def _field_average(v: ExplicitField, x, times, weights) -> np.ndarray:
     return out
 
 
-def _effective_velocity(v: ExplicitField, g_rule):
-    """(x, s) -> effective velocity at internal time s: v itself when v is
-    autonomous (its g-average is v, one call instead of q_g), otherwise
-    the field average over the g-rule of s."""
+def _effective_velocity(v: ExplicitField, g_rule, stage_times):
+    """(x, k) -> effective velocity at stage time s = stage_times[k]: v
+    itself when v is autonomous (its g-average is v, one call instead of
+    q_g), otherwise the field average over the g-rule of s."""
     if v.autonomous:
-        return v
-    return lambda x, s: _field_average(v, x, *g_rule(s))
+        return lambda x, k: v(x, stage_times[k])
+    return lambda x, k: _field_average(v, x, *g_rule(stage_times[k]))
 
 
-def _path_lookup(path: MeasurePath):
-    """Map (real times r_q, weights w_q) -> raw (points, weights) of the path
-    average sum_q w_q mu_{r_q}, with piecewise-constant lookup of the path.
-    The path is stacked once; per call only the segment masses m_k (the
-    summed weights of the nodes that hit measure k) change, so atom i of
-    measure k carries m_k w_i.  Atoms with no mass are dropped and the rest
-    keep path order, the concatenation of the hit measures."""
+def _path_lookup(path: MeasurePath, masses: np.ndarray):
+    """Map row k of a segment-mass table on the path's grid (see
+    ``_GRule.segment_masses``) to the raw (points, weights) of the path
+    average sum_j masses[k, j] mu_j: atom i of measure j carries
+    masses[k, j] w_i.  The path is stacked once.  Atoms with no mass are
+    dropped and the rest keep path order, the concatenation of the hit
+    measures.
+
+    The atoms of one measure are contiguous in the stack, so a row whose
+    hit measures form one run reads them as slices instead of through a
+    mask and two gathers.  This is taken only when no atom of the run can
+    get zero mass: weights are positive, and if the product of the least
+    weight and the least positive mass does not underflow, no product does.
+    """
+    sizes = [mu.size for mu in path.measures]
     points = np.concatenate([mu.points for mu in path.measures])
     weights = np.concatenate([mu.weights for mu in path.measures])
-    seg = np.repeat(np.arange(len(path.measures)), [mu.size for mu in path.measures])
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    # row k reads measures first[k] to stop[k] - 1 as one slice, or goes
+    # through the mask when first[k] = -1
+    hit = masses > 0.0
+    first = hit.argmax(axis=1)
+    stop = hit.shape[1] - hit[:, ::-1].argmax(axis=1)
+    run = hit.sum(axis=1) == stop - first
+    if not (weights.size and weights.min() * masses.min(initial=np.inf, where=hit) > 0.0):
+        run[:] = False
+    first = np.where(run, first, -1).tolist()
+    stop = stop.tolist()
 
-    def average(times, w):
-        hit = np.maximum(np.searchsorted(path.times, times, side="right") - 1, 0)
-        a = np.bincount(hit, weights=w, minlength=len(path.measures))[seg] * weights
+    def average(k):
+        m = masses[k]
+        if first[k] >= 0:
+            atoms = slice(bounds[first[k]], bounds[stop[k]])
+            return points[atoms], m[seg[atoms]] * weights[atoms]
+        a = m[seg] * weights
         keep = a > 0.0
         return points[keep], a[keep]
 
@@ -265,60 +326,90 @@ def _check_step(ode_step: float, lip: float):
         )
 
 
-def _advect_segment(vel, points, s_a, s_b, ode_step):
-    """RK4 advection of raw positions from internal time s_a to s_b."""
-    if points.size == 0 or s_b <= s_a:
+def _stage_schedule(nodes: np.ndarray, ode_step: float):
+    """RK4 stages of one flow sweep through the sorted flow ``nodes``, in
+    steps of at most ``ode_step``, the last one of an interval ending on
+    the next node: (times, steps).  ``times`` holds the distinct stage
+    times (Python floats) in order of use, and ``steps[j]`` lists the RK4
+    steps (h, k) across interval j = [nodes[j], nodes[j + 1]], whose stages
+    s, s + h/2 and s + h are times[k], times[k + 1] and times[k + 2].  A
+    step ends at the float its successor starts from, so only an
+    interval's first stage can be new."""
+    times, steps = [], []
+    for s_a, s_b in zip(nodes[:-1].tolist(), nodes[1:].tolist()):
+        if not times or times[-1] != s_a:
+            times.append(s_a)
+        interval = []
+        s = s_a
+        while s < s_b - 1e-15 * max(s_b, 1.0):
+            h = min(ode_step, s_b - s)
+            interval.append((h, len(times) - 1))
+            times += [s + 0.5 * h, s + h]
+            s += h
+        steps.append(interval)
+    return times, steps
+
+
+def _flow_nodes(h_rules, s_extra=()) -> np.ndarray:
+    """The flow nodes: 0, ``s_extra`` and the union of the h-nodes."""
+    return np.unique(np.concatenate([[0.0], s_extra] + [nodes for nodes, _ in h_rules]))
+
+
+def _advect_segment(vel, points, steps):
+    """RK4 advection of raw positions along ``steps``, one interval of a
+    ``_stage_schedule``; ``vel(x, k)`` is the velocity at stage k."""
+    if points.size == 0:
         return points
     x = points.copy()
-    s = s_a
-    while s < s_b - 1e-15 * max(s_b, 1.0):
-        h = min(ode_step, s_b - s)
-        k1 = vel(x, s)
-        k2 = vel(x + 0.5 * h * k1, s + 0.5 * h)
-        k3 = vel(x + 0.5 * h * k2, s + 0.5 * h)
-        k4 = vel(x + h * k3, s + h)
+    for h, k in steps:
+        k1 = vel(x, k)
+        k2 = vel(x + 0.5 * h * k1, k + 1)
+        k3 = vel(x + 0.5 * h * k2, k + 1)
+        k4 = vel(x + h * k3, k + 2)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += h
     return x
 
 
-def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, s_extra, ode_step, lip) -> list:
+def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps) -> list:
     """One measure per h-rule: sum_q w_q (Phi_{s_q} # mu0 + Duhamel_{s_q}),
 
         Duhamel_s = sum over flow nodes r < s of dr * Phi_{r -> s} # Gamma_r,
 
     where Gamma_r is the path average of the source at the g-rule of r.
-    One flow sweep over the flow nodes (the union of the h-nodes and
-    ``s_extra``) covers every term: at each node the source is injected,
-    weighted by the width of the following interval (rectangle rule), and
-    advected with the initial ensemble.
+    One flow sweep over the flow ``nodes`` (which hold every h-node), in
+    the RK4 ``steps`` of their ``_stage_schedule``, covers every term: at
+    each node the source is injected, weighted by the width of the
+    following interval (rectangle rule), and advected with the initial
+    ensemble.
 
     With no source the particles come in index order: output particle
     (q, i), at position q * mu0.size + i, is mu0 particle i pushed to h-node
     q, with weight w_q * w_i.  Two calls on the same mu0 and h-rules thus
     give index-aligned ensembles, which ``_coupling_bound`` pairs.
     """
-    _check_step(ode_step, lip)
-    s_union = np.unique(np.concatenate([[0.0], s_extra] + [nodes for nodes, _ in h_rules]))
     x = mu0.points.astype(float)
     src_pts = np.zeros((0, mu0.dim))
     src_wts = np.zeros(0)
-    at_node = {0.0: (x, src_pts, src_wts)}
-    source = _path_lookup(gamma_path)
-    for s_a, s_b in zip(s_union[:-1].tolist(), s_union[1:].tolist()):
-        g_pts, g_wts = source(*g_rule(s_a))
-        if g_wts.size:
-            src_pts = np.concatenate([src_pts, g_pts])
-            src_wts = np.concatenate([src_wts, (s_b - s_a) * g_wts])
-        moved = _advect_segment(vel, np.concatenate([x, src_pts]), s_a, s_b, ode_step)
+    at_node = [(x, src_pts, src_wts)]
+    starts = nodes[:-1].tolist()
+    source = None
+    if any(mu.size for mu in gamma_path.measures):
+        source = _path_lookup(gamma_path, g_rule.segment_masses(gamma_path.times, starts))
+    for j, (s_a, s_b) in enumerate(zip(starts, nodes[1:].tolist())):
+        if source is not None:
+            g_pts, g_wts = source(j)
+            if g_wts.size:
+                src_pts = np.concatenate([src_pts, g_pts])
+                src_wts = np.concatenate([src_wts, (s_b - s_a) * g_wts])
+        moved = _advect_segment(vel, np.concatenate([x, src_pts]), steps[j])
         x, src_pts = moved[: x.shape[0]], moved[x.shape[0] :]
-        at_node[s_b] = (x, src_pts, src_wts)
+        at_node.append((x, src_pts, src_wts))
 
     measures = []
-    for nodes, weights in h_rules:
+    for h_nodes, weights in h_rules:
         pts, wts = [], []
-        for s_q, w_q in zip(nodes.tolist(), weights):
-            base, d_pts, d_wts = at_node[s_q]
+        for j, w_q in zip(np.searchsorted(nodes, h_nodes).tolist(), weights):
+            base, d_pts, d_wts = at_node[j]
             pts += [base, d_pts]
             wts += [w_q * mu0.weights, w_q * d_wts]
         measures.append(EmpiricalMeasure(points=np.concatenate(pts), weights=np.concatenate(wts)))
@@ -402,17 +493,18 @@ def solve_linear_mc(
     if beta.is_classical:
         return solve_linear(beta, v, mu0, config)
     _check_step(config.ode_step, v.lip)
-    vel = _effective_velocity(v, _g_rule(beta, config))
     rng = RngSpec(seed=seed, stream_id=1)
     e_1 = sample_inverse(beta, 1.0, rng, size=n_paths)
     clocks = np.outer(e_1, np.asarray(config.times) ** beta.beta)
     s_max = float(clocks.max())
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
+    times, steps = _stage_schedule(s_grid, config.ode_step)
+    vel = _effective_velocity(v, _GRule(beta, config), times)
 
     flow = [mu0.points.astype(float)]
-    for s_a, s_b in zip(s_grid[:-1].tolist(), s_grid[1:].tolist()):
-        flow.append(_advect_segment(vel, flow[-1], s_a, s_b, config.ode_step))
+    for interval in steps:
+        flow.append(_advect_segment(vel, flow[-1], interval))
     flow = np.array(flow)
     wts = np.tile(mu0.weights / n_paths, n_paths)
     measures = [mu0]
@@ -437,10 +529,13 @@ def solve_nonlinear(
 
     Starting from the constant-in-time path mu0, each sweep solves the
     auxiliary linear problem whose velocity is the g-averaged interaction
-    field induced by the previous iterate.  The previous iterate is stacked
-    once per sweep (``_path_lookup``); each RK4 stage only reweights its
-    recorded measures by the g-rule masses and evaluates the field on the
-    raw arrays.  Consecutive iterates are index-aligned (see
+    field induced by the previous iterate.  Every sweep walks the same RK4
+    stages (``_stage_schedule``) and looks up the same grid, so the segment
+    masses of each stage's g-rule are tabulated once per solve
+    (``_GRule.segment_masses``).  The previous iterate is stacked once per
+    sweep (``_path_lookup``); each RK4 stage reweights its recorded
+    measures by its row of masses and evaluates the field on the raw
+    arrays, with one kernel call.  Consecutive iterates are index-aligned (see
     ``_average_push_forwards``; the first sweep pairs with mu0 split by
     rule weight), so ``_coupling_bound`` certifies an upper bound on their
     d_BL in O(N); the iteration stops when its sup over the grid drops
@@ -453,23 +548,26 @@ def solve_nonlinear(
     grid = _grid_with_extension(config)
     horizon = float(grid[-1])
     current = MeasurePath(times=grid, measures=[mu0] * grid.size)
-    g_rule = _g_rule(beta, config)
+    g_rule = _GRule(beta, config)
     h_rules = _h_rules(beta, grid[1:], config)
     no_source = _empty_path(mu0)
     log = []
     mass = total_mass(mu0)
-    lip = v.lip * max(mass, 1.0)
+    _check_step(config.ode_step, v.lip * max(mass, 1.0))
+    nodes = _flow_nodes(h_rules)
+    times, steps = _stage_schedule(nodes, config.ode_step)
+    masses = g_rule.segment_masses(grid, times)
     for sweep in range(1, config.picard_max_iters + 1):
         t0 = _time.perf_counter()
         prev = current
-        lookup = _path_lookup(prev)
+        lookup = _path_lookup(prev, masses)
 
-        def vel(x, s, _lookup=lookup):
+        def vel(x, k, _lookup=lookup):
             # the field is linear in the measure: one kernel call on the
             # path average instead of one per g-node
-            return v.field(x, *_lookup(*g_rule(s)))
+            return v.field(x, *_lookup(k))
 
-        measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, (), config.ode_step, lip)
+        measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, nodes, steps)
         current = MeasurePath(times=grid, measures=[mu0] + measures)
         bound = max(_coupling_bound(a, b) for a, b in zip(prev.measures, current.measures))
         wall = _time.perf_counter() - t0
@@ -534,17 +632,13 @@ def solve_with_source(
     # at beta = 1 the h-nodes are the output times alone, too coarse for the
     # Duhamel rectangle rule, so the flow also steps through the ode_step grid
     fine = np.arange(0.0, config.times[-1] + 1e-12, config.ode_step) if beta.is_classical else ()
-    g_rule = _g_rule(beta, config)
-    measures = _average_push_forwards(
-        _effective_velocity(v, g_rule),
-        mu0,
-        gamma_path,
-        g_rule,
-        _h_rules(beta, config.times, config),
-        fine,
-        config.ode_step,
-        v.lip,
-    )
+    _check_step(config.ode_step, v.lip)
+    g_rule = _GRule(beta, config)
+    h_rules = _h_rules(beta, config.times, config)
+    nodes = _flow_nodes(h_rules, fine)
+    times, steps = _stage_schedule(nodes, config.ode_step)
+    vel = _effective_velocity(v, g_rule, times)
+    measures = _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps)
     grid = np.concatenate([[0.0], np.asarray(config.times)])
     out = MeasurePath(times=grid, measures=[mu0] + measures)
     out.diagnostics["source_mass"] = [total_mass(m) - total_mass(mu0) for m in measures]

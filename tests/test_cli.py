@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 
@@ -18,6 +19,7 @@ from fractrans.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from fractrans.transport import SolverConfig
 
 
 def _write_config(tmp_path, name, payload):
@@ -414,3 +416,65 @@ def test_verify_report_and_exit_code(tmp_path, cfg, code, failing):
     assert len(report["checks"]) == 11
     assert [c["name"] for c in report["checks"] if not c["pass"]] == failing
     assert report["all_pass"] == (not failing)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "is empty"),
+    ("t,particle_id,x_1,weight\r\n0.0,0,1.0,1.0\r\n\r\n", "line 3 has 0 fields, expected 4"),
+    ("t,particle_id,x_1,weight\r\n0.0,0,1.0\r\n", "line 2 has 3 fields, expected 4"),
+], ids=["empty", "blank-row", "short-row"])
+def test_malformed_measure_files_exit_2(tmp_path, capsys, text, message):
+    measure = tmp_path / "measure.csv"
+    measure.write_text(text, newline="")
+    cfg = _linear_config(tmp_path, initial={"kind": "file", "path": str(measure)})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: measure CSV ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["kernels", "verify"])
+def test_seed_flag_only_where_a_seed_is_read(tmp_path, capsys, command):
+    # kernels and verify draw nothing, so they take no --seed
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "5", "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("problem, extra", [
+    ("linear", {}),
+    ("source", {"source": {"kind": "dirac", "point": [0.5]}}),
+])
+@pytest.mark.parametrize("key, value", [("t_ext", 2.0), ("picard_tol", 0.5), ("picard_max_iters", 3)])
+def test_picard_keys_rejected_where_not_read(tmp_path, capsys, problem, extra, key, value):
+    # only the Picard solve reads t_ext and the Picard knobs
+    solver = {"q_h": 16, "q_g": 8, key: value}
+    cfg = _linear_config(tmp_path, problem=problem, solver=solver, **extra)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: solver keys") and repr(key) in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_manifest_lists_the_solver_keys_the_problem_reads(tmp_path):
+    picard = {f.name for f in dataclasses.fields(SolverConfig) if f.metadata.get("nonlinear")}
+    assert picard and picard < set(_SOLVER)
+    for problem, extra, velocity in (
+        ("linear", {}, {"kind": "damping"}),
+        ("source", {"source": {"kind": "dirac", "point": [0.5]}}, {"kind": "damping"}),
+        ("nonlinear", {}, {"kind": "attraction"}),
+    ):
+        cfg = _linear_config(tmp_path, problem=problem, velocity=velocity,
+                             solver={"q_h": 8, "q_g": 8, "ode_step": 0.05}, **extra)
+        out = tmp_path / problem
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        solver = json.loads((out / "manifest.json").read_text())["solver"]
+        read = set(_SOLVER) if problem == "nonlinear" else set(_SOLVER) - picard
+        assert set(solver) == read, problem
+        assert solver["q_h"] == 8 and solver["ode_step"] == 0.05

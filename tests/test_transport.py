@@ -33,7 +33,7 @@ from fractrans.transport import (
     SolverConfig,
     _advect_segment,
     _field_average,
-    _g_rule,
+    _GRule,
     _path_lookup,
     attraction_field,
     freezing_tail_probability,
@@ -70,22 +70,29 @@ def _cfg(times=(0.5, 1.0), **kw):
 
 
 def test_field_average_constant_field_passes_through():
-    v = _field_average(ONES, np.array([[0.3]]), *_g_rule(B, _cfg(q_g=32))(1.0))
+    v = _field_average(ONES, np.array([[0.3]]), *_GRule(B, _cfg(q_g=32))(1.0))
     assert v[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_field_average_exponential_decay_oracle():
     # v(x, s) = e^{-s} u: the g-average is the Laplace transform e^{-t^b}
     field = ExplicitField(func=lambda x, s: np.exp(-s) * np.ones_like(x), lip=0.0)
-    v = _field_average(field, np.array([[0.0]]), *_g_rule(B, _cfg(q_g=96))(1.0))
+    v = _field_average(field, np.array([[0.0]]), *_GRule(B, _cfg(q_g=96))(1.0))
     assert v[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-4)
 
 
+def _rule_masses(grid, nodes, weights):
+    """Segment masses of one rule looked up on its own: the summed weights
+    of the nodes that hit each grid time."""
+    hit = np.maximum(np.searchsorted(grid, nodes, side="right") - 1, 0)
+    return np.bincount(hit, weights=weights, minlength=grid.size)
+
+
 def test_path_average_induced_field_cases():
-    nodes, weights = _g_rule(B, _cfg(q_g=32))(1.0)
+    nodes, weights = _GRule(B, _cfg(q_g=32))(1.0)
 
     def _path_average(path, nodes, weights):
-        return EmpiricalMeasure(*_path_lookup(path)(nodes, weights))
+        return EmpiricalMeasure(*_path_lookup(path, _rule_masses(path.times, nodes, weights)[None])(0))
 
     mu = _two_diracs()
     path = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, mu])
@@ -121,7 +128,7 @@ def test_path_lookup_field_matches_measure_by_measure_average(field):
         for n in sizes
     ]
     path = MeasurePath(times=grid, measures=measures)
-    nodes, weights = _g_rule(B, cfg)(0.5)
+    nodes, weights = _GRule(B, cfg)(0.5)
     # one more node exactly on a recorded time, which hits that measure
     nodes, weights = np.append(nodes, grid[4]), np.append(weights, 0.25)
     # right-continuous lookup, frozen at the end: node r hits the last
@@ -137,8 +144,92 @@ def test_path_lookup_field_matches_measure_by_measure_average(field):
         weights=np.concatenate([m * mu.weights for mu, m in parts]),
     )
     x = rng.normal(size=(7, 2))
-    got = field.field(x, *_path_lookup(path)(nodes, weights))
+    got = field.field(x, *_path_lookup(path, _rule_masses(grid, nodes, weights)[None])(0))
     np.testing.assert_array_equal(got, field.induced(average)(x))
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.7, 1.0])
+def test_segment_mass_rows_equal_per_rule_masses(beta, monkeypatch):
+    # one search and one bincount per block of a solve's stages give, row by row,
+    # the masses that looking up each g-rule on its own gives, bit for bit
+    beta = FracOrder(beta)
+    cfg = _cfg(times=(0.25, 0.5), q_h=8, q_g=16, ode_step=0.05, t_ext=1.3)
+    g_rule = _GRule(beta, cfg)
+    grid = transport._grid_with_extension(cfg)
+    nodes = transport._flow_nodes(transport._h_rules(beta, grid[1:], cfg))
+    times, _ = transport._stage_schedule(nodes, cfg.ode_step)
+    k = len(times) // 3
+    r = np.sort(g_rule(times[k])[0])
+    if r.size > 1:
+        # a grid time exactly on a g-node of stage k, and two between its
+        # next two g-nodes, so that the measures it hits are not one run
+        gap = r[2] + np.array([1.0, 2.0]) / 3.0 * (r[3] - r[2])
+        grid = np.unique(np.concatenate([grid, [r[1]], gap]))
+    table = g_rule.segment_masses(grid, times)
+    assert table.shape == (len(times), grid.size)
+    for row, s in zip(table, times):
+        np.testing.assert_array_equal(row, _rule_masses(grid, *g_rule(s)))
+    # the table is filled in blocks of stages, whose bounds change no row
+    monkeypatch.setattr(transport, "_STAGE_BLOCK", 7)
+    assert len(times) > 3 * 7
+    np.testing.assert_array_equal(g_rule.segment_masses(grid, times), table)
+    # stage 0 is s = 0, a point rule; later g-rules look up past t_ext,
+    # where the path is frozen
+    assert times[0] == 0.0 and table[0, 0] == 1.0
+    assert table[:, -1].max() > 0.0
+    if r.size > 1:
+        on, a, b = np.searchsorted(grid, [r[1], *gap])
+        assert table[k, on] > 0.0 and b == a + 1
+        assert table[k, a - 1] > 0.0 and table[k, a] == 0.0 and table[k, b] > 0.0
+
+
+@pytest.mark.parametrize("field", [repulsion_field(), attraction_field()], ids=["repulsion", "attraction"])
+def test_path_lookup_slices_and_masks_match_measure_by_measure_average(field):
+    # a row whose hit measures form one run reads slices of the stack, any
+    # other row a mask; an atom whose mass underflows to 0 sends the whole
+    # table through the mask, which drops it.  Each way gives the average
+    # built measure by measure, bit for bit.
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    rng = np.random.default_rng(8)
+    measures = [
+        EmpiricalMeasure(points=rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 1.0, size=n))
+        for n in (3, 4, 0, 2, 5)
+    ]
+    tiny = EmpiricalMeasure(points=rng.normal(size=(2, 2)), weights=np.array([1e-300, 0.5]))
+    run = (np.array([0.3, 0.6, 0.8]), np.array([0.5, 0.3, 0.2]))  # measures 1 to 3
+    gaps = (np.array([0.1, 0.9]), np.array([0.5, 0.5]))  # measures 0 and 3
+    underflow = (np.array([0.3, 0.8]), np.array([1.0, 1e-30]))  # 1e-30 * 1e-300 is 0
+    x = rng.normal(size=(6, 2))
+    cases = [
+        (measures, [run, gaps], [False, True]),
+        (measures[:3] + [tiny, measures[4]], [run, underflow], [True, True]),
+    ]
+    for path_measures, rules, copied in cases:
+        path = MeasurePath(times=grid, measures=path_measures)
+        lookup = _path_lookup(path, np.array([_rule_masses(grid, *rule) for rule in rules]))
+        for k, (nodes, weights) in enumerate(rules):
+            mass = [sum(w for r, w in zip(nodes, weights) if path.at(r) is mu) for mu in path_measures]
+            parts = [(mu.points, m * mu.weights) for mu, m in zip(path_measures, mass)]
+            pts = np.concatenate([p[a > 0.0] for p, a in parts])
+            wts = np.concatenate([a[a > 0.0] for _, a in parts])
+            got_pts, got_wts = lookup(k)
+            np.testing.assert_array_equal(got_pts, pts)
+            np.testing.assert_array_equal(got_wts, wts)
+            assert got_pts.flags.owndata == copied[k]
+            expected = field.induced(EmpiricalMeasure(points=pts, weights=wts))(x)
+            np.testing.assert_array_equal(field.field(x, got_pts, got_wts), expected)
+    # measure 1 and the tiny measure but its underflowing atom
+    assert wts.size == 4 + 1
+
+
+def test_induced_field_takes_any_array_like_positions():
+    mu = EmpiricalMeasure(points=np.array([[0.0, 1.0], [2.0, -1.0]]), weights=np.array([0.25, 0.75]))
+    for field in (repulsion_field(), attraction_field()):
+        v = field.induced(mu)
+        # a 1-D list is one point; integers become floats
+        assert v([1, 0]).shape == (1, 2)
+        np.testing.assert_array_equal(v([1, 0]), v(np.array([[1.0, 0.0]])))
+        np.testing.assert_array_equal(v([[1, 0], [0.5, 0.5]])[1], v([0.5, 0.5])[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -167,22 +258,28 @@ def test_repulsion_self_interaction_is_finite():
 # ---------------------------------------------------------------------------
 
 
+def _advect(vel, points, s_a, s_b, ode_step):
+    """RK4 advection from s_a to s_b of the velocity vel(x, s)."""
+    times, steps = transport._stage_schedule(np.array([s_a, s_b]), ode_step)
+    return _advect_segment(lambda x, k: vel(x, times[k]), points, steps[0])
+
+
 def test_flow_zero_velocity_is_identity():
     pts = _two_diracs().points
-    zero = _advect_segment(lambda x, s: np.zeros_like(x), pts, 0.0, 1.0, 0.1)
+    zero = _advect(lambda x, s: np.zeros_like(x), pts, 0.0, 1.0, 0.1)
     np.testing.assert_array_equal(zero, pts)
     # an empty segment is the identity without a step
-    np.testing.assert_array_equal(_advect_segment(lambda x, s: x, pts, 1.0, 1.0, 0.1), pts)
+    np.testing.assert_array_equal(_advect(lambda x, s: x, pts, 1.0, 1.0, 0.1), pts)
 
 
 def test_flow_constant_velocity_exact():
     for s_b in (2.0, 0.75):
-        x = _advect_segment(lambda x, s: np.ones_like(x), _dirac(0.0).points, 0.0, s_b, 0.125)
+        x = _advect(lambda x, s: np.ones_like(x), _dirac(0.0).points, 0.0, s_b, 0.125)
         assert x[0, 0] == pytest.approx(s_b, rel=1e-12)
 
 
 def test_flow_linear_decay_rk4_accuracy():
-    x = _advect_segment(lambda x, s: -x, _dirac(1.0).points, 0.0, 1.0, 1e-2)
+    x = _advect(lambda x, s: -x, _dirac(1.0).points, 0.0, 1.0, 1e-2)
     assert x[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
@@ -341,6 +438,36 @@ def test_nonlinear_empty_initial_measure_converges_at_once():
     assert all(mu.size == 0 for mu in path.measures)
 
 
+def test_segment_masses_are_computed_once_per_solve(monkeypatch):
+    # every sweep steps through the same stages and looks up the same grid,
+    # so the segment-mass table is built once per solve whatever the sweep count,
+    # while the kernel still runs at each RK4 stage of each sweep
+    counts = {"search": 0, "kernel": 0}
+    search = transport._GRule.segment_masses
+
+    def counting_search(*args):
+        counts["search"] += 1
+        return search(*args)
+
+    repel = repulsion_field()
+
+    def kernel(z):
+        counts["kernel"] += 1
+        return repel.kernel(z)
+
+    monkeypatch.setattr(transport._GRule, "segment_masses", counting_search)
+    field = InteractionField(kernel=kernel, bound=repel.bound, lip=repel.lip)
+    for picard_tol, sweeps in ((1e-2, 9), (0.1, 4)):
+        counts.update(search=0, kernel=0)
+        cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=picard_tol, t_ext=1.0)
+        path = solve_nonlinear(B, field, _two_diracs(0.5), cfg)
+        assert path.diagnostics["sweeps"] == sweeps
+        grid = transport._grid_with_extension(cfg)
+        nodes = transport._flow_nodes(transport._h_rules(B, grid[1:], cfg))
+        steps = sum(map(len, transport._stage_schedule(nodes, cfg.ode_step)[1]))
+        assert counts == {"search": 1, "kernel": 4 * steps * sweeps}
+
+
 def test_nonlinear_freezing_probability_is_h_weighted():
     # with horizon t the h-weighted freezing probability is
     # P(E'_t > E_t) = 1/2 for independent copies; a longer horizon lowers
@@ -459,7 +586,8 @@ def test_autonomous_flag_does_not_change_the_answers(beta):
 def test_autonomous_field_is_called_once_per_rk4_stage(monkeypatch, autonomous):
     # every RK4 step makes 4 velocity calls (stages); a stage calls the func
     # once for an autonomous field and once per g-node otherwise, where the
-    # g-rule at s = 0 is the single node (0, 1)
+    # g-rule at s = 0 is the single node (0, 1); stage 0 of every schedule
+    # is s = 0
     q_g = 8
     calls = {"func": 0, "stages": 0, "stages_at_zero": 0}
 
@@ -470,10 +598,10 @@ def test_autonomous_field_is_called_once_per_rk4_stage(monkeypatch, autonomous):
     advect = transport._advect_segment
 
     def counting_advect(vel, *args):
-        def stage(x, s):
+        def stage(x, k):
             calls["stages"] += 1
-            calls["stages_at_zero"] += s <= 0.0
-            return vel(x, s)
+            calls["stages_at_zero"] += k == 0
+            return vel(x, k)
 
         return advect(stage, *args)
 
