@@ -146,45 +146,30 @@ def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
             f"union support has {n} points, above the LP cap {BL_SUPPORT_CAP}"
         )
 
+    # rows: f_i - u <= 0 and -f_i - u <= 0 (two entries each), then
+    # +-(f_i - f_j) - l d_ij <= 0 for each pair i < j (three), then u + l <= 1
     iu, ju = np.triu_indices(n, k=1)
     dij = np.linalg.norm(pts[iu] - pts[ju], axis=1)
-    n_pairs = iu.size
+    one = np.ones_like(dij)
+    bound_cols = np.stack([np.arange(n), np.full(n, n)], axis=1).ravel()
+    pair_cols = np.stack([iu, ju, np.full(iu.size, n + 1)], axis=1).ravel()
+    indices = np.concatenate([bound_cols, bound_cols, pair_cols, pair_cols, [n, n + 1]])
+    data = np.concatenate([np.tile([1.0, -1.0], n), np.full(2 * n, -1.0),
+                           np.stack([one, -one, -dij], axis=1).ravel(),
+                           np.stack([-one, one, -dij], axis=1).ravel(), [1.0, 1.0]])
+    row_sizes = np.repeat([2, 3, 2], [2 * n, 2 * iu.size, 1])
+    indptr = np.concatenate([[0], np.cumsum(row_sizes)])
+    a_ub = sparse.csr_matrix((data, indices, indptr), shape=(row_sizes.size, n + 2))
+    b_ub = np.zeros(row_sizes.size)
+    b_ub[-1] = 1.0
 
-    # variable order: f (n), u, l
-    rows, cols, vals = [], [], []
-    rhs = []
-    r = 0
-    # f_i - u <= 0 and -f_i - u <= 0
-    for sign in (1.0, -1.0):
-        for i in range(n):
-            rows += [r, r]
-            cols += [i, n]
-            vals += [sign, -1.0]
-            rhs.append(0.0)
-            r += 1
-    # |f_i - f_j| <= l d_ij
-    for sign in (1.0, -1.0):
-        for p in range(n_pairs):
-            rows += [r, r, r]
-            cols += [int(iu[p]), int(ju[p]), n + 1]
-            vals += [sign, -sign, -dij[p]]
-            rhs.append(0.0)
-            r += 1
-    # u + l <= 1
-    rows += [r, r]
-    cols += [n, n + 1]
-    vals += [1.0, 1.0]
-    rhs.append(1.0)
-    r += 1
-
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(r, n + 2))
     cost = np.zeros(n + 2)
     cost[:n] = -c_signed  # linprog minimizes
     bounds = [(None, None)] * n + [(0.0, None), (0.0, None)]
     # HiGHS' default feasibility tolerances (1e-7) let the optimum drift by
     # a few 1e-9, enough to make d(mu, nu) and d(nu, mu) differ at that level
     tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = linprog(cost, A_ub=a_ub, b_ub=np.array(rhs), bounds=bounds, method="highs", options=tol)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=tol)
     if not res.success:  # pragma: no cover - defensive
         raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
     return max(0.0, float(-res.fun))

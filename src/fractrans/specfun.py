@@ -451,9 +451,7 @@ _PANEL_SURVIVALS = (
 
 def _unit_pdf(beta: FracOrder, target: KernelTarget, s):
     if target is KernelTarget.H_KERNEL:
-        # h_beta(s, 1), as in inverse_subordinator_density
-        b = beta.beta
-        return (1.0 / b) * s ** (-1.0 - 1.0 / b) * stable_density(beta, s ** (-1.0 / b))
+        return inverse_subordinator_density(beta, s, 1.0)
     return stable_density(beta, s)
 
 

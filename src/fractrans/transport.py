@@ -120,9 +120,9 @@ class InteractionField:
         return lambda x: self.field(np.atleast_2d(np.asarray(x, dtype=float)), mu.points, mu.weights)
 
 
-def attraction_field(lip: float = 1.0) -> InteractionField:
-    """K(z) = -z: linear aggregation toward the center of mass."""
-    return InteractionField(kernel=lambda z: -z, bound=math.inf, lip=lip)
+def attraction_field() -> InteractionField:
+    """K(z) = -z: linear aggregation toward the center of mass (1-Lipschitz)."""
+    return InteractionField(kernel=lambda z: -z, bound=math.inf, lip=1.0)
 
 
 def repulsion_field() -> InteractionField:

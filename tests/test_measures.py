@@ -212,6 +212,59 @@ def test_bl_dual_norm_homogeneity(a, scale):
     assert scaled == pytest.approx(scale * base, abs=1e-9 * max(1.0, scale))
 
 
+def _loop_built_bl(mu, nu):
+    """bl_distance with its constraint matrix assembled one entry at a time
+    by Python loops, as first written: the reference for the array build."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    pts = np.vstack([mu.points, nu.points])
+    n = pts.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    dij = np.linalg.norm(pts[iu] - pts[ju], axis=1)
+    rows, cols, vals, rhs = [], [], [], []
+    r = 0
+    for sign in (1.0, -1.0):
+        for i in range(n):
+            rows += [r, r]
+            cols += [i, n]
+            vals += [sign, -1.0]
+            rhs.append(0.0)
+            r += 1
+    for sign in (1.0, -1.0):
+        for p in range(iu.size):
+            rows += [r, r, r]
+            cols += [int(iu[p]), int(ju[p]), n + 1]
+            vals += [sign, -sign, -dij[p]]
+            rhs.append(0.0)
+            r += 1
+    rows += [r, r]
+    cols += [n, n + 1]
+    vals += [1.0, 1.0]
+    rhs.append(1.0)
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(r + 1, n + 2))
+    cost = np.zeros(n + 2)
+    cost[:n] = -np.concatenate([mu.weights, -nu.weights])
+    bounds = [(None, None)] * n + [(0.0, None), (0.0, None)]
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost, A_ub=a_ub, b_ub=np.array(rhs), bounds=bounds, method="highs", options=tol)
+    return max(0.0, float(-res.fun))
+
+
+@st.composite
+def lp_pairs(draw):
+    d = draw(st.integers(1, 3))
+    return draw(ensembles(max_n=30, dim=d)), draw(ensembles(max_n=30, dim=d))
+
+
+@given(pair=lp_pairs())
+@settings(max_examples=25, deadline=None)
+def test_bl_array_build_matches_loop_build(pair):
+    # the same constraint arrays give HiGHS the same LP, so the same float
+    mu, nu = pair
+    assert bl_distance(mu, nu) == _loop_built_bl(mu, nu)
+
+
 def test_bl_identity_of_indiscernibles():
     rng = np.random.default_rng(3)
     mu = EmpiricalMeasure(points=rng.normal(size=(5, 2)), weights=rng.uniform(0.1, 1, 5))

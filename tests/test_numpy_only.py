@@ -1,10 +1,13 @@
-"""Every command but ``verify`` runs on numpy alone.
+"""numpy is the only runtime dependency.
 
 The special functions integrate on fixed Gauss-Legendre nodes and solve
 rule quantiles by a vectorized Newton iteration, so building rules and
-solving never load scipy.  scipy is only used by ``measures.bl_distance``
-(the bounded-Lipschitz LP) and ``verify`` (independent oracles), each
-imported inside the function that calls it.
+solving never load scipy.  scipy is imported only inside
+``measures.bl_distance`` (the bounded-Lipschitz LP), which the two metric
+checks of ``verify`` call; it is the ``verify`` extra.  Without it
+``verify`` runs its other checks, reports those two as not run and exits
+1.  The tests here run the commands in a subprocess, with scipy
+importable but unused, or hidden from the import system.
 """
 
 import json
@@ -78,6 +81,52 @@ def test_cli_import_and_sample_load_no_scipy(tmp_path):
     for name in ("linear-2d", "nonlinear-repulsion", "source-2d"):
         assert (tmp_path / name / "manifest.json").exists(), name
     assert (tmp_path / "kernels" / "mittag_leffler.csv").exists()
+
+
+_HIDDEN_SCIPY = """
+import json, sys
+
+class HideScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, HideScipy())
+import fractrans.cli
+from fractrans.measures import EmpiricalMeasure, bl_distance
+
+code = fractrans.cli.main(["verify", "--out", sys.argv[1]])
+try:
+    bl_distance(EmpiricalMeasure.dirac([0.0]), EmpiricalMeasure.dirac([1.0]))
+    raised = None
+except ModuleNotFoundError as exc:
+    raised = exc.name
+print(json.dumps({"code": code, "raised": raised}))
+"""
+
+
+def test_verify_without_scipy_runs_all_but_the_lp_checks(tmp_path):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", _HIDDEN_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 1, "raised": "scipy"}
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    not_run = [c["name"] for c in checks if not c["run"]]
+    assert not_run == ["bl_two_diracs", "bl_dominated_by_w1"]
+    assert sum(c["pass"] for c in checks) == 9 and len(checks) == 11
+    assert "NOT RUN bl_two_diracs" in proc.stdout
+
+
+def test_pyproject_requires_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    extras = project["optional-dependencies"]
+    for extra in ("verify", "test"):
+        assert any(req.startswith("scipy") for req in extras[extra]), extra
 
 
 @pytest.mark.parametrize("z", [-1e153, -1e160])
