@@ -129,6 +129,14 @@ def _gauss_legendre(n: int):
     return x, w
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D float array, ascending.  np.unique
+    would do, but without ``return_inverse`` numpy 2.4 asks
+    ``np.ma.is_masked`` and so imports ``numpy.ma`` into every process."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
+
+
 def _panel_nodes(edges: np.ndarray, n: int):
     """n-point Gauss-Legendre nodes and weights on the panels between
     consecutive edges (last axis); panels are flattened along that axis."""
@@ -205,7 +213,7 @@ def _ml_integral(beta: float, z: float) -> float:
     log_edges = np.concatenate(
         [beta * np.log(_ML_R_EDGES), math.log(abs(z)) + pole_angle * _ML_POLE_EDGES]
     )
-    log_edges = np.unique(np.append(log_edges[log_edges < log_u_max], log_u_max))
+    log_edges = _sorted_unique(np.append(log_edges[log_edges < log_u_max], log_u_max))
     u, w = _panel_nodes(np.concatenate([[0.0], np.exp(log_edges)]), _ML_NODES)
     v = u / z
     val = float(np.sum(w * np.exp(-(u ** (1.0 / beta))) / (v * v - 2.0 * v * cos_pb + 1.0)))
@@ -547,9 +555,7 @@ def _unit_rule(beta_value: float, target: KernelTarget, q: int, eps_tail: float)
     n_panels = min(len(survivals) - 1, max(1, q // 4))
     if n_panels < len(survivals) - 1:
         # q too small for the full panel set: keep a coarse geometric subset
-        idx = np.unique(
-            np.linspace(0, len(survivals) - 1, n_panels + 1).round().astype(int)
-        )
+        idx = sorted(set(np.linspace(0, len(survivals) - 1, n_panels + 1).round().astype(int)))
         survivals = [survivals[i] for i in idx]
         n_panels = len(survivals) - 1
     edges = [0.0] + _unit_quantile_sf(beta, target, np.array(survivals[1:])).tolist()

@@ -9,11 +9,12 @@ and averaged against the inverse-subordinator density,
 where the characteristic flow Phi uses the effective velocity, i.e. the
 original field averaged against the subordinator density g_beta.  The
 linear solver evaluates this directly on quadrature rules; the nonlinear
-(interaction) solver runs a Picard fixed point on the same formula and
-stops on a certified upper bound of the bounded-Lipschitz distance
-between consecutive iterates, from pairing their particles by index; a
-Monte Carlo solver samples the internal clock instead of integrating it
-and serves as an independent oracle.
+(interaction) solver finds a fixed point of the same formula, read as a
+sweep map from an iterate path to its image, with Anderson-mixed Picard
+iteration, and stops on a certified upper bound of the bounded-Lipschitz
+distance between an iterate and its image, from pairing their particles
+by index; a Monte Carlo solver samples the internal clock instead of
+integrating it and serves as an independent oracle.
 
 Every solver is built from three shared pieces: one g-rule map
 s -> (real times, weights), whose two consumers are the field average
@@ -24,14 +25,15 @@ each velocity call its stage index; and one routine that advects mu0
 the node push-forwards.  An explicit field marked autonomous (independent
 of t) skips the field average: the g-rule weights sum to 1, so its
 g-average is the field itself, evaluated once per RK4 stage instead of
-q_g times.  The interaction field is linear in the measure, so its
-g-average is the field induced by the path average.  The path average
-weights each recorded measure by a segment mass, the g-weight whose real
-time looks it up; the stage times and the lookup grid are the same in
-every Picard sweep, so one table holds the masses of every stage for the
-whole solve, and a sweep only stacks the previous iterate and reads a
-row per stage.  beta = 1 needs no special case: the g- and h-rules
-become point masses and the same code is classical transport.
+q_g times, and with no source atoms no g-rule is built.  The interaction
+field is linear in the measure, so its g-average is the field induced by
+the path average.  The path average weights each recorded measure by a
+segment mass, the g-weight whose real time looks it up; the stage times
+and the lookup grid are the same in every Picard sweep, so one table
+holds the masses of every stage for the whole solve, and a sweep only
+stacks its iterate and reads a row per stage.  beta = 1 needs no special
+case: the g- and h-rules become point masses and the same code is
+classical transport.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .measures import (
     MeasurePath,
     total_mass,
 )
-from .specfun import FracOrder, _stable_sf, g_quadrature, h_quadrature
+from .specfun import FracOrder, _sorted_unique, _stable_sf, g_quadrature, h_quadrature
 from .subordinator import RngSpec, sample_inverse
 
 __all__ = [
@@ -256,7 +258,8 @@ def _field_average(v: ExplicitField, x, times, weights) -> np.ndarray:
 def _effective_velocity(v: ExplicitField, g_rule, stage_times):
     """(x, k) -> effective velocity at stage time s = stage_times[k]: v
     itself when v is autonomous (its g-average is v, one call instead of
-    q_g), otherwise the field average over the g-rule of s."""
+    q_g, and ``g_rule`` may be None), otherwise the field average over the
+    g-rule of s."""
     if v.autonomous:
         return lambda x, k: v(x, stage_times[k])
     return lambda x, k: _field_average(v, x, *g_rule(stage_times[k]))
@@ -352,7 +355,7 @@ def _stage_schedule(nodes: np.ndarray, ode_step: float):
 
 def _flow_nodes(h_rules, s_extra=()) -> np.ndarray:
     """The flow nodes: 0, ``s_extra`` and the union of the h-nodes."""
-    return np.unique(np.concatenate([[0.0], s_extra] + [nodes for nodes, _ in h_rules]))
+    return _sorted_unique(np.concatenate([[0.0], s_extra] + [nodes for nodes, _ in h_rules]))
 
 
 def _advect_segment(vel, points, steps):
@@ -380,7 +383,8 @@ def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps) 
     the RK4 ``steps`` of their ``_stage_schedule``, covers every term: at
     each node the source is injected, weighted by the width of the
     following interval (rectangle rule), and advected with the initial
-    ensemble.
+    ensemble.  Only a source with atoms reads ``g_rule``; it may be None
+    otherwise.
 
     With no source the particles come in index order: output particle
     (q, i), at position q * mu0.size + i, is mu0 particle i pushed to h-node
@@ -426,6 +430,12 @@ def _empty_path(mu0: EmpiricalMeasure) -> MeasurePath:
     return MeasurePath(times=np.zeros(1), measures=[empty])
 
 
+def _paired_points(mu: EmpiricalMeasure, n: int) -> np.ndarray:
+    """Positions of mu in the pairing of ``_coupling_bound``: row k is
+    particle k mod mu.size, for k < n."""
+    return mu.points if mu.size == n else mu.points[np.arange(n) % mu.size]
+
+
 def _coupling_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Upper bound on d_BL(mu, nu) from pairing particle k of nu with
     particle k mod mu.size of mu; nu's weights are the coupling, so the
@@ -434,7 +444,7 @@ def _coupling_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     2r / (2 + r), which bounds d_BL by sum_k w_k 2 r_k / (2 + r_k) (Villani,
     Optimal Transport: Old and New, 2009, Ch. 6).  Exact for two Diracs.
     """
-    r = np.linalg.norm(nu.points - mu.points[np.arange(nu.size) % mu.size], axis=1)
+    r = np.linalg.norm(nu.points - _paired_points(mu, nu.size), axis=1)
     return float(np.sum(nu.weights * (2.0 * r / (2.0 + r))))
 
 
@@ -500,7 +510,7 @@ def solve_linear_mc(
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
     times, steps = _stage_schedule(s_grid, config.ode_step)
-    vel = _effective_velocity(v, _GRule(beta, config), times)
+    vel = _effective_velocity(v, None if v.autonomous else _GRule(beta, config), times)
 
     flow = [mu0.points.astype(float)]
     for interval in steps:
@@ -522,64 +532,133 @@ def solve_linear_mc(
 # ---------------------------------------------------------------------------
 
 
+def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid, config: SolverConfig):
+    """The Picard sweep map F: an iterate path on ``grid`` -> the path of
+    mu0 pushed along the g-averaged interaction field that the iterate
+    induces, mu0 at time 0 and one push-forward mixture per h-rule.
+
+    Every sweep walks the same RK4 stages (``_stage_schedule``) and looks
+    up the same grid, so the segment masses of each stage's g-rule are
+    tabulated here, once (``_GRule.segment_masses``).  A sweep stacks its
+    iterate once (``_path_lookup``); each RK4 stage reweights the recorded
+    measures by its row of masses and evaluates the field on the raw
+    arrays, with one kernel call.
+    """
+    nodes = _flow_nodes(h_rules)
+    times, steps = _stage_schedule(nodes, config.ode_step)
+    masses = g_rule.segment_masses(grid, times)
+    no_source = _empty_path(mu0)
+
+    def sweep(path: MeasurePath) -> MeasurePath:
+        lookup = _path_lookup(path, masses)
+
+        def vel(x, k):
+            # the field is linear in the measure: one kernel call on the
+            # path average instead of one per g-node
+            return v.field(x, *lookup(k))
+
+        measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, nodes, steps)
+        return MeasurePath(times=grid, measures=[mu0] + measures)
+
+    return sweep
+
+
+def _moved(path: MeasurePath, points: np.ndarray) -> MeasurePath:
+    """``path`` with the particles of its measures after the first at the
+    stacked ``points``, in path order, and their weights kept."""
+    parts = np.split(points, np.cumsum([mu.size for mu in path.measures[1:-1]]))
+    moved = [EmpiricalMeasure(points=p, weights=mu.weights) for p, mu in zip(parts, path.measures[1:])]
+    return MeasurePath(times=path.times, measures=path.measures[:1] + moved)
+
+
+def _mixing_weight(dr: np.ndarray, r: np.ndarray, w: np.ndarray):
+    """Depth-1 Anderson weight <dr, r>_w / <dr, dr>_w for the (P, d)
+    residual difference ``dr`` and residual ``r``, each coordinate weighted
+    by its atom's weight ``w`` (P, 1); None when <dr, dr>_w = 0.  np.sum,
+    not a BLAS dot, so the weight does not depend on the thread count."""
+    wdr = w * dr
+    norm = float(np.sum(wdr * dr))
+    return float(np.sum(wdr * r)) / norm if norm > 0.0 else None
+
+
+def _picard(sweep, start: MeasurePath, config: SolverConfig):
+    """Fixed point of the sweep map F from the iterate ``start``:
+    (F(X_k), log) for the first iterate X_k with
+    sup over the grid of ``_coupling_bound(X_k, F(X_k))`` below
+    ``picard_tol``.  The output is an image of F, a true push-forward
+    mixture, so its mass is exact whatever the mixing did.
+
+    The iterates after ``start`` are stacked positions in the index order
+    of F's images, with F's fixed weights, and the residual
+    r_k = F(X_k) - X_k pairs ``start`` as ``_coupling_bound`` does.  The
+    next iterate is the depth-1 Anderson mix (Walker & Ni, SIAM J. Numer.
+    Anal. 49 (2011) 1715-1735)
+
+        X_{k+1} = F_k - gamma_k (F_k - F_{k-1}),
+        gamma_k = <r_k - r_{k-1}, r_k>_w / <r_k - r_{k-1}, r_k - r_{k-1}>_w,
+
+    with the inner product weighted per coordinate by the atom weights.
+    The first step, and every step whose bound did not fall below the one
+    before or whose residual difference is 0, is the plain one,
+    X_{k+1} = F_k; such a step drops the older pair, so the next mix pairs
+    with this sweep.  The log holds one dict per evaluation of F: sweep,
+    coupling_bound, wall_time.
+    """
+    x, log = start, []
+    f_prev = r_prev = None  # stacked image and residual of the last sweep
+    bound_prev = math.inf
+    for n in range(1, config.picard_max_iters + 1):
+        t0 = _time.perf_counter()
+        image = sweep(x)
+        bound = max(_coupling_bound(a, b) for a, b in zip(x.measures, image.measures))
+        log.append({"sweep": n, "coupling_bound": bound, "wall_time": _time.perf_counter() - t0})
+        if bound < config.picard_tol:
+            return image, log
+        f = np.concatenate([mu.points for mu in image.measures[1:]])
+        paired = [_paired_points(a, b.size) for a, b in zip(x.measures[1:], image.measures[1:])]
+        r = f - np.concatenate(paired)
+        gamma = None
+        if r_prev is not None and bound < bound_prev:
+            w = np.concatenate([mu.weights for mu in image.measures[1:]])[:, None]
+            gamma = _mixing_weight(r - r_prev, r, w)
+        x = image if gamma is None else _moved(image, f - gamma * (f - f_prev))
+        f_prev, r_prev, bound_prev = f, r, bound
+    raise PicardConvergenceError(
+        f"no convergence after {config.picard_max_iters} sweeps "
+        f"(last coupling bound {bound:.3e}, tol {config.picard_tol:.3e})",
+        log,
+    )
+
+
 def solve_nonlinear(
     beta: FracOrder, v: InteractionField, mu0: EmpiricalMeasure, config: SolverConfig
 ) -> MeasurePath:
-    """Interaction problem via Picard iteration on the representation map.
+    """Interaction problem as a fixed point of the representation map.
 
-    Starting from the constant-in-time path mu0, each sweep solves the
-    auxiliary linear problem whose velocity is the g-averaged interaction
-    field induced by the previous iterate.  Every sweep walks the same RK4
-    stages (``_stage_schedule``) and looks up the same grid, so the segment
-    masses of each stage's g-rule are tabulated once per solve
-    (``_GRule.segment_masses``).  The previous iterate is stacked once per
-    sweep (``_path_lookup``); each RK4 stage reweights its recorded
-    measures by its row of masses and evaluates the field on the raw
-    arrays, with one kernel call.  Consecutive iterates are index-aligned (see
-    ``_average_push_forwards``; the first sweep pairs with mu0 split by
-    rule weight), so ``_coupling_bound`` certifies an upper bound on their
-    d_BL in O(N); the iteration stops when its sup over the grid drops
-    below ``picard_tol``.  The diagnostics hold the
-    iteration log (one dict per sweep: sweep, coupling_bound, wall_time)
-    and the freezing term: the h-weighted probability
+    The sweep map F (``_sweep_map``) solves the auxiliary linear problem
+    whose velocity is the g-averaged interaction field induced by an
+    iterate path.  Images of F are index-aligned (see
+    ``_average_push_forwards``), so ``_coupling_bound`` certifies an upper
+    bound on the d_BL between an iterate and its image in O(N), and the
+    driver (``_picard``) mixes the stacked positions of consecutive images
+    (depth-1 Anderson) and stops when the sup of that bound over the grid
+    drops below ``picard_tol``; it returns the image, so mass is exact.
+    The first iterate is the constant-in-time path mu0, paired with the
+    images as mu0 split by rule weight.  The diagnostics hold the
+    iteration log (one dict per evaluation of F: sweep, coupling_bound,
+    wall_time), ``sweeps``, the number of evaluations of F, and the
+    freezing term: the h-weighted probability
     sum_q w_q P(D_{s_q} > horizon) of a lookup past the horizon, worst
     over the output times, times 2 * bound * mass for a bounded kernel.
     """
     grid = _grid_with_extension(config)
     horizon = float(grid[-1])
-    current = MeasurePath(times=grid, measures=[mu0] * grid.size)
     g_rule = _GRule(beta, config)
     h_rules = _h_rules(beta, grid[1:], config)
-    no_source = _empty_path(mu0)
-    log = []
     mass = total_mass(mu0)
     _check_step(config.ode_step, v.lip * max(mass, 1.0))
-    nodes = _flow_nodes(h_rules)
-    times, steps = _stage_schedule(nodes, config.ode_step)
-    masses = g_rule.segment_masses(grid, times)
-    for sweep in range(1, config.picard_max_iters + 1):
-        t0 = _time.perf_counter()
-        prev = current
-        lookup = _path_lookup(prev, masses)
-
-        def vel(x, k, _lookup=lookup):
-            # the field is linear in the measure: one kernel call on the
-            # path average instead of one per g-node
-            return v.field(x, *_lookup(k))
-
-        measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, nodes, steps)
-        current = MeasurePath(times=grid, measures=[mu0] + measures)
-        bound = max(_coupling_bound(a, b) for a, b in zip(prev.measures, current.measures))
-        wall = _time.perf_counter() - t0
-        log.append({"sweep": sweep, "coupling_bound": bound, "wall_time": wall})
-        if bound < config.picard_tol:
-            break
-    else:
-        raise PicardConvergenceError(
-            f"no convergence after {config.picard_max_iters} sweeps "
-            f"(last coupling bound {bound:.3e}, tol {config.picard_tol:.3e})",
-            log,
-        )
+    sweep = _sweep_map(v, mu0, g_rule, h_rules, grid, config)
+    current, log = _picard(sweep, MeasurePath(times=grid, measures=[mu0] * grid.size), config)
 
     keep = [0] + [int(np.searchsorted(grid, t)) for t in config.times]
     out = MeasurePath(
@@ -633,7 +712,9 @@ def solve_with_source(
     # Duhamel rectangle rule, so the flow also steps through the ode_step grid
     fine = np.arange(0.0, config.times[-1] + 1e-12, config.ode_step) if beta.is_classical else ()
     _check_step(config.ode_step, v.lip)
-    g_rule = _GRule(beta, config)
+    # only a time-dependent field or a source with atoms reads the g-rule
+    has_source = any(mu.size for mu in gamma_path.measures)
+    g_rule = _GRule(beta, config) if has_source or not v.autonomous else None
     h_rules = _h_rules(beta, config.times, config)
     nodes = _flow_nodes(h_rules, fine)
     times, steps = _stage_schedule(nodes, config.ode_step)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fractrans import verify
+from fractrans import transport, verify
 from fractrans.cli import (
     _COMMANDS,
     _MEASURES,
@@ -178,10 +178,23 @@ def test_solve_nonconvergence_exit_code(tmp_path):
 
 
 def test_unreachable_tail_mass_exit_4(tmp_path, capsys):
-    # at beta = 0.1 the h-kernel tail is too heavy for the default eps_tail
-    cfg = _linear_config(tmp_path, beta=0.1)
+    # at beta = 0.1 the g-kernel tail is too heavy for the default eps_tail;
+    # a source with atoms reads the g-rule
+    cfg = _linear_config(tmp_path, beta=0.1, problem="source",
+                         source={"kind": "dirac", "point": [0.5]})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical error:")
+
+
+def test_autonomous_linear_solve_builds_no_g_rule(tmp_path, monkeypatch):
+    # the damping field is autonomous and the linear problem has no source,
+    # so nothing reads the g-rule: beta = 0.1, whose g-rule cannot meet the
+    # default eps_tail, solves
+    calls = []
+    monkeypatch.setattr(transport, "g_quadrature", lambda *args: calls.append(args))
+    cfg = _linear_config(tmp_path, beta=0.1)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert calls == []
 
 
 def test_float_overflow_exit_4(tmp_path, capsys):

@@ -6,6 +6,7 @@ the mean position is the Mittag-Leffler function of -t^b; the symmetric
 two-Dirac aggregation contracts the spread by the same factor.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -426,7 +427,7 @@ def test_nonlinear_stopping_does_not_depend_on_seed():
         solve_nonlinear(B, repulsion_field(), grid, SolverConfig(times=(0.5,), q_h=16, q_g=8))
         for _ in range(2)
     ]
-    assert [p.diagnostics["sweeps"] for p in paths] == [5, 5]
+    assert [p.diagnostics["sweeps"] for p in paths] == [4, 4]
     for mu, nu in zip(paths[0].measures, paths[1].measures):
         assert np.array_equal(mu.points, nu.points) and np.array_equal(mu.weights, nu.weights)
 
@@ -457,7 +458,7 @@ def test_segment_masses_are_computed_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(transport._GRule, "segment_masses", counting_search)
     field = InteractionField(kernel=kernel, bound=repel.bound, lip=repel.lip)
-    for picard_tol, sweeps in ((1e-2, 9), (0.1, 4)):
+    for picard_tol, sweeps in ((1e-2, 4), (0.1, 3)):
         counts.update(search=0, kernel=0)
         cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=picard_tol, t_ext=1.0)
         path = solve_nonlinear(B, field, _two_diracs(0.5), cfg)
@@ -466,6 +467,83 @@ def test_segment_masses_are_computed_once_per_solve(monkeypatch):
         nodes = transport._flow_nodes(transport._h_rules(B, grid[1:], cfg))
         steps = sum(map(len, transport._stage_schedule(nodes, cfg.ode_step)[1]))
         assert counts == {"search": 1, "kernel": 4 * steps * sweeps}
+
+
+def _plain_picard(field, mu0, cfg):
+    """Plain Picard, X_{k+1} = F(X_k), on the solver's sweep map: the
+    images and the sweep count at the first bound below picard_tol."""
+    grid = transport._grid_with_extension(cfg)
+    h_rules = transport._h_rules(B, grid[1:], cfg)
+    sweep = transport._sweep_map(field, mu0, transport._GRule(B, cfg), h_rules, grid, cfg)
+    x = MeasurePath(times=grid, measures=[mu0] * grid.size)
+    for n in range(1, cfg.picard_max_iters + 1):
+        image = sweep(x)
+        bound = max(transport._coupling_bound(a, b) for a, b in zip(x.measures, image.measures))
+        if bound < cfg.picard_tol:
+            return image, n
+        x = image
+    raise AssertionError("plain Picard did not converge")
+
+
+def test_anderson_driver_beats_plain_picard():
+    # a repelling pair: the mixed driver stops in fewer sweeps than the
+    # plain loop over the same sweep map, and both land within picard_tol
+    # of the fixed point, read off a plain solve at picard_tol 1e-8
+    cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-3)
+    mu0 = _two_diracs(0.5)
+    path = solve_nonlinear(B, repulsion_field(), mu0, cfg)
+    _, plain_sweeps = _plain_picard(repulsion_field(), mu0, cfg)
+    ref, _ = _plain_picard(repulsion_field(), mu0, dataclasses.replace(cfg, picard_tol=1e-8))
+    assert path.diagnostics["sweeps"] < plain_sweeps
+    for k in (1, 2):
+        assert moment(path.measures[-1], k) == pytest.approx(moment(ref.measures[-1], k), abs=1e-3)
+    assert total_mass(path.measures[-1]) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_anderson_driver_falls_back_to_the_plain_step(monkeypatch):
+    # a harmful first mixing weight raises the bound; the next step is the
+    # plain one (no weight asked for), mixing resumes once the bound falls,
+    # and the solve still converges
+    calls = []
+    weight = transport._mixing_weight
+
+    def first_one_harmful(*args):
+        calls.append(args)
+        return -3.0 if len(calls) == 1 else weight(*args)
+
+    monkeypatch.setattr(transport, "_mixing_weight", first_one_harmful)
+    cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-3)
+    path = solve_nonlinear(B, repulsion_field(), _two_diracs(0.5), cfg)
+    bounds = [entry["coupling_bound"] for entry in path.diagnostics["picard_log"]]
+    assert bounds[2] > bounds[1] and bounds[-1] < cfg.picard_tol
+    assert len(calls) == sum(b < a for a, b in zip(bounds[:-2], bounds[1:-1]))
+    assert total_mass(path.measures[-1]) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_mixing_weight_with_no_residual_change_is_none():
+    r = np.array([[0.5], [-1.0]])
+    w = np.array([[0.25], [0.75]])
+    assert transport._mixing_weight(np.zeros_like(r), r, w) is None
+    # gamma = <dr, r>_w / <dr, dr>_w with per-coordinate weights
+    assert transport._mixing_weight(2.0 * r, r, w) == 0.5
+
+
+@pytest.mark.parametrize("beta", [B, FracOrder(1.0)])
+@pytest.mark.parametrize(
+    "kernel, mu0",
+    [
+        (InteractionField(kernel=lambda z: np.zeros_like(z), bound=0.0, lip=0.0), _two_diracs()),
+        (repulsion_field(), EmpiricalMeasure.dirac([0.3])),  # K(0) = 0: it stays put
+        (repulsion_field(), EmpiricalMeasure(points=np.zeros((0, 1)), weights=np.zeros(0))),
+    ],
+    ids=["zero-kernel", "one-dirac", "empty"],
+)
+def test_fixed_initial_measure_stops_at_sweep_one(beta, kernel, mu0, monkeypatch):
+    monkeypatch.setattr(transport, "_mixing_weight", lambda *args: pytest.fail("mixed"))
+    cfg = _cfg(times=(0.5,), q_h=8, q_g=8, picard_tol=1e-12, t_ext=1.0)
+    path = solve_nonlinear(beta, kernel, mu0, cfg)
+    assert path.diagnostics["sweeps"] == 1
+    assert path.diagnostics["picard_log"][0]["coupling_bound"] == 0.0
 
 
 def test_nonlinear_freezing_probability_is_h_weighted():
