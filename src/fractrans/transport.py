@@ -29,9 +29,10 @@ q_g times, and with no source atoms no g-rule is built.  The interaction
 field is linear in the measure, so its g-average is the field induced by
 the path average.  The path average weights each recorded measure by a
 segment mass, the g-weight whose real time looks it up; the stage times
-and the lookup grid are the same in every Picard sweep, so one table
-holds the masses of every stage for the whole solve, and a sweep only
-stacks its iterate and reads a row per stage.  beta = 1 needs no special
+and the lookup grid are the same in every Picard sweep, so the masses are
+tabulated once per solve, one row per run of stages that look up the same
+masses (the stages far outnumber the runs), and a sweep stacks its iterate
+once and builds each row's path average once.  beta = 1 needs no special
 case: the g- and h-rules become point masses and the same code is
 classical transport.
 """
@@ -79,8 +80,10 @@ class ExplicitField:
     ``lip`` is the caller-supplied Lipschitz constant in x, read by the
     step-size guard.  ``autonomous`` declares that ``func`` ignores t; the
     solvers then use v itself as the effective velocity instead of its
-    g-average (the g-rule weights sum to 1).  A func that does depend on t
-    but is marked autonomous gives wrong answers, without any warning.
+    g-average (the g-rule weights sum to 1).  The linear solvers raise
+    ValueError when a func marked autonomous gives other values at mu0's
+    points at the first and the last stage time; one whose t-dependence
+    does not show there gives wrong answers, without any warning.
     """
 
     func: object
@@ -131,7 +134,9 @@ def repulsion_field() -> InteractionField:
     """K(z) = z / (1 + |z|^2): bounded repulsion from nearby mass."""
 
     def kernel(z):
-        return z / (1.0 + (z * z).sum(axis=-1, keepdims=True))
+        # in 1-D, |z|^2 is z * z itself: the sum over a length-1 axis is skipped
+        r2 = z * z if z.shape[-1] == 1 else (z * z).sum(axis=-1, keepdims=True)
+        return z / (1.0 + r2)
 
     return InteractionField(kernel=kernel, bound=0.5, lip=1.0)
 
@@ -205,23 +210,32 @@ class _GRule:
             return np.array([s]), np.ones(1)
         return self.nodes * s ** self.power, self.weights
 
-    def segment_masses(self, grid: np.ndarray, stage_times: list) -> np.ndarray:
-        """(len(stage_times), grid.size) table: row k holds, for each grid
-        time t_j, the summed weights of the nodes of the rule at
-        s = stage_times[k] (Python floats) that look up t_j, piecewise
-        constant (right-continuous, frozen at the end).
+    def segment_masses(self, grid: np.ndarray, stage_times: list):
+        """(rows, index): row index[k] of ``rows`` holds, for each grid time
+        t_j, the summed weights of the nodes of the rule at
+        s = stage_times[k] (Python floats, nondecreasing) that look up t_j,
+        piecewise constant (right-continuous, frozen at the end).
+
+        ``rows`` keeps each row once per run of equal stages: no two
+        consecutive rows are equal and ``index`` is a nondecreasing intp
+        array.  A node's lookup index never decreases in s, so each new row
+        moves a node up a grid cell, apart from the step from the point rule
+        at s = 0 to the rule at s > 0, which may move none: there are at most
+        q_g * (grid.size - 1) + 2 rows, whatever the number of stages.
 
         One search and one bincount cover each block of ``_STAGE_BLOCK``
-        rows, so the temporaries stay small on long horizons.  The scale
-        s^(1/beta) is the Python-float power of ``__call__``, and a bincount
-        adds each bin's weights in node order, so every row is bitwise the
-        bincount of the rule at s on its own.
+        stages, and each block is compared row by row with the row before
+        it, so no stages x grid table is ever held.  The scale s^(1/beta)
+        is the Python-float power of ``__call__``, and a bincount adds each
+        bin's weights in node order, so every row is bitwise the bincount of
+        the rule at s on its own.
         """
-        table = np.zeros((len(stage_times), grid.size))
+        rows, index = [], np.empty(len(stage_times), dtype=np.intp)
+        last, count = None, 0
         for a in range(0, len(stage_times), _STAGE_BLOCK):
             block = stage_times[a : a + _STAGE_BLOCK]
-            masses = table[a : a + len(block)]
             s = np.array(block, dtype=float)
+            masses = np.zeros((s.size, grid.size))
             point = s <= 0.0 if self.nodes is not None else np.ones(s.size, dtype=bool)
             if not point.all():
                 scale = np.fromiter((x ** self.power if x > 0.0 else 0.0 for x in block), float, s.size)
@@ -235,7 +249,13 @@ class _GRule:
             hit = np.maximum(np.searchsorted(grid, s[point], side="right") - 1, 0)
             masses[point] = 0.0
             masses[np.flatnonzero(point), hit] = 1.0
-        return table
+            new = np.empty(s.size, dtype=bool)
+            new[0] = last is None or bool(np.any(masses[0] != last))
+            new[1:] = np.any(masses[1:] != masses[:-1], axis=1)
+            index[a : a + s.size] = count - 1 + np.cumsum(new)
+            rows.append(masses[new])
+            last, count = masses[-1], count + rows[-1].shape[0]
+        return np.concatenate(rows), index
 
 
 def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
@@ -265,8 +285,22 @@ def _effective_velocity(v: ExplicitField, g_rule, stage_times):
     return lambda x, k: _field_average(v, x, *g_rule(stage_times[k]))
 
 
+def _check_autonomous(v: ExplicitField, mu0: EmpiricalMeasure, stage_times):
+    """Reject a field marked autonomous whose values at mu0's points differ
+    between the first and the last stage time: it depends on t, and its
+    g-average is not the field itself."""
+    if v.autonomous and mu0.size:
+        x = mu0.points.astype(float)
+        t_a, t_b = stage_times[0], stage_times[-1]
+        if not np.array_equal(v(x, t_a), v(x, t_b), equal_nan=True):
+            raise ValueError(
+                f"velocity marked autonomous=True depends on t: it differs between t = {t_a} "
+                f"and t = {t_b} at the initial points"
+            )
+
+
 def _path_lookup(path: MeasurePath, masses: np.ndarray):
-    """Map row k of a segment-mass table on the path's grid (see
+    """Map row k of segment masses on the path's grid (the ``rows`` of
     ``_GRule.segment_masses``) to the raw (points, weights) of the path
     average sum_j masses[k, j] mu_j: atom i of measure j carries
     masses[k, j] w_i.  The path is stacked once.  Atoms with no mass are
@@ -360,16 +394,26 @@ def _flow_nodes(h_rules, s_extra=()) -> np.ndarray:
 
 def _advect_segment(vel, points, steps):
     """RK4 advection of raw positions along ``steps``, one interval of a
-    ``_stage_schedule``; ``vel(x, k)`` is the velocity at stage k."""
+    ``_stage_schedule``; ``vel(x, k)`` is the velocity at stage k.  Neither
+    ``points`` nor any velocity is written to; with no step the result is
+    ``points`` itself."""
     if points.size == 0:
         return points
-    x = points.copy()
+    x = points
     for h, k in steps:
         k1 = vel(x, k)
         k2 = vel(x + 0.5 * h * k1, k + 1)
         k3 = vel(x + 0.5 * h * k2, k + 1)
         k4 = vel(x + h * k3, k + 2)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # x + (h / 6) * (((k1 + 2 k2) + 2 k3) + k4), summed in that order
+        # into one fresh array; k1 to k4 and x may be read-only or shared
+        dx = 2.0 * k2
+        dx += k1
+        dx += 2.0 * k3
+        dx += k4
+        dx *= h / 6.0
+        dx += x
+        x = dx
     return x
 
 
@@ -398,10 +442,11 @@ def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps) 
     starts = nodes[:-1].tolist()
     source = None
     if any(mu.size for mu in gamma_path.measures):
-        source = _path_lookup(gamma_path, g_rule.segment_masses(gamma_path.times, starts))
+        rows, index = g_rule.segment_masses(gamma_path.times, starts)
+        source = _path_lookup(gamma_path, rows)
     for j, (s_a, s_b) in enumerate(zip(starts, nodes[1:].tolist())):
         if source is not None:
-            g_pts, g_wts = source(j)
+            g_pts, g_wts = source(index[j])
             if g_wts.size:
                 src_pts = np.concatenate([src_pts, g_pts])
                 src_wts = np.concatenate([src_wts, (s_b - s_a) * g_wts])
@@ -510,6 +555,7 @@ def solve_linear_mc(
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
     times, steps = _stage_schedule(s_grid, config.ode_step)
+    _check_autonomous(v, mu0, times)
     vel = _effective_velocity(v, None if v.autonomous else _GRule(beta, config), times)
 
     flow = [mu0.points.astype(float)]
@@ -539,23 +585,29 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
 
     Every sweep walks the same RK4 stages (``_stage_schedule``) and looks
     up the same grid, so the segment masses of each stage's g-rule are
-    tabulated here, once (``_GRule.segment_masses``).  A sweep stacks its
-    iterate once (``_path_lookup``); each RK4 stage reweights the recorded
-    measures by its row of masses and evaluates the field on the raw
-    arrays, with one kernel call.
+    tabulated here, once, one row per run of stages with equal masses
+    (``_GRule.segment_masses``).  A sweep stacks its iterate once
+    (``_path_lookup``) and each RK4 stage evaluates the field on the raw
+    arrays of its row's path average, with one kernel call.  The stages
+    come in nondecreasing order, so a one-slot cache builds each distinct
+    path average once per sweep and holds one at a time.
     """
     nodes = _flow_nodes(h_rules)
     times, steps = _stage_schedule(nodes, config.ode_step)
-    masses = g_rule.segment_masses(grid, times)
+    rows, index = g_rule.segment_masses(grid, times)
     no_source = _empty_path(mu0)
 
     def sweep(path: MeasurePath) -> MeasurePath:
-        lookup = _path_lookup(path, masses)
+        lookup = _path_lookup(path, rows)
+        cached = [-1, None]  # row and path average of the last stage
 
         def vel(x, k):
+            row = index[k]
+            if row != cached[0]:
+                cached[:] = row, lookup(row)
             # the field is linear in the measure: one kernel call on the
             # path average instead of one per g-node
-            return v.field(x, *lookup(k))
+            return v.field(x, *cached[1])
 
         measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, nodes, steps)
         return MeasurePath(times=grid, measures=[mu0] + measures)
@@ -718,6 +770,7 @@ def solve_with_source(
     h_rules = _h_rules(beta, config.times, config)
     nodes = _flow_nodes(h_rules, fine)
     times, steps = _stage_schedule(nodes, config.ode_step)
+    _check_autonomous(v, mu0, times)
     vel = _effective_velocity(v, g_rule, times)
     measures = _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps)
     grid = np.concatenate([[0.0], np.asarray(config.times)])

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fractrans import transport, verify
+from fractrans import cli, transport, verify
 from fractrans.cli import (
     _COMMANDS,
     _MEASURES,
@@ -195,6 +195,15 @@ def test_autonomous_linear_solve_builds_no_g_rule(tmp_path, monkeypatch):
     cfg = _linear_config(tmp_path, beta=0.1)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
     assert calls == []
+
+
+def test_mislabelled_autonomous_field_exit_2(tmp_path, monkeypatch, capsys):
+    # a field marked autonomous that depends on t is a configuration error
+    decay = ExplicitField(func=lambda x, t: np.exp(-t) * np.ones_like(x), lip=0.0, autonomous=True)
+    monkeypatch.setattr(cli, "_parse_velocity", lambda spec: decay)
+    cfg = _linear_config(tmp_path)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "autonomous=True" in capsys.readouterr().err
 
 
 def test_float_overflow_exit_4(tmp_path, capsys):

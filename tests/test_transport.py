@@ -166,14 +166,21 @@ def test_segment_mass_rows_equal_per_rule_masses(beta, monkeypatch):
         # next two g-nodes, so that the measures it hits are not one run
         gap = r[2] + np.array([1.0, 2.0]) / 3.0 * (r[3] - r[2])
         grid = np.unique(np.concatenate([grid, [r[1]], gap]))
-    table = g_rule.segment_masses(grid, times)
+    rows, index = g_rule.segment_masses(grid, times)
+    table = rows[index]
     assert table.shape == (len(times), grid.size)
     for row, s in zip(table, times):
         np.testing.assert_array_equal(row, _rule_masses(grid, *g_rule(s)))
+    # each row is kept once per run of equal stages, and a g-node's lookup
+    # index never decreases in s
+    assert np.all(np.any(rows[1:] != rows[:-1], axis=1))
+    assert index[0] == 0 and np.all(np.diff(index) >= 0)
+    assert len(rows) <= cfg.q_g * (grid.size - 1) + 1
     # the table is filled in blocks of stages, whose bounds change no row
     monkeypatch.setattr(transport, "_STAGE_BLOCK", 7)
     assert len(times) > 3 * 7
-    np.testing.assert_array_equal(g_rule.segment_masses(grid, times), table)
+    rows_7, index_7 = g_rule.segment_masses(grid, times)
+    np.testing.assert_array_equal(rows_7[index_7], table)
     # stage 0 is s = 0, a point rule; later g-rules look up past t_ext,
     # where the path is frozen
     assert times[0] == 0.0 and table[0, 0] == 1.0
@@ -282,6 +289,68 @@ def test_flow_constant_velocity_exact():
 def test_flow_linear_decay_rk4_accuracy():
     x = _advect(lambda x, s: -x, _dirac(1.0).points, 0.0, 1.0, 1e-2)
     assert x[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+
+
+def test_rk4_step_is_the_textbook_expression_bit_for_bit():
+    # a time-dependent nonlinear field: the stepper's in-place sum equals
+    # x + (h / 6) * (k1 + 2 k2 + 2 k3 + k4) written out, at every bit
+    def vel(x, s):
+        return np.sin(3.0 * x + s) * np.exp(-s) + 0.25 * x * x
+
+    x0 = np.linspace(-1.0, 1.0, 7)[:, None] * np.array([[1.0, -0.5]])
+    times, steps = transport._stage_schedule(np.array([0.0, 0.37]), 0.05)
+    expected = x0
+    for h, k in steps[0]:
+        k1 = vel(expected, times[k])
+        k2 = vel(expected + 0.5 * h * k1, times[k + 1])
+        k3 = vel(expected + 0.5 * h * k2, times[k + 1])
+        k4 = vel(expected + h * k3, times[k + 2])
+        expected = expected + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = _advect_segment(lambda x, k: vel(x, times[k]), x0, steps[0])
+    assert len(steps[0]) == 8
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_rk4_step_writes_to_no_velocity_and_no_input():
+    # a velocity may return read-only views of shared arrays: the stepper
+    # writes into neither them nor the points it was given
+    shared = np.array([[1.0, -2.0]])
+    shared.flags.writeable = False
+
+    def vel(x, k):
+        return np.broadcast_to(shared * (k + 1), x.shape)
+
+    x0 = np.zeros((3, 2))
+    x0.flags.writeable = False
+    times, steps = transport._stage_schedule(np.array([0.0, 0.5]), 0.125)
+    got = _advect_segment(vel, x0, steps[0])
+    assert np.all(x0 == 0.0) and np.array_equal(shared, [[1.0, -2.0]])
+    # k1 to k4 at stages k, k + 1, k + 1 and k + 2 average to (k + 2) * shared
+    expected = sum(0.125 * (k + 2) for _, k in steps[0]) * shared
+    np.testing.assert_allclose(got, np.broadcast_to(expected, x0.shape), rtol=1e-15)
+
+
+def test_mislabelled_autonomous_field_is_rejected():
+    # a field that depends on t but is marked autonomous would be used as its
+    # own g-average; every linear solver compares it at mu0's points between
+    # the first and the last stage time and refuses it
+    decay = ExplicitField(func=lambda x, t: np.exp(-t) * np.ones_like(x), lip=0.0, autonomous=True)
+    cfg = _cfg(times=(0.5, 1.0), q_h=8, q_g=8, ode_step=0.05)
+    source = _const_source_path(_dirac(0.5))
+    solves = [
+        lambda beta, v, mu0: solve_linear(beta, v, mu0, cfg),
+        lambda beta, v, mu0: solve_with_source(beta, v, mu0, source, cfg),
+        lambda beta, v, mu0: solve_linear_mc(beta, v, mu0, cfg, n_paths=10),
+    ]
+    empty = EmpiricalMeasure(points=np.zeros((0, 1)), weights=np.zeros(0))
+    for solve in solves:
+        for beta in (B, FracOrder(1.0)):
+            with pytest.raises(ValueError, match="autonomous=True"):
+                solve(beta, decay, _dirac())
+        # unmarked, the field is averaged; with no initial particle there is
+        # nothing to check
+        solve(B, dataclasses.replace(decay, autonomous=False), _dirac())
+        solve(B, decay, empty)
 
 
 def test_solvers_reject_steps_beyond_the_lipschitz_scale():
@@ -467,6 +536,33 @@ def test_segment_masses_are_computed_once_per_solve(monkeypatch):
         nodes = transport._flow_nodes(transport._h_rules(B, grid[1:], cfg))
         steps = sum(map(len, transport._stage_schedule(nodes, cfg.ode_step)[1]))
         assert counts == {"search": 1, "kernel": 4 * steps * sweeps}
+
+
+def test_each_sweep_builds_each_distinct_path_average_once(monkeypatch):
+    # the stages come in nondecreasing order and share few distinct rows of
+    # segment masses, so a sweep builds each row's path average once
+    calls = {"average": 0}
+    path_lookup = transport._path_lookup
+
+    def counting_lookup(*args):
+        average = path_lookup(*args)
+
+        def counted(k):
+            calls["average"] += 1
+            return average(k)
+
+        return counted
+
+    monkeypatch.setattr(transport, "_path_lookup", counting_lookup)
+    cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-2, t_ext=1.0)
+    path = solve_nonlinear(B, repulsion_field(), _two_diracs(0.5), cfg)
+    grid = transport._grid_with_extension(cfg)
+    nodes = transport._flow_nodes(transport._h_rules(B, grid[1:], cfg))
+    times, _ = transport._stage_schedule(nodes, cfg.ode_step)
+    rows, _ = _GRule(B, cfg).segment_masses(grid, times)
+    assert 1 < len(rows) < len(times) // 10
+    assert path.diagnostics["sweeps"] > 1
+    assert calls["average"] == len(rows) * path.diagnostics["sweeps"]
 
 
 def _plain_picard(field, mu0, cfg):
@@ -665,7 +761,8 @@ def test_autonomous_field_is_called_once_per_rk4_stage(monkeypatch, autonomous):
     # every RK4 step makes 4 velocity calls (stages); a stage calls the func
     # once for an autonomous field and once per g-node otherwise, where the
     # g-rule at s = 0 is the single node (0, 1); stage 0 of every schedule
-    # is s = 0
+    # is s = 0.  Each of the three solves of an autonomous field also calls
+    # it twice before the flow, to check that it ignores t
     q_g = 8
     calls = {"func": 0, "stages": 0, "stages_at_zero": 0}
 
@@ -691,7 +788,7 @@ def test_autonomous_field_is_called_once_per_rk4_stage(monkeypatch, autonomous):
     solve_linear_mc(B, field, _dirac(1.0), cfg, n_paths=20)
     assert calls["stages"] > 0 and calls["stages"] % 4 == 0
     if autonomous:
-        assert calls["func"] == calls["stages"]
+        assert calls["func"] == calls["stages"] + 2 * 3
     else:
         zero = calls["stages_at_zero"]
         assert calls["func"] == q_g * (calls["stages"] - zero) + zero
