@@ -31,9 +31,10 @@ the path average.  The path average weights each recorded measure by a
 segment mass, the g-weight whose real time looks it up; the stage times
 and the lookup grid are the same in every Picard sweep, so the masses are
 tabulated once per solve, one row per run of stages that look up the same
-masses (the stages far outnumber the runs), and a sweep stacks its iterate
-once and builds each row's path average once.  beta = 1 needs no special
-case: the g- and h-rules become point masses and the same code is
+masses.  A row starts only where some g-node's lookup crosses a grid time
+(the stages far outnumber the crossings), and a sweep builds each row's
+path average once, from the measures the row hits.  beta = 1 needs no
+special case: the g- and h-rules become point masses and the same code is
 classical transport.
 """
 
@@ -153,8 +154,10 @@ class SolverConfig:
     ``times`` is the output grid (excluding 0, which is always included
     in the returned path); ``t_ext`` extends the working grid beyond the
     last output time for the nonlinear velocity lookup, with the induced
-    freezing error logged per run.  The knobs that only the nonlinear
-    solver reads carry ``metadata={"nonlinear": True}``.
+    freezing error logged per run.  ``eps_tail`` is the tail-mass target
+    of the h-rules; the g-rule uses max(eps_tail, 1e-8), so a smaller value
+    tightens the h-rules only.  The knobs that only the nonlinear solver
+    reads carry ``metadata={"nonlinear": True}``.
     """
 
     times: tuple
@@ -188,10 +191,6 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-#: stage rows per search in ``_GRule.segment_masses``
-_STAGE_BLOCK = 256
-
-
 class _GRule:
     """The g_beta(., s) rule as a map s -> (real times r_q, weights summing
     to 1): the unit rule with nodes scaled by s^(1/beta).  At s <= 0, and at
@@ -218,44 +217,44 @@ class _GRule:
 
         ``rows`` keeps each row once per run of equal stages: no two
         consecutive rows are equal and ``index`` is a nondecreasing intp
-        array.  A node's lookup index never decreases in s, so each new row
-        moves a node up a grid cell, apart from the step from the point rule
-        at s = 0 to the rule at s > 0, which may move none: there are at most
+        array.  A lookup r moves only where it reaches a grid time after the
+        first, and r = node * s^(1/beta) never decreases in s, so a row can
+        start only at the first stage, at the first stage past s = 0 (where
+        the point rule ends) and where some node reaches some t_j.  One
+        bincount builds the rows at those stages, and a row equal to the one
+        before it is merged into it (the point rule at s = 0 and the rule
+        just past it may give the same masses): there are at most
         q_g * (grid.size - 1) + 2 rows, whatever the number of stages.
 
-        One search and one bincount cover each block of ``_STAGE_BLOCK``
-        stages, and each block is compared row by row with the row before
-        it, so no stages x grid table is ever held.  The scale s^(1/beta)
-        is the Python-float power of ``__call__``, and a bincount adds each
-        bin's weights in node order, so every row is bitwise the bincount of
-        the rule at s on its own.
+        The scale s^(1/beta) is the Python-float power of ``__call__``, and a
+        bincount adds each bin's weights in node order, so every row is
+        bitwise the bincount of the rule at s on its own.
         """
-        rows, index = [], np.empty(len(stage_times), dtype=np.intp)
-        last, count = None, 0
-        for a in range(0, len(stage_times), _STAGE_BLOCK):
-            block = stage_times[a : a + _STAGE_BLOCK]
-            s = np.array(block, dtype=float)
-            masses = np.zeros((s.size, grid.size))
-            point = s <= 0.0 if self.nodes is not None else np.ones(s.size, dtype=bool)
-            if not point.all():
-                scale = np.fromiter((x ** self.power if x > 0.0 else 0.0 for x in block), float, s.size)
-                cell = np.searchsorted(grid, np.multiply.outer(scale, self.nodes), side="right")
-                cell -= 1
-                np.maximum(cell, 0, out=cell)
-                cell += grid.size * np.arange(s.size)[:, None]
-                weights = np.broadcast_to(self.weights, cell.shape).ravel()
-                masses[:] = np.bincount(cell.ravel(), weights, minlength=masses.size).reshape(masses.shape)
-            # a point rule puts its whole weight 1 on the time it looks up
-            hit = np.maximum(np.searchsorted(grid, s[point], side="right") - 1, 0)
-            masses[point] = 0.0
-            masses[np.flatnonzero(point), hit] = 1.0
-            new = np.empty(s.size, dtype=bool)
-            new[0] = last is None or bool(np.any(masses[0] != last))
-            new[1:] = np.any(masses[1:] != masses[:-1], axis=1)
-            index[a : a + s.size] = count - 1 + np.cumsum(new)
-            rows.append(masses[new])
-            last, count = masses[-1], count + rows[-1].shape[0]
-        return np.concatenate(rows), index
+        s = np.array(stage_times, dtype=float)
+        # the first n_point stages use the point rule (s, 1)
+        n_point = s.size if self.nodes is None else int(np.searchsorted(s, 0.0, side="right"))
+        starts = [[0], np.searchsorted(s[:n_point], grid[1:])]
+        if n_point < s.size:
+            scale = np.array([x ** self.power for x in stage_times[n_point:]])
+            starts += [[n_point]] + [n_point + np.searchsorted(node * scale, grid[1:]) for node in self.nodes]
+        # marked in a mask, not sorted: the first int sort in a process pages
+        # in about 64 KiB of numpy code that nothing else in a solve runs
+        start = np.zeros(s.size + 1, dtype=bool)
+        start[np.concatenate(starts)] = True
+        starts = np.flatnonzero(start[:-1])
+        point, rule = starts[starts < n_point], starts[starts >= n_point] - n_point
+        masses = np.zeros((starts.size, grid.size))
+        masses[np.arange(point.size), np.maximum(np.searchsorted(grid, s[point], side="right") - 1, 0)] = 1.0
+        if rule.size:
+            cell = np.searchsorted(grid, np.multiply.outer(scale[rule], self.nodes), side="right") - 1
+            np.maximum(cell, 0, out=cell)
+            cell += grid.size * np.arange(rule.size)[:, None]
+            weights = np.broadcast_to(self.weights, cell.shape).ravel()
+            counts = np.bincount(cell.ravel(), weights, minlength=rule.size * grid.size)
+            masses[point.size :] = counts.reshape(rule.size, grid.size)
+        new = np.ones(starts.size, dtype=bool)
+        new[1:] = np.any(masses[1:] != masses[:-1], axis=1)
+        return masses[new], np.repeat(np.cumsum(new) - 1, np.diff(starts, append=s.size))
 
 
 def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
@@ -299,46 +298,17 @@ def _check_autonomous(v: ExplicitField, mu0: EmpiricalMeasure, stage_times):
             )
 
 
-def _path_lookup(path: MeasurePath, masses: np.ndarray):
-    """Map row k of segment masses on the path's grid (the ``rows`` of
-    ``_GRule.segment_masses``) to the raw (points, weights) of the path
-    average sum_j masses[k, j] mu_j: atom i of measure j carries
-    masses[k, j] w_i.  The path is stacked once.  Atoms with no mass are
-    dropped and the rest keep path order, the concatenation of the hit
-    measures.
-
-    The atoms of one measure are contiguous in the stack, so a row whose
-    hit measures form one run reads them as slices instead of through a
-    mask and two gathers.  This is taken only when no atom of the run can
-    get zero mass: weights are positive, and if the product of the least
-    weight and the least positive mass does not underflow, no product does.
-    """
-    sizes = [mu.size for mu in path.measures]
-    points = np.concatenate([mu.points for mu in path.measures])
-    weights = np.concatenate([mu.weights for mu in path.measures])
-    seg = np.repeat(np.arange(len(sizes)), sizes)
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    # row k reads measures first[k] to stop[k] - 1 as one slice, or goes
-    # through the mask when first[k] = -1
-    hit = masses > 0.0
-    first = hit.argmax(axis=1)
-    stop = hit.shape[1] - hit[:, ::-1].argmax(axis=1)
-    run = hit.sum(axis=1) == stop - first
-    if not (weights.size and weights.min() * masses.min(initial=np.inf, where=hit) > 0.0):
-        run[:] = False
-    first = np.where(run, first, -1).tolist()
-    stop = stop.tolist()
-
-    def average(k):
-        m = masses[k]
-        if first[k] >= 0:
-            atoms = slice(bounds[first[k]], bounds[stop[k]])
-            return points[atoms], m[seg[atoms]] * weights[atoms]
-        a = m[seg] * weights
-        keep = a > 0.0
-        return points[keep], a[keep]
-
-    return average
+def _path_average(path: MeasurePath, m: np.ndarray):
+    """Raw (points, weights) of the path average sum_j m[j] mu_j for
+    segment masses ``m`` on the path's grid (a row of
+    ``_GRule.segment_masses``): the atoms of the hit measures in path
+    order, atom i of measure j with weight m[j] w_i.  Atoms whose weight is
+    0 (an underflowing product) are dropped."""
+    hit = np.flatnonzero(m)
+    points = np.concatenate([path.measures[j].points for j in hit])
+    weights = np.concatenate([m[j] * path.measures[j].weights for j in hit])
+    keep = weights > 0.0
+    return points[keep], weights[keep]
 
 
 def freezing_tail_probability(beta: FracOrder, s: np.ndarray, horizon: float) -> np.ndarray:
@@ -440,13 +410,12 @@ def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps) 
     src_wts = np.zeros(0)
     at_node = [(x, src_pts, src_wts)]
     starts = nodes[:-1].tolist()
-    source = None
+    rows = None
     if any(mu.size for mu in gamma_path.measures):
         rows, index = g_rule.segment_masses(gamma_path.times, starts)
-        source = _path_lookup(gamma_path, rows)
     for j, (s_a, s_b) in enumerate(zip(starts, nodes[1:].tolist())):
-        if source is not None:
-            g_pts, g_wts = source(index[j])
+        if rows is not None:
+            g_pts, g_wts = _path_average(gamma_path, rows[index[j]])
             if g_wts.size:
                 src_pts = np.concatenate([src_pts, g_pts])
                 src_wts = np.concatenate([src_wts, (s_b - s_a) * g_wts])
@@ -586,11 +555,12 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
     Every sweep walks the same RK4 stages (``_stage_schedule``) and looks
     up the same grid, so the segment masses of each stage's g-rule are
     tabulated here, once, one row per run of stages with equal masses
-    (``_GRule.segment_masses``).  A sweep stacks its iterate once
-    (``_path_lookup``) and each RK4 stage evaluates the field on the raw
-    arrays of its row's path average, with one kernel call.  The stages
-    come in nondecreasing order, so a one-slot cache builds each distinct
-    path average once per sweep and holds one at a time.
+    (``_GRule.segment_masses``, which starts a row only where a lookup
+    crosses a grid time).  Each RK4 stage evaluates the field on the raw
+    arrays of its row's path average (``_path_average``, the hit measures
+    of the iterate concatenated), with one kernel call.  The stages come in
+    nondecreasing order, so a one-slot cache builds each distinct path
+    average once per sweep and holds one at a time.
     """
     nodes = _flow_nodes(h_rules)
     times, steps = _stage_schedule(nodes, config.ode_step)
@@ -598,13 +568,12 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
     no_source = _empty_path(mu0)
 
     def sweep(path: MeasurePath) -> MeasurePath:
-        lookup = _path_lookup(path, rows)
         cached = [-1, None]  # row and path average of the last stage
 
         def vel(x, k):
             row = index[k]
             if row != cached[0]:
-                cached[:] = row, lookup(row)
+                cached[:] = row, _path_average(path, rows[row])
             # the field is linear in the measure: one kernel call on the
             # path average instead of one per g-node
             return v.field(x, *cached[1])

@@ -178,12 +178,15 @@ def test_solve_nonconvergence_exit_code(tmp_path):
 
 
 def test_unreachable_tail_mass_exit_4(tmp_path, capsys):
-    # at beta = 0.1 the g-kernel tail is too heavy for the default eps_tail;
-    # a source with atoms reads the g-rule
-    cfg = _linear_config(tmp_path, beta=0.1, problem="source",
-                         source={"kind": "dirac", "point": [0.5]})
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith("numerical error:")
+    # a source with atoms reads the g-rule.  At beta = 0.1 the g-kernel tail
+    # is too heavy for any q_g; at beta = 1/2, q_g = 4 is too few nodes for
+    # the composite rule's panels
+    source = {"kind": "dirac", "point": [0.5]}
+    for beta, q_g in ((0.1, 12), (0.5, 4)):
+        cfg = _linear_config(tmp_path, beta=beta, problem="source", source=source,
+                             solver={"q_h": 24, "q_g": q_g, "ode_step": 0.02})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical error:")
 
 
 def test_autonomous_linear_solve_builds_no_g_rule(tmp_path, monkeypatch):

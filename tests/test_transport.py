@@ -35,7 +35,7 @@ from fractrans.transport import (
     _advect_segment,
     _field_average,
     _GRule,
-    _path_lookup,
+    _path_average,
     attraction_field,
     freezing_tail_probability,
     repulsion_field,
@@ -92,17 +92,17 @@ def _rule_masses(grid, nodes, weights):
 def test_path_average_induced_field_cases():
     nodes, weights = _GRule(B, _cfg(q_g=32))(1.0)
 
-    def _path_average(path, nodes, weights):
-        return EmpiricalMeasure(*_path_lookup(path, _rule_masses(path.times, nodes, weights)[None])(0))
+    def _average(path, nodes, weights):
+        return EmpiricalMeasure(*_path_average(path, _rule_masses(path.times, nodes, weights)))
 
     mu = _two_diracs()
     path = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, mu])
     zero_kernel = InteractionField(kernel=lambda z: np.zeros_like(z), bound=0.0, lip=0.0)
-    v = zero_kernel.induced(_path_average(path, nodes, weights))(np.array([[0.7]]))
+    v = zero_kernel.induced(_average(path, nodes, weights))(np.array([[0.7]]))
     assert np.all(v == 0.0)
     # symmetric pair with K(z) = -z induces v[mu](x) = -x (unit mass)
     attract = attraction_field()
-    v = attract.induced(_path_average(path, nodes, weights))(np.array([[0.7]]))
+    v = attract.induced(_average(path, nodes, weights))(np.array([[0.7]]))
     assert v[0, 0] == pytest.approx(-0.7, abs=1e-10)
     # two different recorded measures, switching at r = 1 between g-nodes:
     # the field induced by the averaged path equals the average of the fields
@@ -111,13 +111,13 @@ def test_path_average_induced_field_cases():
     repel = repulsion_field()
     x = np.array([[0.7], [-0.2]])
     expected = sum(w_q * repel.induced(switch.at(r_q))(x) for r_q, w_q in zip(nodes, weights))
-    got = repel.induced(_path_average(switch, nodes, weights))(x)
+    got = repel.induced(_average(switch, nodes, weights))(x)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("field", [repulsion_field(), attraction_field()], ids=["repulsion", "attraction"])
 def test_path_lookup_field_matches_measure_by_measure_average(field):
-    # the Picard stage's field on the stacked path table equals the field
+    # the Picard stage's field on the raw path average equals the field
     # induced by the path average built measure by measure, bit for bit
     cfg = _cfg(times=(0.1, 0.2), q_g=32, t_ext=1.0)
     grid = transport._grid_with_extension(cfg)
@@ -145,14 +145,15 @@ def test_path_lookup_field_matches_measure_by_measure_average(field):
         weights=np.concatenate([m * mu.weights for mu, m in parts]),
     )
     x = rng.normal(size=(7, 2))
-    got = field.field(x, *_path_lookup(path, _rule_masses(grid, nodes, weights)[None])(0))
+    got = field.field(x, *_path_average(path, _rule_masses(grid, nodes, weights)))
     np.testing.assert_array_equal(got, field.induced(average)(x))
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.7, 1.0])
-def test_segment_mass_rows_equal_per_rule_masses(beta, monkeypatch):
-    # one search and one bincount per block of a solve's stages give, row by row,
-    # the masses that looking up each g-rule on its own gives, bit for bit
+def test_segment_mass_rows_equal_per_rule_masses(beta):
+    # rows started where a lookup crosses a grid time, one bincount for all,
+    # give at every stage the masses that looking up its g-rule on its own
+    # gives, bit for bit
     beta = FracOrder(beta)
     cfg = _cfg(times=(0.25, 0.5), q_h=8, q_g=16, ode_step=0.05, t_ext=1.3)
     g_rule = _GRule(beta, cfg)
@@ -176,11 +177,6 @@ def test_segment_mass_rows_equal_per_rule_masses(beta, monkeypatch):
     assert np.all(np.any(rows[1:] != rows[:-1], axis=1))
     assert index[0] == 0 and np.all(np.diff(index) >= 0)
     assert len(rows) <= cfg.q_g * (grid.size - 1) + 1
-    # the table is filled in blocks of stages, whose bounds change no row
-    monkeypatch.setattr(transport, "_STAGE_BLOCK", 7)
-    assert len(times) > 3 * 7
-    rows_7, index_7 = g_rule.segment_masses(grid, times)
-    np.testing.assert_array_equal(rows_7[index_7], table)
     # stage 0 is s = 0, a point rule; later g-rules look up past t_ext,
     # where the path is frozen
     assert times[0] == 0.0 and table[0, 0] == 1.0
@@ -189,14 +185,26 @@ def test_segment_mass_rows_equal_per_rule_masses(beta, monkeypatch):
         on, a, b = np.searchsorted(grid, [r[1], *gap])
         assert table[k, on] > 0.0 and b == a + 1
         assert table[k, a - 1] > 0.0 and table[k, a] == 0.0 and table[k, b] > 0.0
+    # the point rule at s = 0 and the rules just past it, all of whose nodes
+    # look up t_0: at beta 1/2 the normalized weights add up, in bincount
+    # order, to exactly 1.0 at q_g 8, so the two give one row, kept once, and
+    # to just below 1.0 at q_g 32, so they give two.  A grid of one time (a
+    # source path of one measure) has no grid time to cross.
+    times = [0.0, 0.025, 0.05]
+    for q_g, n_rows in ((8, 1), (32, 2)):
+        half = _GRule(FracOrder(0.5), _cfg(q_g=q_g))
+        for grid in (np.array([0.0, 1e300]), np.array([0.0])):
+            rows, index = half.segment_masses(grid, times)
+            for row, s in zip(rows[index], times):
+                np.testing.assert_array_equal(row, _rule_masses(grid, *half(s)))
+            assert len(rows) == n_rows and np.all(np.any(rows[1:] != rows[:-1], axis=1))
 
 
 @pytest.mark.parametrize("field", [repulsion_field(), attraction_field()], ids=["repulsion", "attraction"])
 def test_path_lookup_slices_and_masks_match_measure_by_measure_average(field):
-    # a row whose hit measures form one run reads slices of the stack, any
-    # other row a mask; an atom whose mass underflows to 0 sends the whole
-    # table through the mask, which drops it.  Each way gives the average
-    # built measure by measure, bit for bit.
+    # rows whose hit measures form one run or leave gaps, and an atom whose
+    # mass underflows to 0, which is dropped: each gives the average built
+    # measure by measure, bit for bit
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     rng = np.random.default_rng(8)
     measures = [
@@ -209,21 +217,19 @@ def test_path_lookup_slices_and_masks_match_measure_by_measure_average(field):
     underflow = (np.array([0.3, 0.8]), np.array([1.0, 1e-30]))  # 1e-30 * 1e-300 is 0
     x = rng.normal(size=(6, 2))
     cases = [
-        (measures, [run, gaps], [False, True]),
-        (measures[:3] + [tiny, measures[4]], [run, underflow], [True, True]),
+        (measures, [run, gaps]),
+        (measures[:3] + [tiny, measures[4]], [run, underflow]),
     ]
-    for path_measures, rules, copied in cases:
+    for path_measures, rules in cases:
         path = MeasurePath(times=grid, measures=path_measures)
-        lookup = _path_lookup(path, np.array([_rule_masses(grid, *rule) for rule in rules]))
-        for k, (nodes, weights) in enumerate(rules):
+        for nodes, weights in rules:
             mass = [sum(w for r, w in zip(nodes, weights) if path.at(r) is mu) for mu in path_measures]
             parts = [(mu.points, m * mu.weights) for mu, m in zip(path_measures, mass)]
             pts = np.concatenate([p[a > 0.0] for p, a in parts])
             wts = np.concatenate([a[a > 0.0] for _, a in parts])
-            got_pts, got_wts = lookup(k)
+            got_pts, got_wts = _path_average(path, _rule_masses(grid, nodes, weights))
             np.testing.assert_array_equal(got_pts, pts)
             np.testing.assert_array_equal(got_wts, wts)
-            assert got_pts.flags.owndata == copied[k]
             expected = field.induced(EmpiricalMeasure(points=pts, weights=wts))(x)
             np.testing.assert_array_equal(field.field(x, got_pts, got_wts), expected)
     # measure 1 and the tiny measure but its underflowing atom
@@ -542,18 +548,13 @@ def test_each_sweep_builds_each_distinct_path_average_once(monkeypatch):
     # the stages come in nondecreasing order and share few distinct rows of
     # segment masses, so a sweep builds each row's path average once
     calls = {"average": 0}
-    path_lookup = transport._path_lookup
+    path_average = transport._path_average
 
-    def counting_lookup(*args):
-        average = path_lookup(*args)
+    def counting_average(*args):
+        calls["average"] += 1
+        return path_average(*args)
 
-        def counted(k):
-            calls["average"] += 1
-            return average(k)
-
-        return counted
-
-    monkeypatch.setattr(transport, "_path_lookup", counting_lookup)
+    monkeypatch.setattr(transport, "_path_average", counting_average)
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-2, t_ext=1.0)
     path = solve_nonlinear(B, repulsion_field(), _two_diracs(0.5), cfg)
     grid = transport._grid_with_extension(cfg)
