@@ -479,7 +479,8 @@ def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: np.ndarray) -> n
     """s with survival(s) = w, for every level w at once.
 
     Safeguarded Newton in log s (Numerical Recipes' rtsafe): a bisection
-    step whenever the Newton step leaves the bracket or fails to halve the
+    step whenever the Newton step leaves the closed bracket (a converged
+    step can land exactly on the end it just set) or fails to halve the
     step before last.  The bracket starts at [-40, 1] and its top grows by
     2 up to log(S_MAX_CAP) for the levels that need it.
     """
@@ -517,7 +518,7 @@ def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: np.ndarray) -> n
             lo[live] = np.where(f > 0.0, x[live], lo[live])
             hi[live] = np.where(f < 0.0, x[live], hi[live])
             newton = x[live] - f / slope
-            bisect = ~((newton > lo[live]) & (newton < hi[live])) | (
+            bisect = ~((newton >= lo[live]) & (newton <= hi[live])) | (
                 np.abs(2.0 * f) > np.abs(before[live] * slope)
             )
             new = np.where(bisect, 0.5 * (lo[live] + hi[live]), newton)

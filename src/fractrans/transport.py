@@ -22,7 +22,10 @@ sum_q w_q v(x, r_q) and the path average sum_q w_q mu_{r_q}; one RK4
 stepper, which walks a stage schedule laid out once per solve and passes
 each velocity call its stage index; and one routine that advects mu0
 (plus any injected source) over the union of the h-rule nodes and mixes
-the node push-forwards.  An explicit field marked autonomous (independent
+the node push-forwards.  The h-rule is the Gauss rule of the unit clock
+E_1, planned by Lanczos on a fine composite rule, so each of its few
+nodes (one push-forward of mu0 each) carries spectral accuracy; the
+g-rule stays composite.  An explicit field marked autonomous (independent
 of t) skips the field average: the g-rule weights sum to 1, so its
 g-average is the field itself, evaluated once per RK4 stage instead of
 q_g times, and with no source atoms no g-rule is built.  The interaction
@@ -53,7 +56,7 @@ from .measures import (
     MeasurePath,
     total_mass,
 )
-from .specfun import FracOrder, _sorted_unique, _stable_sf, g_quadrature, h_quadrature
+from .specfun import FracOrder, _check_rule_args, _sorted_unique, _stable_sf, g_quadrature, h_quadrature
 from .subordinator import RngSpec, sample_inverse
 
 __all__ = [
@@ -100,7 +103,7 @@ class ExplicitField:
 class InteractionField:
     """Interaction field v[mu](x) = sum_j w_j K(x - y_j).
 
-    ``kernel`` maps an array of displacements to velocity vectors.  The
+    ``kernel`` maps (..., d) displacements to (..., d) velocities.  The
     induced field inherits bound V0 * mass(mu) and is Lipschitz in both
     arguments.
     """
@@ -113,12 +116,11 @@ class InteractionField:
         """v[mu](x) for mu = sum_j weights_j delta_{points_j}, given as raw
         arrays: float (n, d) positions x, (M, d) points and (M,) weights.
         Nothing is built or converted per evaluation, so ``kernel`` must map
-        float (m, d) displacements to a float (m, d) array."""
+        float (..., d) displacements to a float (..., d) array; it gets the
+        fresh (n, M, d) displacements and may overwrite them."""
         if weights.size == 0:
             return np.zeros_like(x)
-        disp = x[:, None, :] - points[None, :, :]
-        k = self.kernel(disp.reshape(-1, x.shape[1])).reshape(x.shape[0], weights.size, x.shape[1])
-        return np.einsum("j,njd->nd", weights, k)
+        return np.einsum("j,njd->nd", weights, self.kernel(x[:, None, :] - points[None, :, :]))
 
     def induced(self, mu: EmpiricalMeasure):
         """Velocity function x -> v[mu](x) for a frozen measure; x is any
@@ -135,9 +137,12 @@ def repulsion_field() -> InteractionField:
     """K(z) = z / (1 + |z|^2): bounded repulsion from nearby mass."""
 
     def kernel(z):
-        # in 1-D, |z|^2 is z * z itself: the sum over a length-1 axis is skipped
+        # in 1-D, |z|^2 is z * z itself: the sum over a length-1 axis is
+        # skipped; z is the field's fresh displacement array, divided in place
         r2 = z * z if z.shape[-1] == 1 else (z * z).sum(axis=-1, keepdims=True)
-        return z / (1.0 + r2)
+        r2 += 1.0
+        z /= r2
+        return z
 
     return InteractionField(kernel=kernel, bound=0.5, lip=1.0)
 
@@ -154,14 +159,15 @@ class SolverConfig:
     ``times`` is the output grid (excluding 0, which is always included
     in the returned path); ``t_ext`` extends the working grid beyond the
     last output time for the nonlinear velocity lookup, with the induced
-    freezing error logged per run.  ``eps_tail`` is the tail-mass target
-    of the h-rules; the g-rule uses max(eps_tail, 1e-8), so a smaller value
-    tightens the h-rules only.  The knobs that only the nonlinear solver
-    reads carry ``metadata={"nonlinear": True}``.
+    freezing error logged per run.  ``q_h`` is the size of the Gauss
+    h-rule (see ``_h_rules``); ``eps_tail`` sets only tails of composite
+    rules: min(eps_tail, 1e-12) for the fine rule that the h-rule is
+    planned on, and max(eps_tail, 1e-8) for the g-rule.  The knobs that
+    only the nonlinear solver reads carry ``metadata={"nonlinear": True}``.
     """
 
     times: tuple
-    q_h: int = 64
+    q_h: int = 24
     q_g: int = 32
     eps_tail: float = 1e-10
     ode_step: float = 1e-2
@@ -259,11 +265,40 @@ class _GRule:
 
 def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
     """(nodes, weights summing to 1) of the h_beta(., t) rule for each t; at
-    beta = 1 the point mass at t, so classical transport needs no branch."""
+    beta = 1 the point mass at t, so classical transport needs no branch.
+
+    The rule is the q_h-point Gauss rule of the unit clock E_1, nodes scaled
+    by t^beta.  E_1 has the Mittag-Leffler law, whose moments
+    n! / Gamma(1 + n beta) are all finite, so the rule converges spectrally.
+    It is planned on a fine composite rule (``h_quadrature``, at least 512
+    and 4 q_h nodes, tail target min(eps_tail, 1e-12)): q_h Lanczos steps
+    on its nodes with full reorthogonalization, twice, give the Jacobi
+    matrix, whose eigenvalues are the nodes and whose squared first
+    eigenvector components are the weights (Golub & Welsch, Math. Comp. 23
+    (1969) 221-230; Gautschi, Orthogonal Polynomials, 2004, Sec. 2.2).  Sums
+    are numpy reductions, not BLAS products, so no thread count changes the
+    Lanczos vectors.
+    """
     if beta.is_classical:
         return [(np.array([t]), np.ones(1)) for t in times]
-    rules = [h_quadrature(beta, t, config.q_h, config.eps_tail) for t in times]
-    return [(r.nodes, r.weights / r.weights.sum()) for r in rules]
+    _check_rule_args(beta, 1.0, config.q_h, config.eps_tail)
+    fine = h_quadrature(beta, 1.0, max(512, 4 * config.q_h), min(config.eps_tail, 1e-12))
+    x, q = fine.nodes, config.q_h
+    basis = np.zeros((q + 1, x.size))
+    basis[0] = np.sqrt(fine.weights / fine.weights.sum())
+    alpha, off = np.zeros(q), np.zeros(q)
+    for j in range(q):
+        u = x * basis[j]
+        alpha[j] = np.sum(u * basis[j])
+        for _ in range(2):
+            u -= (np.sum(basis[: j + 1] * u, axis=1)[:, None] * basis[: j + 1]).sum(axis=0)
+        off[j] = math.sqrt(np.sum(u * u))
+        basis[j + 1] = u / off[j]
+    jacobi = np.diag(alpha) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    weights /= weights.sum()
+    return [(nodes * t**beta.beta, weights) for t in times]
 
 
 def _field_average(v: ExplicitField, x, times, weights) -> np.ndarray:

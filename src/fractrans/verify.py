@@ -25,7 +25,7 @@ from .specfun import (
     mittag_leffler,
 )
 from .subordinator import RngSpec, mc_exponential_functional, mc_moment
-from .transport import ExplicitField, SolverConfig, solve_linear, solve_linear_mc
+from .transport import ExplicitField, SolverConfig, _h_rules, solve_linear, solve_linear_mc
 
 __all__ = ["run_checks", "CHECKS"]
 
@@ -79,6 +79,19 @@ def check_exponential_identity(eps_tail=1e-13, q=128):
                 got = rule.integrate(lambda s: np.exp(lam * s))
                 worst = max(worst, abs(got - exact) / abs(exact))
     return 0.0, worst, 1e-5
+
+
+def check_gauss_h_rule():
+    """The solvers' Gauss h-rule at the default q_h against the Laplace
+    identity E[exp(-lam E_1)] = E_beta(-lam)."""
+    worst = 0.0
+    for b in (0.3, 0.5, 0.7):
+        beta = FracOrder(b)
+        (nodes, weights), = _h_rules(beta, (1.0,), SolverConfig(times=(1.0,)))
+        for lam in (0.5, 1.0, 4.0):
+            got = float(np.sum(weights * np.exp(-lam * nodes)))
+            worst = max(worst, abs(got - mittag_leffler(beta, -lam)))
+    return 0.0, worst, 1e-10
 
 
 def check_exponential_identity_mc(seed=20260823, n=100_000):
@@ -163,6 +176,7 @@ CHECKS = {
     "moment_identity_quadrature": check_moment_quadrature,
     "exponential_identity_quadrature": check_exponential_identity,
     "exponential_identity_mc": check_exponential_identity_mc,
+    "gauss_h_rule": check_gauss_h_rule,
     "bl_two_diracs": check_metric_anchor,
     "bl_dominated_by_w1": check_metric_domination,
     "dirac_transport_first_moment": check_dirac_transport,

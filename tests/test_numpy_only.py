@@ -116,7 +116,7 @@ def test_verify_without_scipy_runs_all_but_the_lp_checks(tmp_path):
     checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
     not_run = [c["name"] for c in checks if not c["run"]]
     assert not_run == ["bl_two_diracs", "bl_dominated_by_w1"]
-    assert sum(c["pass"] for c in checks) == 9 and len(checks) == 11
+    assert sum(c["pass"] for c in checks) == 10 and len(checks) == 12
     assert "NOT RUN bl_two_diracs" in proc.stdout
 
 

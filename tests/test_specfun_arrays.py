@@ -9,6 +9,7 @@ branch (x < 1); a scalar argument still gives a float.
 import numpy as np
 import pytest
 
+from fractrans import specfun
 from fractrans.specfun import (
     _PANEL_SURVIVALS,
     FracOrder,
@@ -77,3 +78,23 @@ def test_quantile_round_trip(target, b):
     edges = _unit_quantile_sf(beta, target, levels)
     assert np.all(np.diff(edges) > 0.0)
     np.testing.assert_allclose(_unit_sf(beta, target, edges), levels, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+def test_quantile_newton_step_on_the_bracket_end_is_kept(b, monkeypatch):
+    # a converged Newton step can land exactly on the bracket end it just
+    # set; an open-bracket test sent it to the midpoint, and the h-levels
+    # of a fine rule then took 57-58 survival evaluations instead of 16-17
+    calls = {"sf": 0}
+
+    def counting_sf(*args):
+        calls["sf"] += 1
+        return _unit_sf(*args)
+
+    monkeypatch.setattr(specfun, "_unit_sf", counting_sf)
+    cut = 0.05 * 1e-12
+    levels = np.array([w for w in _PANEL_SURVIVALS[1:] if w > cut] + [cut])
+    beta = FracOrder(b)
+    edges = _unit_quantile_sf(beta, KernelTarget.H_KERNEL, levels)
+    assert calls["sf"] <= 20
+    np.testing.assert_allclose(_unit_sf(beta, KernelTarget.H_KERNEL, edges), levels, rtol=1e-12, atol=0.0)

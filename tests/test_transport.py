@@ -7,11 +7,16 @@ two-Dirac aggregation contracts the spread by the same factor.
 """
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fractrans
 from fractrans.errors import PicardConvergenceError
 from fractrans.measures import (
     EmpiricalMeasure,
@@ -23,6 +28,7 @@ from fractrans.measures import (
 )
 from fractrans.specfun import (
     FracOrder,
+    h_quadrature,
     inverse_moment_coeff,
     mittag_leffler,
 )
@@ -259,6 +265,27 @@ def test_repulsion_field_matches_double_loop(dim):
     np.testing.assert_allclose(repulsion_field().induced(mu)(x), expected, rtol=0.0, atol=1e-14)
 
 
+def test_kernel_gets_the_displacements_unreshaped():
+    # one kernel call on the fresh (n, M, d) displacements, which the
+    # repulsion kernel divides in place; x and the points are not written
+    rng = np.random.default_rng(3)
+    x, points, weights = rng.normal(size=(3, 2)), rng.normal(size=(5, 2)), rng.uniform(size=5)
+    x.setflags(write=False)
+    points.setflags(write=False)
+    shapes = []
+    repel = repulsion_field()
+
+    def kernel(z):
+        shapes.append(z.shape)
+        return repel.kernel(z)
+
+    got = InteractionField(kernel=kernel, bound=repel.bound, lip=repel.lip).field(x, points, weights)
+    assert shapes == [(3, 5, 2)]
+    z = x[:, None, :] - points[None, :, :]
+    expected = np.einsum("j,njd->nd", weights, z / (1.0 + (z * z).sum(axis=-1, keepdims=True)))
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_repulsion_self_interaction_is_finite():
     # coincident points contribute K(0) = 0, no singularity
     for dim in (1, 2, 3):
@@ -437,6 +464,87 @@ def test_linear_mc_paths_nonnegative_and_monotone_in_time():
     # clocks fall between flow grid nodes, so this pins the interpolation
     clocks = np.outer(np.asarray(times) ** 0.5, sample_inverse(B, 1.0, RngSpec(0, 1), size=2_000))
     np.testing.assert_allclose(pts, clocks, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Gauss h-rule
+# ---------------------------------------------------------------------------
+
+
+def _unit_h_rule(beta, **kw):
+    (nodes, weights), = transport._h_rules(beta, (1.0,), SolverConfig(times=(1.0,), **kw))
+    return nodes, weights
+
+
+def _laplace_error(nodes, weights, beta):
+    """Worst error of E[exp(-lam E_1)] = E_beta(-lam) over lam in {0.5, 1, 4}."""
+    return max(abs(float(np.sum(weights * np.exp(-lam * nodes))) - mittag_leffler(beta, -lam))
+               for lam in (0.5, 1.0, 4.0))
+
+
+@pytest.mark.parametrize("b", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_default_gauss_h_rule_beats_composite_64(b):
+    # E_1 has all moments, so the Gauss rule converges spectrally; at small
+    # beta the law is close to exponential and needs the 24 default nodes
+    beta = FracOrder(b)
+    composite = h_quadrature(beta, 1.0, 64, 1e-10)
+    reference = _laplace_error(composite.nodes, composite.weights / composite.weights.sum(), beta)
+    assert _laplace_error(*_unit_h_rule(beta), beta) <= reference
+
+
+@pytest.mark.parametrize("b", [0.05, 0.5, 0.99])
+@pytest.mark.parametrize("q_h", [2, 24, 96])
+def test_gauss_h_rule_is_a_probability_rule_inside_the_fine_support(b, q_h):
+    beta = FracOrder(b)
+    nodes, weights = _unit_h_rule(beta, q_h=q_h)
+    fine = h_quadrature(beta, 1.0, max(512, 4 * q_h), 1e-12)
+    assert nodes.shape == weights.shape == (q_h,)
+    assert np.all(weights > 0.0)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.diff(nodes) > 0.0)
+    # inside [first, last] fine node up to eigh's rounding: at beta 0.99 and
+    # 96 nodes the first Gauss node is the first fine node to 1.6e-14
+    assert fine.nodes[0] * (1.0 - 1e-12) <= nodes[0] and nodes[-1] <= fine.nodes[-1] * (1.0 + 1e-12)
+
+
+def test_gauss_h_rule_nodes_scale_by_t_to_the_beta():
+    times = (0.5, 2.0)
+    rules = transport._h_rules(B, times, SolverConfig(times=times))
+    unit_nodes, unit_weights = _unit_h_rule(B)
+    for t, (nodes, weights) in zip(times, rules):
+        np.testing.assert_array_equal(nodes, unit_nodes * t**0.5)
+        np.testing.assert_array_equal(weights, unit_weights)
+
+
+def test_linear_damping_at_the_defaults_matches_erfcx():
+    # damping moves x to x e^{-s}, so the k-th moment of a Dirac at 1 is
+    # E[exp(-k E_t)] = E_{1/2}(-k sqrt(t)) = erfcx(k sqrt(t))
+    damp = ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
+    path = solve_linear(B, damp, _dirac(1.0), SolverConfig(times=(0.5, 1.0)))
+    for t, mu in zip(path.times[1:], path.measures[1:]):
+        for k in (1, 2):
+            exact = math.exp(k * k * t) * math.erfc(k * math.sqrt(t))
+            assert abs(moment(mu, k) - exact) < 1e-10, (t, k)
+
+
+def test_path_csv_does_not_depend_on_blas_threads(tmp_path):
+    # the Lanczos sums and eigh run in BLAS/LAPACK's process, whose thread
+    # count must not reach the rule's nodes or weights
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fractrans.__file__)))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "problem": "linear", "beta": 0.5, "times": [0.5, 1.0], "velocity": {"kind": "damping"},
+        "initial": {"kind": "uniform-grid", "low": [-1.0, -1.0], "high": [1.0, 1.0], "n": 4},
+    }))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "fractrans.cli", "solve", "--config", str(config),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outputs.append((out / "path.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 1 + 16 * (1 + 2 * SolverConfig.q_h)
 
 
 # ---------------------------------------------------------------------------
