@@ -481,8 +481,14 @@ def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: np.ndarray) -> n
     Safeguarded Newton in log s (Numerical Recipes' rtsafe): a bisection
     step whenever the Newton step leaves the closed bracket (a converged
     step can land exactly on the end it just set) or fails to halve the
-    step before last.  The bracket starts at [-40, 1] and its top grows by
-    2 up to log(S_MAX_CAP) for the levels that need it.
+    step before last.  The bracket is [top(k - 1), top(k)], where
+    top(k) = min(1 + 2k, log(S_MAX_CAP)) and k is the least index with the
+    survival at top(k) at or below the level ([-40, 1] at k = 0).  The
+    search for k starts at k = 0 for the H-kernel, and for the G-kernel at
+    the tail asymptote s = (w Gamma(1 - beta))^(-1/beta) of
+    P(D_1 > s) ~ s^-beta / Gamma(1 - beta), near which the deep levels lie:
+    the brackets, and so the quantiles, are bit for bit those of a walk up
+    from k = 0, in a few survival evaluations instead of one per step.
     """
     log_w = np.log(w)
 
@@ -492,22 +498,35 @@ def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: np.ndarray) -> n
         sf = np.maximum(_unit_sf(beta, target, s), _TINY)
         return np.log(sf) - lw, -s * _unit_pdf(beta, target, s) / sf
 
-    lo = np.full(w.shape, -40.0)
-    hi = np.full(w.shape, 1.0)
     lhi_cap = math.log(S_MAX_CAP)
+    k_cap = math.ceil((lhi_cap - 1.0) / 2.0)
+
+    def top(k):
+        return np.minimum(1.0 + 2.0 * k, lhi_cap)
+
+    k = np.zeros(w.shape)
+    if target is KernelTarget.G_KERNEL:
+        log_s = -(log_w + math.lgamma(1.0 - beta.beta)) / beta.beta
+        k = np.clip(np.ceil((log_s - 1.0) / 2.0), 0.0, k_cap)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        short = np.arange(w.size)
-        while short.size:
-            above = excess(hi[short], log_w[short])[0] > 0.0
-            short = short[above]
-            capped = short[hi[short] >= lhi_cap]
+        # a level above top(k) walks up to the first top below it; one
+        # below walks down while the top under it is below too
+        up = excess(top(k), log_w)[0] > 0.0
+        live = np.flatnonzero(up | (k > 0.0))
+        while live.size:
+            capped = live[up[live] & (k[live] >= k_cap)]
             if capped.size:
                 raise TailMassError(
                     f"tail-mass target {w[capped[0]]} unreachable below the horizon "
                     f"cap {S_MAX_CAP}"
                 )
-            lo[short] = hi[short]
-            hi[short] = np.minimum(hi[short] + 2.0, lhi_cap)
+            probe = k[live] + np.where(up[live], 1.0, -1.0)
+            above = excess(top(probe), log_w[live])[0] > 0.0
+            move = up[live] | ~above
+            k[live[move]] = probe[move]
+            live = live[np.where(up[live], above, ~above & (probe > 0.0))]
+        hi = top(k)
+        lo = np.where(k > 0.0, top(k - 1.0), -40.0)
 
         x = hi.copy()
         step = hi - lo

@@ -22,10 +22,13 @@ sum_q w_q v(x, r_q) and the path average sum_q w_q mu_{r_q}; one RK4
 stepper, which walks a stage schedule laid out once per solve and passes
 each velocity call its stage index; and one routine that advects mu0
 (plus any injected source) over the union of the h-rule nodes and mixes
-the node push-forwards.  The h-rule is the Gauss rule of the unit clock
-E_1, planned by Lanczos on a fine composite rule, so each of its few
-nodes (one push-forward of mu0 each) carries spectral accuracy; the
-g-rule stays composite.  An explicit field marked autonomous (independent
+the node push-forwards.  A step matters only through the push-forwards at
+the h-nodes past it, so ``ode_step`` is the RK4 step where the full
+h-weight is fed, and later intervals take min(ode_step * W^(-1/5), 1/Lip),
+W the h-weight they still feed (``_flow_schedule``).  The h-rule is the
+Gauss rule of the unit clock E_1, planned by Lanczos on a fine composite
+rule, so each of its few nodes (one push-forward of mu0 each) carries
+spectral accuracy; the g-rule stays composite.  An explicit field marked autonomous (independent
 of t) skips the field average: the g-rule weights sum to 1, so its
 g-average is the field itself, evaluated once per RK4 stage instead of
 q_g times, and with no source atoms no g-rule is built.  The interaction
@@ -162,8 +165,12 @@ class SolverConfig:
     freezing error logged per run.  ``q_h`` is the size of the Gauss
     h-rule (see ``_h_rules``); ``eps_tail`` sets only tails of composite
     rules: min(eps_tail, 1e-12) for the fine rule that the h-rule is
-    planned on, and max(eps_tail, 1e-8) for the g-rule.  The knobs that
-    only the nonlinear solver reads carry ``metadata={"nonlinear": True}``.
+    planned on, and max(eps_tail, 1e-8) for the g-rule.  ``ode_step`` is
+    the RK4 step where the full h-weight is fed; later intervals take
+    min(ode_step * W^(-1/5), 1/Lip), W the h-weight they still feed and
+    Lip the constant of the step guard (see ``_flow_schedule``).  The knobs
+    that only the nonlinear solver reads carry
+    ``metadata={"nonlinear": True}``.
     """
 
     times: tuple
@@ -368,28 +375,55 @@ def _check_step(ode_step: float, lip: float):
         )
 
 
-def _stage_schedule(nodes: np.ndarray, ode_step: float):
+def _stage_schedule(nodes: np.ndarray, max_step):
     """RK4 stages of one flow sweep through the sorted flow ``nodes``, in
-    steps of at most ``ode_step``, the last one of an interval ending on
-    the next node: (times, steps).  ``times`` holds the distinct stage
-    times (Python floats) in order of use, and ``steps[j]`` lists the RK4
-    steps (h, k) across interval j = [nodes[j], nodes[j + 1]], whose stages
-    s, s + h/2 and s + h are times[k], times[k + 1] and times[k + 2].  A
-    step ends at the float its successor starts from, so only an
-    interval's first stage can be new."""
+    steps of at most ``max_step`` (a number, or one per interval), the last
+    one of an interval ending on the next node: (times, steps).  ``times``
+    holds the distinct stage times (Python floats) in order of use, and
+    ``steps[j]`` lists the RK4 steps (h, k) across interval
+    j = [nodes[j], nodes[j + 1]], whose stages s, s + h/2 and s + h are
+    times[k], times[k + 1] and times[k + 2].  A step ends at the float its
+    successor starts from, so only an interval's first stage can be new.
+    The solvers size the steps with ``_flow_schedule``."""
+    caps = np.broadcast_to(max_step, nodes[:-1].shape).tolist()
     times, steps = [], []
-    for s_a, s_b in zip(nodes[:-1].tolist(), nodes[1:].tolist()):
+    for s_a, s_b, cap in zip(nodes[:-1].tolist(), nodes[1:].tolist(), caps):
         if not times or times[-1] != s_a:
             times.append(s_a)
         interval = []
         s = s_a
         while s < s_b - 1e-15 * max(s_b, 1.0):
-            h = min(ode_step, s_b - s)
+            h = min(cap, s_b - s)
             interval.append((h, len(times) - 1))
             times += [s + 0.5 * h, s + h]
             s += h
         steps.append(interval)
     return times, steps
+
+
+def _flow_schedule(nodes: np.ndarray, h_rules, ode_step: float, lip: float):
+    """``_stage_schedule`` of the flow ``nodes`` with each interval's step
+    sized by the h-weight it still feeds: interval j takes steps of at most
+    min(ode_step * W_j^(-1/5), 1/lip), where W_j is the largest summed
+    weight, over ``h_rules``, of the h-nodes past nodes[j].
+
+    The flow only matters through the push-forwards at the h-nodes, and an
+    RK4 step of length h errs by about h^5 at every node past it, so the
+    weighted error sum of h^4 W ds for a given step count (the integral of
+    ds / h) is least for h proportional to W^(-1/5).  Where the full weight
+    is fed (W = 1, near s = 0) the step is ``ode_step`` itself; ``lip``, the
+    Lipschitz constant that ``_check_step`` guards, bounds every step.
+    With no rules (the Monte Carlo grid, whose every point a clock may read)
+    the steps are uniform, ``ode_step``."""
+    if not h_rules:
+        return _stage_schedule(nodes, ode_step)
+    fed = np.zeros(nodes.size - 1)
+    for h_nodes, weights in h_rules:
+        past = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
+        np.maximum(fed, past[np.searchsorted(h_nodes, nodes[:-1], side="right")], out=fed)
+    with np.errstate(divide="ignore"):
+        caps = ode_step * np.minimum(fed, 1.0) ** -0.2
+    return _stage_schedule(nodes, np.minimum(caps, 1.0 / lip if lip > 0.0 else math.inf))
 
 
 def _flow_nodes(h_rules, s_extra=()) -> np.ndarray:
@@ -558,7 +592,7 @@ def solve_linear_mc(
     s_max = float(clocks.max())
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
-    times, steps = _stage_schedule(s_grid, config.ode_step)
+    times, steps = _flow_schedule(s_grid, (), config.ode_step, v.lip)
     _check_autonomous(v, mu0, times)
     vel = _effective_velocity(v, None if v.autonomous else _GRule(beta, config), times)
 
@@ -587,18 +621,23 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
     mu0 pushed along the g-averaged interaction field that the iterate
     induces, mu0 at time 0 and one push-forward mixture per h-rule.
 
-    Every sweep walks the same RK4 stages (``_stage_schedule``) and looks
-    up the same grid, so the segment masses of each stage's g-rule are
+    Every sweep walks the same RK4 stages (``_flow_schedule``, whose step
+    bound is the one that ``_check_step`` guards, v.lip * max(mass, 1)) and
+    looks up the same grid, so the segment masses of each stage's g-rule are
     tabulated here, once, one row per run of stages with equal masses
     (``_GRule.segment_masses``, which starts a row only where a lookup
     crosses a grid time).  Each RK4 stage evaluates the field on the raw
     arrays of its row's path average (``_path_average``, the hit measures
     of the iterate concatenated), with one kernel call.  The stages come in
     nondecreasing order, so a one-slot cache builds each distinct path
-    average once per sweep and holds one at a time.
+    average once per sweep and holds one at a time.  Each image records
+    the RK4 steps of its sweep in ``diagnostics["rk4_steps"]``.
     """
+    lip = v.lip * max(total_mass(mu0), 1.0)
+    _check_step(config.ode_step, lip)
     nodes = _flow_nodes(h_rules)
-    times, steps = _stage_schedule(nodes, config.ode_step)
+    times, steps = _flow_schedule(nodes, h_rules, config.ode_step, lip)
+    n_steps = sum(map(len, steps))
     rows, index = g_rule.segment_masses(grid, times)
     no_source = _empty_path(mu0)
 
@@ -614,7 +653,7 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
             return v.field(x, *cached[1])
 
         measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, nodes, steps)
-        return MeasurePath(times=grid, measures=[mu0] + measures)
+        return MeasurePath(times=grid, measures=[mu0] + measures, diagnostics={"rk4_steps": n_steps})
 
     return sweep
 
@@ -702,8 +741,8 @@ def solve_nonlinear(
     The first iterate is the constant-in-time path mu0, paired with the
     images as mu0 split by rule weight.  The diagnostics hold the
     iteration log (one dict per evaluation of F: sweep, coupling_bound,
-    wall_time), ``sweeps``, the number of evaluations of F, and the
-    freezing term: the h-weighted probability
+    wall_time), ``sweeps``, the number of evaluations of F, ``rk4_steps``,
+    the RK4 steps of one evaluation, and the freezing term: the h-weighted probability
     sum_q w_q P(D_{s_q} > horizon) of a lookup past the horizon, worst
     over the output times, times 2 * bound * mass for a bounded kernel.
     """
@@ -712,7 +751,6 @@ def solve_nonlinear(
     g_rule = _GRule(beta, config)
     h_rules = _h_rules(beta, grid[1:], config)
     mass = total_mass(mu0)
-    _check_step(config.ode_step, v.lip * max(mass, 1.0))
     sweep = _sweep_map(v, mu0, g_rule, h_rules, grid, config)
     current, log = _picard(sweep, MeasurePath(times=grid, measures=[mu0] * grid.size), config)
 
@@ -729,6 +767,7 @@ def solve_nonlinear(
         {
             "picard_log": log,
             "sweeps": len(log),
+            "rk4_steps": current.diagnostics["rk4_steps"],
             "freezing_tail_probability": 2.0 * v.bound * mass * freeze
             if math.isfinite(v.bound)
             else freeze,
@@ -759,7 +798,8 @@ def solve_with_source(
     particles are injected at each node and advected together with the
     initial ensemble, so one flow sweep covers every term.  Mass grows by
     the accumulated source mass under the double average (reported in the
-    path diagnostics, not conserved).
+    path diagnostics, not conserved).  The diagnostics also hold
+    ``rk4_steps``, the RK4 steps of the flow sweep.
     """
     for gm in gamma_path.measures:
         if gm.size and np.any(gm.weights <= 0.0):
@@ -773,11 +813,12 @@ def solve_with_source(
     g_rule = _GRule(beta, config) if has_source or not v.autonomous else None
     h_rules = _h_rules(beta, config.times, config)
     nodes = _flow_nodes(h_rules, fine)
-    times, steps = _stage_schedule(nodes, config.ode_step)
+    times, steps = _flow_schedule(nodes, h_rules, config.ode_step, v.lip)
     _check_autonomous(v, mu0, times)
     vel = _effective_velocity(v, g_rule, times)
     measures = _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps)
     grid = np.concatenate([[0.0], np.asarray(config.times)])
     out = MeasurePath(times=grid, measures=[mu0] + measures)
     out.diagnostics["source_mass"] = [total_mass(m) - total_mass(mu0) for m in measures]
+    out.diagnostics["rk4_steps"] = sum(map(len, steps))
     return out

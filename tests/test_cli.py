@@ -112,6 +112,23 @@ def test_solve_deterministic_across_runs(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+def test_manifest_records_the_rk4_steps_of_a_sweep(tmp_path):
+    # every deterministic solve counts the RK4 steps of one flow sweep, and
+    # the manifest keeps the count next to the nonlinear sweep count
+    out = tmp_path / "lin"
+    assert main(["solve", "--config", _linear_config(tmp_path), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["diagnostics"] == {"rk4_steps": 191}
+    cfg = _write_config(tmp_path, "nl.json", {
+        "problem": "nonlinear", "beta": 0.5, "times": [0.5],
+        "velocity": {"kind": "repulsion"}, "initial": {"kind": "two-dirac"},
+        "solver": {"q_h": 8, "q_g": 8, "ode_step": 0.05},
+    })
+    out = tmp_path / "nl"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert (diagnostics["sweeps"], diagnostics["rk4_steps"]) == (4, 49)
+
+
 def test_solve_nonlinear_and_source(tmp_path):
     cfg = _write_config(tmp_path, "nl.json", {
         "problem": "nonlinear",

@@ -71,6 +71,20 @@ def _cfg(times=(0.5, 1.0), **kw):
     return SolverConfig(**defaults)
 
 
+def _sweep_schedule(beta, cfg):
+    """(times, steps) of the RK4 stages that every Picard sweep of a solve
+    walks, for a 1-Lipschitz interaction field and mu0 of mass at most 1:
+    the schedule ``_sweep_map`` lays out."""
+    grid = transport._grid_with_extension(cfg)
+    h_rules = transport._h_rules(beta, grid[1:], cfg)
+    return transport._flow_schedule(transport._flow_nodes(h_rules), h_rules, cfg.ode_step, 1.0)
+
+
+def _uniform_schedule(nodes, h_rules, ode_step, lip):
+    """Stand-in for ``_flow_schedule`` that steps at ode_step throughout."""
+    return transport._stage_schedule(nodes, ode_step)
+
+
 # ---------------------------------------------------------------------------
 # g-averages of the velocity
 # ---------------------------------------------------------------------------
@@ -164,9 +178,9 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
     cfg = _cfg(times=(0.25, 0.5), q_h=8, q_g=16, ode_step=0.05, t_ext=1.3)
     g_rule = _GRule(beta, cfg)
     grid = transport._grid_with_extension(cfg)
-    nodes = transport._flow_nodes(transport._h_rules(beta, grid[1:], cfg))
-    times, _ = transport._stage_schedule(nodes, cfg.ode_step)
-    k = len(times) // 3
+    times, _ = _sweep_schedule(beta, cfg)
+    # the first stage a third of the way along the flow
+    k = int(np.searchsorted(times, times[-1] / 3.0))
     r = np.sort(g_rule(times[k])[0])
     if r.size > 1:
         # a grid time exactly on a g-node of stage k, and two between its
@@ -361,6 +375,74 @@ def test_rk4_step_writes_to_no_velocity_and_no_input():
     # k1 to k4 at stages k, k + 1, k + 1 and k + 2 average to (k + 2) * shared
     expected = sum(0.125 * (k + 2) for _, k in steps[0]) * shared
     np.testing.assert_allclose(got, np.broadcast_to(expected, x0.shape), rtol=1e-15)
+
+
+def test_default_linear_solve_takes_357_rk4_steps():
+    # the steps past the heavy h-nodes grow as the weight they feed falls;
+    # uniform steps of ode_step take 1,083 here
+    path = solve_linear(B, DAMP, _dirac(1.0), SolverConfig(times=(0.5, 1.0)))
+    assert path.diagnostics["rk4_steps"] == 357
+
+
+@pytest.mark.parametrize("lip", [1.0, 20.0])
+def test_flow_steps_follow_the_h_weight_they_feed(lip):
+    # interval j steps at most min(ode_step W_j^(-1/5), 1/lip), W_j the
+    # largest h-weight past nodes[j]: ode_step where the full weight is fed
+    cfg = SolverConfig(times=(0.5, 1.0))
+    h_rules = transport._h_rules(B, cfg.times, cfg)
+    nodes = transport._flow_nodes(h_rules)
+    _, steps = transport._flow_schedule(nodes, h_rules, cfg.ode_step, lip)
+    fed = [max(float(w[n > s].sum()) for n, w in h_rules) for s in nodes[:-1]]
+    widest = 0.0
+    for w_j, interval in zip(fed, steps):
+        h = max(step for step, _ in interval)
+        widest = max(widest, h)
+        assert h <= 1.0 / lip
+        assert h <= cfg.ode_step * w_j**-0.2 * (1.0 + 1e-12)
+        if w_j >= 1.0 - 1e-15:
+            assert h <= cfg.ode_step
+    # the light tail steps far longer than ode_step; at lip 20, 1/lip binds
+    assert fed[0] >= 1.0 - 1e-15 and widest > 4.0 * cfg.ode_step
+    if lip > 1.0:
+        assert widest == 1.0 / lip
+
+
+def test_mc_schedule_is_the_uniform_one(monkeypatch):
+    # the Monte Carlo grid passes no h-rules: its steps stay ode_step, bit
+    # for bit, and so does its solve
+    grid = np.linspace(0.0, 3.7, 371)
+    assert transport._flow_schedule(grid, (), 0.01, 1.0) == transport._stage_schedule(grid, 0.01)
+    cfg = _cfg(times=(0.5, 1.0), ode_step=0.02)
+    got = solve_linear_mc(B, DAMP, _two_diracs(), cfg, n_paths=50, seed=4)
+    monkeypatch.setattr(transport, "_flow_schedule", _uniform_schedule)
+    want = solve_linear_mc(B, DAMP, _two_diracs(), cfg, n_paths=50, seed=4)
+    for a, b in zip(got.measures, want.measures):
+        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a.weights, b.weights)
+
+
+def test_weighted_steps_keep_a_time_dependent_flow(monkeypatch):
+    # v = -x (1 + e^-t) is time-dependent, so every stage averages it over
+    # the g-rule; the weighted steps at ode_step 0.01 stay within 1e-8 (a
+    # d_BL upper bound) of the uniform ones, and no further from a uniform
+    # solve at ode_step 0.00125 than those are, plus 1e-8.  That fine solve
+    # is itself about 7e-7 away: both schedules take the first steps, where
+    # the g-averaged field varies fastest, at ode_step.
+    v = ExplicitField(func=lambda x, t: -x * (1.0 + np.exp(-t)), lip=2.0)
+    mu0 = EmpiricalMeasure(points=np.array([[-1.0], [0.5], [2.0]]), weights=np.full(3, 1.0 / 3.0))
+
+    def solve(ode_step):
+        return solve_linear(B, v, mu0, _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=ode_step))
+
+    def distance(p, q):
+        return max(transport._coupling_bound(a, b) for a, b in zip(p.measures, q.measures))
+
+    weighted = solve(0.01)
+    monkeypatch.setattr(transport, "_flow_schedule", _uniform_schedule)
+    uniform, fine = solve(0.01), solve(0.00125)
+    assert weighted.diagnostics["rk4_steps"] < uniform.diagnostics["rk4_steps"] / 2
+    assert distance(weighted, uniform) <= 1e-8
+    assert distance(weighted, fine) <= distance(uniform, fine) + 1e-8
 
 
 def test_mislabelled_autonomous_field_is_rejected():
@@ -646,9 +728,8 @@ def test_segment_masses_are_computed_once_per_solve(monkeypatch):
         cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=picard_tol, t_ext=1.0)
         path = solve_nonlinear(B, field, _two_diracs(0.5), cfg)
         assert path.diagnostics["sweeps"] == sweeps
-        grid = transport._grid_with_extension(cfg)
-        nodes = transport._flow_nodes(transport._h_rules(B, grid[1:], cfg))
-        steps = sum(map(len, transport._stage_schedule(nodes, cfg.ode_step)[1]))
+        steps = sum(map(len, _sweep_schedule(B, cfg)[1]))
+        assert path.diagnostics["rk4_steps"] == steps
         assert counts == {"search": 1, "kernel": 4 * steps * sweeps}
 
 
@@ -666,8 +747,7 @@ def test_each_sweep_builds_each_distinct_path_average_once(monkeypatch):
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-2, t_ext=1.0)
     path = solve_nonlinear(B, repulsion_field(), _two_diracs(0.5), cfg)
     grid = transport._grid_with_extension(cfg)
-    nodes = transport._flow_nodes(transport._h_rules(B, grid[1:], cfg))
-    times, _ = transport._stage_schedule(nodes, cfg.ode_step)
+    times, _ = _sweep_schedule(B, cfg)
     rows, _ = _GRule(B, cfg).segment_masses(grid, times)
     assert 1 < len(rows) < len(times) // 10
     assert path.diagnostics["sweeps"] > 1
