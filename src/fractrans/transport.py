@@ -11,10 +11,11 @@ original field averaged against the subordinator density g_beta.  The
 linear solver evaluates this directly on quadrature rules; the nonlinear
 (interaction) solver finds a fixed point of the same formula, read as a
 sweep map from an iterate path to its image, with Anderson-mixed Picard
-iteration, and stops on a certified upper bound of the bounded-Lipschitz
-distance between an iterate and its image, from pairing their particles
-by index; a Monte Carlo solver samples the internal clock instead of
-integrating it and serves as an independent oracle.
+iteration, first on a coarse RK4 schedule and then on the fine one, and
+stops on a certified upper bound of the bounded-Lipschitz distance
+between an iterate and its image of the fine map, from pairing their
+particles by index; a Monte Carlo solver samples the internal clock
+instead of integrating it and serves as an independent oracle.
 
 Every solver is built from three shared pieces: one g-rule map
 s -> (real times, weights), whose two consumers are the field average
@@ -25,7 +26,9 @@ each velocity call its stage index; and one routine that advects mu0
 the node push-forwards.  A step matters only through the push-forwards at
 the h-nodes past it, so ``ode_step`` is the RK4 step where the full
 h-weight is fed, and later intervals take min(ode_step * W^(-1/5), 1/Lip),
-W the h-weight they still feed (``_flow_schedule``).  The h-rule is the
+W the h-weight they still feed (``_flow_schedule``); a time-dependent
+explicit field also gets a graded start, steps of about s/8 near s = 0,
+where its g-average varies fastest.  The h-rule is the
 Gauss rule of the unit clock E_1, planned by Lanczos on a fine composite
 rule, so each of its few nodes (one push-forward of mu0 each) carries
 spectral accuracy; the g-rule stays composite.  An explicit field marked autonomous (independent
@@ -49,7 +52,7 @@ from __future__ import annotations
 import math
 import numbers
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,7 +90,9 @@ class ExplicitField:
     ``lip`` is the caller-supplied Lipschitz constant in x, read by the
     step-size guard.  ``autonomous`` declares that ``func`` ignores t; the
     solvers then use v itself as the effective velocity instead of its
-    g-average (the g-rule weights sum to 1).  The linear solvers raise
+    g-average (the g-rule weights sum to 1), and step it without the
+    graded start that a field differing at mu0's points between the first
+    and the last flow node gets (``_GRADED_START``).  The linear solvers raise
     ValueError when a func marked autonomous gives other values at mu0's
     points at the first and the last stage time; one whose t-dependence
     does not show there gives wrong answers, without any warning.
@@ -168,7 +173,8 @@ class SolverConfig:
     planned on, and max(eps_tail, 1e-8) for the g-rule.  ``ode_step`` is
     the RK4 step where the full h-weight is fed; later intervals take
     min(ode_step * W^(-1/5), 1/Lip), W the h-weight they still feed and
-    Lip the constant of the step guard (see ``_flow_schedule``).  The knobs
+    Lip the constant of the step guard (see ``_flow_schedule``), and the
+    coarse Picard level steps min(16 ode_step, 1/Lip).  The knobs
     that only the nonlinear solver reads carry
     ``metadata={"nonlinear": True}``.
     """
@@ -326,18 +332,23 @@ def _effective_velocity(v: ExplicitField, g_rule, stage_times):
     return lambda x, k: _field_average(v, x, *g_rule(stage_times[k]))
 
 
+def _varies_in_t(v: ExplicitField, mu0: EmpiricalMeasure, t_a: float, t_b: float) -> bool:
+    """Whether v differs at mu0's points between the times t_a and t_b
+    (False for an empty mu0)."""
+    x = mu0.points.astype(float)
+    return mu0.size > 0 and not np.array_equal(v(x, t_a), v(x, t_b), equal_nan=True)
+
+
 def _check_autonomous(v: ExplicitField, mu0: EmpiricalMeasure, stage_times):
     """Reject a field marked autonomous whose values at mu0's points differ
     between the first and the last stage time: it depends on t, and its
     g-average is not the field itself."""
-    if v.autonomous and mu0.size:
-        x = mu0.points.astype(float)
-        t_a, t_b = stage_times[0], stage_times[-1]
-        if not np.array_equal(v(x, t_a), v(x, t_b), equal_nan=True):
-            raise ValueError(
-                f"velocity marked autonomous=True depends on t: it differs between t = {t_a} "
-                f"and t = {t_b} at the initial points"
-            )
+    t_a, t_b = stage_times[0], stage_times[-1]
+    if v.autonomous and _varies_in_t(v, mu0, t_a, t_b):
+        raise ValueError(
+            f"velocity marked autonomous=True depends on t: it differs between t = {t_a} "
+            f"and t = {t_b} at the initial points"
+        )
 
 
 def _path_average(path: MeasurePath, m: np.ndarray):
@@ -424,6 +435,12 @@ def _flow_schedule(nodes: np.ndarray, h_rules, ode_step: float, lip: float):
     with np.errstate(divide="ignore"):
         caps = ode_step * np.minimum(fed, 1.0) ** -0.2
     return _stage_schedule(nodes, np.minimum(caps, 1.0 / lip if lip > 0.0 else math.inf))
+
+
+#: extra flow nodes, in units of ode_step, where a time-dependent field
+#: starts: a step of about s/8 from ode_step/64 until it reaches ode_step
+#: (Python floats: a numpy call at import would page in numpy code)
+_GRADED_START = tuple(8.0 * 512.0 ** (-k / 53) for k in range(53, -1, -1))
 
 
 def _flow_nodes(h_rules, s_extra=()) -> np.ndarray:
@@ -630,14 +647,13 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
     arrays of its row's path average (``_path_average``, the hit measures
     of the iterate concatenated), with one kernel call.  The stages come in
     nondecreasing order, so a one-slot cache builds each distinct path
-    average once per sweep and holds one at a time.  Each image records
-    the RK4 steps of its sweep in ``diagnostics["rk4_steps"]``.
+    average once per sweep and holds one at a time.  The map's
+    ``rk4_steps`` attribute holds the RK4 steps of one sweep.
     """
     lip = v.lip * max(total_mass(mu0), 1.0)
     _check_step(config.ode_step, lip)
     nodes = _flow_nodes(h_rules)
     times, steps = _flow_schedule(nodes, h_rules, config.ode_step, lip)
-    n_steps = sum(map(len, steps))
     rows, index = g_rule.segment_masses(grid, times)
     no_source = _empty_path(mu0)
 
@@ -653,8 +669,9 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
             return v.field(x, *cached[1])
 
         measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, nodes, steps)
-        return MeasurePath(times=grid, measures=[mu0] + measures, diagnostics={"rk4_steps": n_steps})
+        return MeasurePath(times=grid, measures=[mu0] + measures)
 
+    sweep.rk4_steps = sum(map(len, steps))
     return sweep
 
 
@@ -680,8 +697,10 @@ def _picard(sweep, start: MeasurePath, config: SolverConfig):
     """Fixed point of the sweep map F from the iterate ``start``:
     (F(X_k), log) for the first iterate X_k with
     sup over the grid of ``_coupling_bound(X_k, F(X_k))`` below
-    ``picard_tol``.  The output is an image of F, a true push-forward
-    mixture, so its mass is exact whatever the mixing did.
+    ``picard_tol``, or for the last one after ``picard_max_iters`` sweeps;
+    the caller reads the last bound in the log to tell the two apart.  The
+    output is an image of F, a true push-forward mixture, so its mass is
+    exact whatever the mixing did.
 
     The iterates after ``start`` are stacked positions in the index order
     of F's images, with F's fixed weights, and the residual
@@ -708,7 +727,7 @@ def _picard(sweep, start: MeasurePath, config: SolverConfig):
         bound = max(_coupling_bound(a, b) for a, b in zip(x.measures, image.measures))
         log.append({"sweep": n, "coupling_bound": bound, "wall_time": _time.perf_counter() - t0})
         if bound < config.picard_tol:
-            return image, log
+            break
         f = np.concatenate([mu.points for mu in image.measures[1:]])
         paired = [_paired_points(a, b.size) for a, b in zip(x.measures[1:], image.measures[1:])]
         r = f - np.concatenate(paired)
@@ -718,11 +737,27 @@ def _picard(sweep, start: MeasurePath, config: SolverConfig):
             gamma = _mixing_weight(r - r_prev, r, w)
         x = image if gamma is None else _moved(image, f - gamma * (f - f_prev))
         f_prev, r_prev, bound_prev = f, r, bound
-    raise PicardConvergenceError(
-        f"no convergence after {config.picard_max_iters} sweeps "
-        f"(last coupling bound {bound:.3e}, tol {config.picard_tol:.3e})",
-        log,
-    )
+    return image, log
+
+
+#: the coarse Picard level steps this many times ``ode_step`` (capped by
+#: 1/Lip); 4 and 8 saved less, and 32 or more sometimes cost a second fine
+#: sweep
+_COARSE_FACTOR = 16
+#: the coarse level runs only if its sweep takes at most this share of a
+#: fine sweep's RK4 steps (1/Lip caps the steps of both)
+_COARSE_MAX_SHARE = 0.5
+
+
+def _contraction_estimate(*logs):
+    """Bound ratio b_2 / b_1 of the first log that has two sweeps: the first
+    step of a Picard level is the plain X_1 = F(X_0), so b_2 <= rho b_1 for
+    a map contracting by rho.  None with no such log or a ratio >= 1."""
+    for log in logs:
+        if len(log) >= 2:
+            rho = log[1]["coupling_bound"] / log[0]["coupling_bound"]
+            return rho if rho < 1.0 else None
+    return None
 
 
 def solve_nonlinear(
@@ -737,22 +772,61 @@ def solve_nonlinear(
     bound on the d_BL between an iterate and its image in O(N), and the
     driver (``_picard``) mixes the stacked positions of consecutive images
     (depth-1 Anderson) and stops when the sup of that bound over the grid
-    drops below ``picard_tol``; it returns the image, so mass is exact.
-    The first iterate is the constant-in-time path mu0, paired with the
-    images as mu0 split by rule weight.  The diagnostics hold the
-    iteration log (one dict per evaluation of F: sweep, coupling_bound,
-    wall_time), ``sweeps``, the number of evaluations of F, ``rk4_steps``,
-    the RK4 steps of one evaluation, and the freezing term: the h-weighted probability
+    drops below ``picard_tol``.
+
+    The fixed point is reached on two levels (nested iteration: Hackbusch,
+    Multi-Grid Methods and Applications, 1985, Ch. 5).  The coarse level is
+    the same map with ``ode_step`` replaced by
+    min(_COARSE_FACTOR * ode_step, 1/Lip), Lip = v.lip * max(mass, 1) the
+    constant ``_check_step`` guards; it starts from the constant-in-time
+    path mu0, paired with the images as mu0 split by rule weight, and runs
+    the same driver to the same ``picard_tol``.  The fine level, F itself,
+    starts from the coarse level's last image (coarse and fine images share
+    mu0 and the h-rules, so they are index-aligned), and usually certifies
+    it in one or two sweeps.  A coarse level that does not converge raises
+    nothing: the fine level starts from its last image, or from mu0 if that
+    image's bound is not finite.  The coarse level is skipped where 1/Lip
+    caps the steps so that a coarse sweep would take more than
+    _COARSE_MAX_SHARE of a fine sweep's RK4 steps.  The output is an
+    image of F whose iterate is within ``picard_tol``, so mass is exact.
+
+    The diagnostics hold the fine level's iteration log (one dict per
+    evaluation of F: sweep, coupling_bound, wall_time), ``sweeps``, the
+    number of evaluations of F, ``rk4_steps``, the RK4 steps of one
+    evaluation, ``coarse_sweeps`` and ``coarse_rk4_steps``, the same for the
+    coarse level (both 0 when it is skipped), two estimates and the
+    freezing term.  ``contraction_estimate`` is the bound ratio rho of the
+    first two sweeps of the coarse level, or of the fine one when the
+    coarse level took fewer, and ``fixed_point_distance_estimate`` is
+    rho / (1 - rho) times the final bound; both are None with no such pair
+    or with rho >= 1.  The freezing term is the h-weighted probability
     sum_q w_q P(D_{s_q} > horizon) of a lookup past the horizon, worst
     over the output times, times 2 * bound * mass for a bounded kernel.
+    PicardConvergenceError carries the fine level's log.
     """
     grid = _grid_with_extension(config)
     horizon = float(grid[-1])
     g_rule = _GRule(beta, config)
     h_rules = _h_rules(beta, grid[1:], config)
     mass = total_mass(mu0)
-    sweep = _sweep_map(v, mu0, g_rule, h_rules, grid, config)
-    current, log = _picard(sweep, MeasurePath(times=grid, measures=[mu0] * grid.size), config)
+    lip = v.lip * max(mass, 1.0)
+    start = MeasurePath(times=grid, measures=[mu0] * grid.size)
+    fine = _sweep_map(v, mu0, g_rule, h_rules, grid, config)
+    coarse_step = min(_COARSE_FACTOR * config.ode_step, 1.0 / lip if lip > 0.0 else math.inf)
+    coarse = _sweep_map(v, mu0, g_rule, h_rules, grid, replace(config, ode_step=coarse_step))
+    coarse_log = []
+    if coarse.rk4_steps <= _COARSE_MAX_SHARE * fine.rk4_steps:
+        image, coarse_log = _picard(coarse, start, config)
+        if math.isfinite(coarse_log[-1]["coupling_bound"]):
+            start = image
+    current, log = _picard(fine, start, config)
+    bound = log[-1]["coupling_bound"]
+    if not bound < config.picard_tol:
+        raise PicardConvergenceError(
+            f"no convergence after {config.picard_max_iters} sweeps "
+            f"(last coupling bound {bound:.3e}, tol {config.picard_tol:.3e})",
+            log,
+        )
 
     keep = [0] + [int(np.searchsorted(grid, t)) for t in config.times]
     out = MeasurePath(
@@ -763,11 +837,16 @@ def solve_nonlinear(
         float(np.sum(w * freezing_tail_probability(beta, s, horizon)))
         for s, w in (h_rules[k - 1] for k in keep[1:])
     )
+    rho = _contraction_estimate(coarse_log, log)
     out.diagnostics.update(
         {
             "picard_log": log,
             "sweeps": len(log),
-            "rk4_steps": current.diagnostics["rk4_steps"],
+            "rk4_steps": fine.rk4_steps,
+            "coarse_sweeps": len(coarse_log),
+            "coarse_rk4_steps": coarse.rk4_steps if coarse_log else 0,
+            "contraction_estimate": rho,
+            "fixed_point_distance_estimate": None if rho is None else rho / (1.0 - rho) * bound,
             "freezing_tail_probability": 2.0 * v.bound * mass * freeze
             if math.isfinite(v.bound)
             else freeze,
@@ -799,7 +878,14 @@ def solve_with_source(
     initial ensemble, so one flow sweep covers every term.  Mass grows by
     the accumulated source mass under the double average (reported in the
     path diagnostics, not conserved).  The diagnostics also hold
-    ``rk4_steps``, the RK4 steps of the flow sweep.
+    ``rk4_steps``, the RK4 steps of the flow sweep.  At beta < 1 a field
+    not marked autonomous that differs at mu0's points between s = 0 and
+    the last flow node gets the graded start: flow nodes at
+    ode_step * ``_GRADED_START``, so that the steps near s = 0 are about
+    s/8.  Its g-average sum_q w_q v(x, r_q s^(1/beta)) changes where
+    r_q s^(1/beta) reaches the field's time scale, a feature at the scale
+    of each g-node, and steps of ode_step across them dominate the flow
+    error.
     """
     for gm in gamma_path.measures:
         if gm.size and np.any(gm.weights <= 0.0):
@@ -813,6 +899,9 @@ def solve_with_source(
     g_rule = _GRule(beta, config) if has_source or not v.autonomous else None
     h_rules = _h_rules(beta, config.times, config)
     nodes = _flow_nodes(h_rules, fine)
+    if not (beta.is_classical or v.autonomous) and _varies_in_t(v, mu0, nodes[0], nodes[-1]):
+        start = config.ode_step * np.array(_GRADED_START)
+        nodes = _flow_nodes(h_rules, start[start < nodes[-1]])
     times, steps = _flow_schedule(nodes, h_rules, config.ode_step, v.lip)
     _check_autonomous(v, mu0, times)
     vel = _effective_velocity(v, g_rule, times)

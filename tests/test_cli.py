@@ -126,7 +126,31 @@ def test_manifest_records_the_rk4_steps_of_a_sweep(tmp_path):
     out = tmp_path / "nl"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
     diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
-    assert (diagnostics["sweeps"], diagnostics["rk4_steps"]) == (4, 49)
+    # sweeps of the fine level; the coarse level took 3 sweeps of 7 steps
+    assert (diagnostics["sweeps"], diagnostics["rk4_steps"]) == (3, 49)
+
+
+def test_manifest_records_the_picard_levels_and_estimates(tmp_path):
+    # the coarse level's sweeps and RK4 steps sit next to the fine ones, and
+    # picard.jsonl holds one line per fine sweep; the contraction estimate is
+    # a ratio of bounds, and the distance estimate rho / (1 - rho) times the
+    # last fine bound
+    cfg = _write_config(tmp_path, "nl.json", {
+        "problem": "nonlinear", "beta": 0.5, "times": [0.5],
+        "velocity": {"kind": "repulsion"}, "initial": {"kind": "uniform-grid", "low": [-1.0], "high": [1.0], "n": 16},
+        "solver": {"q_h": 16, "q_g": 8},
+    })
+    out = tmp_path / "nl"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    log = [json.loads(line) for line in (out / "picard.jsonl").read_text().splitlines()]
+    assert len(log) == diagnostics["sweeps"] == 1
+    coarse = (diagnostics["coarse_sweeps"], diagnostics["coarse_rk4_steps"])
+    assert coarse == (4, 23) and diagnostics["rk4_steps"] == 238
+    rho = diagnostics["contraction_estimate"]
+    assert 0.0 < rho < 1.0
+    estimate = rho / (1.0 - rho) * log[-1]["coupling_bound"]
+    assert diagnostics["fixed_point_distance_estimate"] == pytest.approx(estimate)
 
 
 def test_solve_nonlinear_and_source(tmp_path):

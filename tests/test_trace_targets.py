@@ -4,12 +4,14 @@
 replacing module attributes by name, and ``Tracer.patch`` skips a name
 that is missing without a word, so a renamed or removed function makes
 its metric read 0.  This lists every attribute behind a metric that the
-tracer still feeds.
+tracer still feeds, and the backend name that ``perfbench/run.py``'s
+environment probe reads from ``fractrans._core`` before every benchmark
+run: without it, every run fails.
 """
 
 import pytest
 
-from fractrans import cli, specfun, subordinator, transport
+from fractrans import _core, cli, specfun, subordinator, transport
 
 TARGETS = [
     (transport, "_advect_segment"),
@@ -32,3 +34,7 @@ TARGETS = [
 @pytest.mark.parametrize("owner, name", TARGETS, ids=[f"{owner.__name__}.{name}" for owner, name in TARGETS])
 def test_traced_attribute_exists(owner, name):
     assert callable(getattr(owner, name, None))
+
+
+def test_backend_name_exists():
+    assert isinstance(_core.BACKEND, str) and _core.BACKEND

@@ -80,6 +80,15 @@ def _sweep_schedule(beta, cfg):
     return transport._flow_schedule(transport._flow_nodes(h_rules), h_rules, cfg.ode_step, 1.0)
 
 
+def _fine_level(field, mu0, cfg, beta=B):
+    """The fine sweep map of a nonlinear solve and the constant path mu0
+    that a Picard level without a coarse start begins from."""
+    grid = transport._grid_with_extension(cfg)
+    h_rules = transport._h_rules(beta, grid[1:], cfg)
+    sweep = transport._sweep_map(field, mu0, transport._GRule(beta, cfg), h_rules, grid, cfg)
+    return sweep, MeasurePath(times=grid, measures=[mu0] * grid.size)
+
+
 def _uniform_schedule(nodes, h_rules, ode_step, lip):
     """Stand-in for ``_flow_schedule`` that steps at ode_step throughout."""
     return transport._stage_schedule(nodes, ode_step)
@@ -423,11 +432,11 @@ def test_mc_schedule_is_the_uniform_one(monkeypatch):
 
 def test_weighted_steps_keep_a_time_dependent_flow(monkeypatch):
     # v = -x (1 + e^-t) is time-dependent, so every stage averages it over
-    # the g-rule; the weighted steps at ode_step 0.01 stay within 1e-8 (a
-    # d_BL upper bound) of the uniform ones, and no further from a uniform
-    # solve at ode_step 0.00125 than those are, plus 1e-8.  That fine solve
-    # is itself about 7e-7 away: both schedules take the first steps, where
-    # the g-averaged field varies fastest, at ode_step.
+    # the g-rule, whose nodes put a feature into that average at each scale
+    # of s near 0; the graded start steps about s/8 there.  The weighted
+    # steps at ode_step 0.01 then stay within 1e-8 (a d_BL upper bound) of
+    # the uniform ones and of a solve at ode_step 0.00125; without the
+    # graded start the two solves are about 7e-7 apart
     v = ExplicitField(func=lambda x, t: -x * (1.0 + np.exp(-t)), lip=2.0)
     mu0 = EmpiricalMeasure(points=np.array([[-1.0], [0.5], [2.0]]), weights=np.full(3, 1.0 / 3.0))
 
@@ -437,12 +446,15 @@ def test_weighted_steps_keep_a_time_dependent_flow(monkeypatch):
     def distance(p, q):
         return max(transport._coupling_bound(a, b) for a, b in zip(p.measures, q.measures))
 
-    weighted = solve(0.01)
+    weighted, fine = solve(0.01), solve(0.00125)
+    assert distance(weighted, fine) <= 1e-8
+    with monkeypatch.context() as patch:
+        patch.setattr(transport, "_GRADED_START", ())
+        assert distance(solve(0.01), solve(0.00125)) > 1e-7
     monkeypatch.setattr(transport, "_flow_schedule", _uniform_schedule)
-    uniform, fine = solve(0.01), solve(0.00125)
+    uniform = solve(0.01)
     assert weighted.diagnostics["rk4_steps"] < uniform.diagnostics["rk4_steps"] / 2
     assert distance(weighted, uniform) <= 1e-8
-    assert distance(weighted, fine) <= distance(uniform, fine) + 1e-8
 
 
 def test_mislabelled_autonomous_field_is_rejected():
@@ -692,7 +704,8 @@ def test_nonlinear_stopping_does_not_depend_on_seed():
         solve_nonlinear(B, repulsion_field(), grid, SolverConfig(times=(0.5,), q_h=16, q_g=8))
         for _ in range(2)
     ]
-    assert [p.diagnostics["sweeps"] for p in paths] == [4, 4]
+    # the coarse level reaches the fixed point, and one fine sweep certifies it
+    assert [p.diagnostics["sweeps"] for p in paths] == [1, 1]
     for mu, nu in zip(paths[0].measures, paths[1].measures):
         assert np.array_equal(mu.points, nu.points) and np.array_equal(mu.weights, nu.weights)
 
@@ -704,10 +717,11 @@ def test_nonlinear_empty_initial_measure_converges_at_once():
     assert all(mu.size == 0 for mu in path.measures)
 
 
-def test_segment_masses_are_computed_once_per_solve(monkeypatch):
-    # every sweep steps through the same stages and looks up the same grid,
-    # so the segment-mass table is built once per solve whatever the sweep count,
-    # while the kernel still runs at each RK4 stage of each sweep
+def test_segment_masses_are_computed_once_per_level(monkeypatch):
+    # every sweep of a level steps through the same stages and looks up the
+    # same grid, so the segment-mass table is built once per sweep map
+    # whatever the sweep count, while the kernel still runs at each RK4
+    # stage of each sweep; a solve builds one map per level
     counts = {"search": 0, "kernel": 0}
     search = transport._GRule.segment_masses
 
@@ -726,11 +740,15 @@ def test_segment_masses_are_computed_once_per_solve(monkeypatch):
     for picard_tol, sweeps in ((1e-2, 4), (0.1, 3)):
         counts.update(search=0, kernel=0)
         cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=picard_tol, t_ext=1.0)
-        path = solve_nonlinear(B, field, _two_diracs(0.5), cfg)
-        assert path.diagnostics["sweeps"] == sweeps
+        sweep, start = _fine_level(field, _two_diracs(0.5), cfg)
+        _, log = transport._picard(sweep, start, cfg)
+        assert len(log) == sweeps
         steps = sum(map(len, _sweep_schedule(B, cfg)[1]))
-        assert path.diagnostics["rk4_steps"] == steps
+        assert sweep.rk4_steps == steps
         assert counts == {"search": 1, "kernel": 4 * steps * sweeps}
+        counts.update(search=0)
+        path = solve_nonlinear(B, field, _two_diracs(0.5), cfg)
+        assert path.diagnostics["coarse_sweeps"] > 0 and counts["search"] == 2
 
 
 def test_each_sweep_builds_each_distinct_path_average_once(monkeypatch):
@@ -745,22 +763,20 @@ def test_each_sweep_builds_each_distinct_path_average_once(monkeypatch):
 
     monkeypatch.setattr(transport, "_path_average", counting_average)
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-2, t_ext=1.0)
-    path = solve_nonlinear(B, repulsion_field(), _two_diracs(0.5), cfg)
+    sweep, start = _fine_level(repulsion_field(), _two_diracs(0.5), cfg)
+    _, log = transport._picard(sweep, start, cfg)
     grid = transport._grid_with_extension(cfg)
     times, _ = _sweep_schedule(B, cfg)
     rows, _ = _GRule(B, cfg).segment_masses(grid, times)
     assert 1 < len(rows) < len(times) // 10
-    assert path.diagnostics["sweeps"] > 1
-    assert calls["average"] == len(rows) * path.diagnostics["sweeps"]
+    assert len(log) > 1
+    assert calls["average"] == len(rows) * len(log)
 
 
 def _plain_picard(field, mu0, cfg):
     """Plain Picard, X_{k+1} = F(X_k), on the solver's sweep map: the
     images and the sweep count at the first bound below picard_tol."""
-    grid = transport._grid_with_extension(cfg)
-    h_rules = transport._h_rules(B, grid[1:], cfg)
-    sweep = transport._sweep_map(field, mu0, transport._GRule(B, cfg), h_rules, grid, cfg)
-    x = MeasurePath(times=grid, measures=[mu0] * grid.size)
+    sweep, x = _fine_level(field, mu0, cfg)
     for n in range(1, cfg.picard_max_iters + 1):
         image = sweep(x)
         bound = max(transport._coupling_bound(a, b) for a, b in zip(x.measures, image.measures))
@@ -776,19 +792,19 @@ def test_anderson_driver_beats_plain_picard():
     # of the fixed point, read off a plain solve at picard_tol 1e-8
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-3)
     mu0 = _two_diracs(0.5)
-    path = solve_nonlinear(B, repulsion_field(), mu0, cfg)
+    image, log = transport._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
     _, plain_sweeps = _plain_picard(repulsion_field(), mu0, cfg)
     ref, _ = _plain_picard(repulsion_field(), mu0, dataclasses.replace(cfg, picard_tol=1e-8))
-    assert path.diagnostics["sweeps"] < plain_sweeps
+    assert len(log) < plain_sweeps
     for k in (1, 2):
-        assert moment(path.measures[-1], k) == pytest.approx(moment(ref.measures[-1], k), abs=1e-3)
-    assert total_mass(path.measures[-1]) == pytest.approx(1.0, rel=1e-13)
+        assert moment(image.measures[-1], k) == pytest.approx(moment(ref.measures[-1], k), abs=1e-3)
+    assert total_mass(image.measures[-1]) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_anderson_driver_falls_back_to_the_plain_step(monkeypatch):
     # a harmful first mixing weight raises the bound; the next step is the
     # plain one (no weight asked for), mixing resumes once the bound falls,
-    # and the solve still converges
+    # and the level still converges
     calls = []
     weight = transport._mixing_weight
 
@@ -798,11 +814,98 @@ def test_anderson_driver_falls_back_to_the_plain_step(monkeypatch):
 
     monkeypatch.setattr(transport, "_mixing_weight", first_one_harmful)
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-3)
-    path = solve_nonlinear(B, repulsion_field(), _two_diracs(0.5), cfg)
-    bounds = [entry["coupling_bound"] for entry in path.diagnostics["picard_log"]]
+    image, log = transport._picard(*_fine_level(repulsion_field(), _two_diracs(0.5), cfg), cfg)
+    bounds = [entry["coupling_bound"] for entry in log]
     assert bounds[2] > bounds[1] and bounds[-1] < cfg.picard_tol
     assert len(calls) == sum(b < a for a, b in zip(bounds[:-2], bounds[1:-1]))
+    assert total_mass(image.measures[-1]) == pytest.approx(1.0, rel=1e-13)
+
+
+def _benchmark_grid():
+    return EmpiricalMeasure(points=np.linspace(-1.0, 1.0, 16)[:, None], weights=np.full(16, 1 / 16))
+
+
+@pytest.mark.parametrize("t_ext", [0.0, 4.0])
+def test_two_level_solve_reaches_the_fine_fixed_point(t_ext):
+    # the coarse level changes the route, not the fixed point: at picard_tol
+    # 1e-8 the two-level answer and fine-only Picard from mu0 agree within a
+    # 1e-6 coupling bound (both are images of the fine map, index-aligned)
+    cfg = SolverConfig(times=(0.5,), q_h=16, q_g=8, picard_tol=1e-8, t_ext=t_ext)
+    mu0 = _benchmark_grid()
+    path = solve_nonlinear(B, repulsion_field(), mu0, cfg)
+    image, log = transport._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
+    assert path.diagnostics["coarse_sweeps"] > 1 and path.diagnostics["sweeps"] < len(log)
+    assert path.diagnostics["picard_log"][-1]["coupling_bound"] < cfg.picard_tol
+    k = int(np.searchsorted(image.times, 0.5))
+    assert transport._coupling_bound(path.measures[-1], image.measures[k]) < 1e-6
     assert total_mass(path.measures[-1]) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_coarse_level_that_does_not_converge_still_lets_the_solve_converge(monkeypatch):
+    # the coarse level stops after one sweep without converging and raises
+    # nothing: the fine level starts from its last image and converges.  A
+    # coarse image whose bound is not finite is dropped, and the fine level
+    # then runs from mu0 exactly as fine-only Picard does
+    picard = transport._picard
+    cfg = SolverConfig(times=(0.5,), q_h=16, q_g=8)
+    mu0 = _benchmark_grid()
+
+    def coarse_stops_early(sweep, start, config):
+        if sweep.rk4_steps < 238:  # the coarse map
+            return picard(sweep, start, dataclasses.replace(config, picard_max_iters=1))
+        return picard(sweep, start, config)
+
+    monkeypatch.setattr(transport, "_picard", coarse_stops_early)
+    path = solve_nonlinear(B, repulsion_field(), mu0, cfg)
+    assert path.diagnostics["coarse_sweeps"] == 1
+    assert path.diagnostics["picard_log"][-1]["coupling_bound"] < cfg.picard_tol
+
+    def coarse_blows_up(sweep, start, config):
+        if sweep.rk4_steps < 238:
+            return start, [{"sweep": 1, "coupling_bound": math.nan, "wall_time": 0.0}]
+        return picard(sweep, start, config)
+
+    monkeypatch.setattr(transport, "_picard", coarse_blows_up)
+    path = solve_nonlinear(B, repulsion_field(), mu0, cfg)
+    image, log = picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
+    assert [e["coupling_bound"] for e in path.diagnostics["picard_log"]] == [e["coupling_bound"] for e in log]
+    assert np.array_equal(path.measures[-1].points, image.measures[-1].points)
+
+
+@pytest.mark.parametrize("lip, coarse", [(1.0, True), (15.0, True), (20.0, False), (80.0, False)])
+def test_coarse_level_is_skipped_when_lip_caps_it(lip, coarse):
+    # the coarse step is min(16 ode_step, 1/Lip), and 1/Lip caps the fine
+    # steps past the heavy h-nodes too; the coarse level runs only while its
+    # sweep takes at most half the fine sweep's RK4 steps: 117 of 276 at
+    # Lip 15, 151 of 292 at Lip 20
+    repel = repulsion_field()
+    field = InteractionField(kernel=repel.kernel, bound=repel.bound, lip=lip)
+    path = solve_nonlinear(B, field, _benchmark_grid(), SolverConfig(times=(0.5,), q_h=16, q_g=8))
+    d = path.diagnostics
+    assert d["picard_log"][-1]["coupling_bound"] < 1e-3
+    if coarse:
+        assert 0 < d["coarse_rk4_steps"] <= d["rk4_steps"] / 2 and d["coarse_sweeps"] > 0
+    else:
+        assert d["coarse_sweeps"] == d["coarse_rk4_steps"] == 0
+        assert d["contraction_estimate"] == pytest.approx(
+            d["picard_log"][1]["coupling_bound"] / d["picard_log"][0]["coupling_bound"]
+        )
+
+
+def test_picard_estimates_need_a_contracting_plain_pair():
+    # rho is b_2 / b_1 of the first level with two sweeps; with no such
+    # level, or rho >= 1, both estimates are None
+    def log(*bounds):
+        return [{"sweep": n, "coupling_bound": b, "wall_time": 0.0} for n, b in enumerate(bounds, 1)]
+
+    assert transport._contraction_estimate(log(0.2, 0.05, 1e-3), log(1e-4)) == 0.25
+    assert transport._contraction_estimate(log(1e-5), log(0.4, 0.1)) == 0.25
+    assert transport._contraction_estimate([], log(0.1, 0.2)) is None
+    assert transport._contraction_estimate(log(1e-5), log(1e-5)) is None
+    kernel = InteractionField(kernel=lambda z: np.zeros_like(z), bound=0.0, lip=0.0)
+    path = solve_nonlinear(B, kernel, _two_diracs(), _cfg(times=(1.0,), q_h=8, q_g=8))
+    assert path.diagnostics["contraction_estimate"] is None
+    assert path.diagnostics["fixed_point_distance_estimate"] is None
 
 
 def test_mixing_weight_with_no_residual_change_is_none():
@@ -979,8 +1082,10 @@ def test_autonomous_field_is_called_once_per_rk4_stage(monkeypatch, autonomous):
     if autonomous:
         assert calls["func"] == calls["stages"] + 2 * 3
     else:
+        # the two solves on h-rules call it twice before the flow, to see
+        # whether it varies in t and so needs the graded start
         zero = calls["stages_at_zero"]
-        assert calls["func"] == q_g * (calls["stages"] - zero) + zero
+        assert calls["func"] == q_g * (calls["stages"] - zero) + zero + 2 * 2
 
 
 # ---------------------------------------------------------------------------
