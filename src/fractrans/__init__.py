@@ -1,12 +1,7 @@
 """Measure transport with memory: fractional-in-time transport equations
 solved by averaging push-forward flows over a random internal clock."""
 
-from .errors import (
-    MassMismatchError,
-    PicardConvergenceError,
-    SupportCapError,
-    TailMassError,
-)
+from .errors import MassMismatchError, PicardConvergenceError, TailMassError
 from .measures import EmpiricalMeasure, MeasurePath
 from .specfun import FracOrder, QuadratureRule
 from .subordinator import RngSpec
@@ -21,7 +16,6 @@ __all__ = [
     "RngSpec",
     "TailMassError",
     "MassMismatchError",
-    "SupportCapError",
     "PicardConvergenceError",
     "__version__",
 ]

@@ -8,9 +8,7 @@ solver non-convergence, 4 numerical failure (a quadrature tail mass that
 cannot be met, or a floating-point overflow).  Every output file is
 written through a temp-file rename, so no partial file survives a
 failure, and each solve emits a manifest recording every tolerance and
-seed used.  Every command runs on numpy alone but ``verify``, whose two
-bounded-Lipschitz checks solve an LP with scipy (the ``verify`` extra):
-without scipy they are reported as not run and ``verify`` exits 1.
+seed used.  Every command runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -362,9 +360,6 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     write_manifest(os.path.join(out_dir, "verify.json"), report)
     for check in report["checks"]:
-        if not check["run"]:
-            print(f"NOT RUN {check['name']}: needs scipy, the verify extra")
-            continue
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{status} {check['name']}: achieved {check['achieved']:.3e} "
               f"(target {check['target']:.3g} +/- {check['tolerance']:.3g})")

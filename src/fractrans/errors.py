@@ -9,10 +9,6 @@ class MassMismatchError(ValueError):
     """Operation requires measures of equal total mass."""
 
 
-class SupportCapError(ValueError):
-    """Combined support exceeds the configured LP size cap."""
-
-
 class PicardConvergenceError(RuntimeError):
     """Fixed-point sweep limit reached before the tolerance was met.
 

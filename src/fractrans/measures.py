@@ -3,9 +3,9 @@
 Every measure handled by the package is a finite sum of weighted Dirac
 masses.  Push-forward moves the points and leaves the weights untouched,
 so total mass is conserved bitwise.  The metric structure consists of the
-dual bounded-Lipschitz distance (computed exactly on the union support by
-a linear program) and the one-dimensional Wasserstein-1 distance (CDF
-area formula).
+dual bounded-Lipschitz distance and the Wasserstein-1 distance, both on
+the line: the first exact by a chain dynamic program inside a cutting-plane
+search, the second by the CDF area formula.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MassMismatchError, SupportCapError
+from .errors import MassMismatchError
 
 __all__ = [
     "EmpiricalMeasure",
@@ -33,9 +33,6 @@ __all__ = [
     "path_from_csv",
     "write_manifest",
 ]
-
-#: largest union-support size accepted by the bounded-Lipschitz LP
-BL_SUPPORT_CAP = 400
 
 #: relative tolerance on total-mass equality required by w1_distance_1d
 W1_MASS_TOL = 1e-12
@@ -116,79 +113,97 @@ def push_forward(mu: EmpiricalMeasure, mapping) -> EmpiricalMeasure:
     return EmpiricalMeasure(points=new_points, weights=mu.weights)
 
 
-def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Dual bounded-Lipschitz distance between two particle ensembles.
+def _signed_line(mu: EmpiricalMeasure, nu: EmpiricalMeasure, name: str):
+    """Union support of two measures on the line, sorted (stably), with the
+    signed weights of mu - nu; ValueError unless both are one-dimensional."""
+    if mu.dim != 1 or nu.dim != 1:
+        raise ValueError(f"{name} requires one-dimensional measures")
+    x = np.concatenate([mu.points.ravel(), nu.points.ravel()])
+    w = np.concatenate([mu.weights, -nu.weights])
+    order = np.argsort(x, kind="stable")
+    return x[order], w[order]
 
-    Exact on empirical measures: the supremum over test functions with
-    ||f||_inf + Lip(f) <= 1 is attained at a function determined by its
-    values on the union support (McShane extension preserves both the
-    bound and the Lipschitz constant).  Solved as a linear program with
-    variables (f_1..f_n, u, l):
 
-        maximize  c . f     subject to  |f_i| <= u,
-                                        |f_i - f_j| <= l |x_i - x_j|,
-                                        u + l <= 1,  u, l >= 0,
+#: (u, l) coefficients of the ends -u and u of the chain's domain
+_LO, _HI = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
 
-    where c is the signed weight vector of mu - nu.
+
+def _chain_line(x, c, u: float, l: float) -> np.ndarray:
+    """Line (A, B), V(u, l) = A u + B l, of the maximum V of sum_i c_i f_i
+    over |f_i| <= u and |f_{i+1} - f_i| <= l (x_{i+1} - x_i), x sorted.
+
+    On the line the Lipschitz bound of neighbours implies all the others.
+    The value F of the first i atoms, as a function of f_i, is concave and
+    piecewise linear.  Each atom takes its window max (the rising part
+    moves left by l d, the rest right, flat in between), clips it to
+    [-u, u] and adds c_i f.  Every breakpoint is s u + t l and is kept as
+    (s, t), as is F(-u); the slopes are sums of the c_i.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
+    ul = np.array([u, l])
+    pos, slopes, left = np.array([_LO, _HI]), c[:1], c[0] * _LO
+    for d, ci in zip(np.diff(x), c[1:]):
+        m = np.count_nonzero(slopes > 0.0)
+        shift = np.array([0.0, d])
+        pos = np.concatenate([pos[: m + 1] - shift, pos[m:] + shift])
+        slopes = np.concatenate([slopes[:m], [0.0], slopes[m:]])
+        p = pos @ ul
+        i0, i1 = int(np.searchsorted(p, -u, "right")), int(np.searchsorted(p, u, "left"))
+        left = left + slopes[: i0 - 1] @ np.diff(pos[:i0], axis=0) + slopes[i0 - 1] * (_LO - pos[i0 - 1])
+        pos = np.concatenate([[_LO], pos[i0:i1], [_HI]])
+        slopes = slopes[i0 - 1 : i1] + ci
+        left = left + ci * _LO
+    rising = slopes > 0.0
+    return left + slopes[rising] @ np.diff(pos, axis=0)[rising]
 
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    pts = np.vstack([mu.points.reshape(-1, mu.dim), nu.points.reshape(-1, nu.dim)])
-    c_signed = np.concatenate([mu.weights, -nu.weights])
-    n = pts.shape[0]
-    if n == 0:
+
+def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Dual bounded-Lipschitz distance between two measures on the line.
+
+    The supremum of <mu - nu, f> over ||f||_inf + Lip(f) <= 1 is attained
+    at a function determined by its values on the union support (McShane
+    extension): it is the maximum over u + l = 1 of V(u, l) (``_chain_line``,
+    c the signed weights of mu - nu at the merged atoms).  phi(u) =
+    V(u, 1 - u) is concave and piecewise linear, and every line A u + B l
+    from ``_chain_line`` bounds it from above.  Cutting planes start from
+    the lines of two plans, deleting all mass and carrying all of it to
+    the first atom; each pass evaluates phi where the lower of a rising
+    and a falling line peaks, and replaces the line on its side until the
+    value meets them.  ValueError unless both measures are one-dimensional.
+    """
+    x, w = _signed_line(mu, nu, "bl_distance")
+    starts = np.flatnonzero(np.diff(x, prepend=-np.inf))
+    c = np.add.reduceat(w, starts)
+    x, c = x[starts][c != 0.0], c[c != 0.0]
+    if x.size == 0:
         return 0.0
-    if n > BL_SUPPORT_CAP:
-        raise SupportCapError(
-            f"union support has {n} points, above the LP cap {BL_SUPPORT_CAP}"
-        )
-
-    # rows: f_i - u <= 0 and -f_i - u <= 0 (two entries each), then
-    # +-(f_i - f_j) - l d_ij <= 0 for each pair i < j (three), then u + l <= 1
-    iu, ju = np.triu_indices(n, k=1)
-    dij = np.linalg.norm(pts[iu] - pts[ju], axis=1)
-    one = np.ones_like(dij)
-    bound_cols = np.stack([np.arange(n), np.full(n, n)], axis=1).ravel()
-    pair_cols = np.stack([iu, ju, np.full(iu.size, n + 1)], axis=1).ravel()
-    indices = np.concatenate([bound_cols, bound_cols, pair_cols, pair_cols, [n, n + 1]])
-    data = np.concatenate([np.tile([1.0, -1.0], n), np.full(2 * n, -1.0),
-                           np.stack([one, -one, -dij], axis=1).ravel(),
-                           np.stack([-one, one, -dij], axis=1).ravel(), [1.0, 1.0]])
-    row_sizes = np.repeat([2, 3, 2], [2 * n, 2 * iu.size, 1])
-    indptr = np.concatenate([[0], np.cumsum(row_sizes)])
-    a_ub = sparse.csr_matrix((data, indices, indptr), shape=(row_sizes.size, n + 2))
-    b_ub = np.zeros(row_sizes.size)
-    b_ub[-1] = 1.0
-
-    cost = np.zeros(n + 2)
-    cost[:n] = -c_signed  # linprog minimizes
-    bounds = [(None, None)] * n + [(0.0, None), (0.0, None)]
-    # HiGHS' default feasibility tolerances (1e-7) let the optimum drift by
-    # a few 1e-9, enough to make d(mu, nu) and d(nu, mu) differ at that level
-    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=tol)
-    if not res.success:  # pragma: no cover - defensive
-        raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-    return max(0.0, float(-res.fun))
+    tot, net = float(np.abs(c).sum()), float(c.sum())
+    rise = (tot, 0.0)
+    fall = (abs(net), float(np.diff(x) @ np.abs(net - np.cumsum(c)[:-1])))
+    for _ in range(100):
+        (ar, br), (af, bf) = rise, fall
+        u = 1.0 if af >= bf else min(1.0, (bf - br) / ((ar - br) - (af - bf)))
+        a, b = _chain_line(x, c, u, 1.0 - u)
+        value = a * u + b * (1.0 - u)
+        # a flat line is the top of phi; otherwise stop at the envelope, up
+        # to the rounding of sums of |c|
+        if a == b or value >= min(br + (ar - br) * u, bf + (af - bf) * u) - 1e-12 * tot:
+            return max(0.0, float(value))
+        if a > b:
+            rise = (a, b)
+        else:
+            fall = (a, b)
+    raise RuntimeError("bounded-Lipschitz cutting planes did not converge")  # pragma: no cover
 
 
 def w1_distance_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Wasserstein-1 distance on the line: area between the CDFs."""
-    if mu.dim != 1 or nu.dim != 1:
-        raise ValueError("w1_distance_1d requires one-dimensional measures")
+    x, w = _signed_line(mu, nu, "w1_distance_1d")
     m_mu, m_nu = total_mass(mu), total_mass(nu)
     scale = max(m_mu, m_nu, 1.0)
     if abs(m_mu - m_nu) > W1_MASS_TOL * scale:
         raise MassMismatchError(
             f"total masses differ: {m_mu} vs {m_nu} (W1 needs balanced mass)"
         )
-    x = np.concatenate([mu.points.ravel(), nu.points.ravel()])
-    w = np.concatenate([mu.weights, -nu.weights])
-    order = np.argsort(x, kind="stable")
-    x, w = x[order], w[order]
     cdf_diff = np.cumsum(w)[:-1]
     return float(np.sum(np.abs(cdf_diff) * np.diff(x)))
 

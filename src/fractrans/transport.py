@@ -193,8 +193,9 @@ class SolverConfig:
         if not all(isinstance(n, (int, np.integer)) for n in counts):
             raise ValueError("q_h, q_g and picard_max_iters must be integers")
         reals = (self.eps_tail, self.ode_step, self.picard_tol, self.t_ext)
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in reals):
-            raise ValueError("eps_tail, ode_step, picard_tol and t_ext must be real numbers")
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+                   for x in reals):
+            raise ValueError("eps_tail, ode_step, picard_tol and t_ext must be real numbers and finite")
         times = tuple(float(t) for t in self.times)
         if not times or any(t <= 0.0 for t in times) or list(times) != sorted(times):
             raise ValueError("output times must be positive and increasing")

@@ -1,13 +1,11 @@
 """Self-verification suite: closed-form anchors and cross-method checks.
 
 Each check returns (target, achieved, tolerance); ``run_checks`` turns
-them into records {name, target, achieved, tolerance, pass, run} and the
-CLI writes them as a JSON report.  Anchors use only identities
-with independent closed forms (the half-order kernels reduce to Gaussian
-and complementary-error-function expressions), plus quadrature-vs-Monte
-Carlo and quadrature-vs-solver cross-validation.  The two metric checks
-solve the bounded-Lipschitz LP with scipy (the ``verify`` extra); without
-it they are recorded as not run, and the suite does not pass.
+them into records {name, target, achieved, tolerance, pass} and the CLI
+writes them as a JSON report.  Anchors use only identities with
+independent closed forms (the half-order kernels reduce to Gaussian and
+complementary-error-function expressions), plus quadrature-vs-Monte
+Carlo and quadrature-vs-solver cross-validation.
 """
 
 from __future__ import annotations
@@ -115,7 +113,7 @@ def check_half_order_oracle():
 
 
 def check_metric_anchor():
-    """Bounded-Lipschitz LP optimum for unit Diracs at distance 1."""
+    """Bounded-Lipschitz distance between unit Diracs at distance 1."""
     d0 = EmpiricalMeasure.dirac([0.0])
     d1 = EmpiricalMeasure.dirac([1.0])
     return 2.0 / 3.0, bl_distance(d0, d1), 1e-9
@@ -186,19 +184,11 @@ CHECKS = {
 
 
 def run_checks() -> dict:
-    """Run every check in ``CHECKS``; one that fails to import scipy is
-    recorded as not run, with no figures, and as not passing."""
+    """Run every check in ``CHECKS``."""
     report = []
     for name, check in CHECKS.items():
-        try:
-            target, achieved, tolerance = check()
-        except ModuleNotFoundError as exc:
-            if exc.name != "scipy":
-                raise
-            report.append({"name": name, "target": None, "achieved": None, "tolerance": None,
-                           "pass": False, "run": False})
-            continue
+        target, achieved, tolerance = check()
         report.append({"name": name, "target": float(target), "achieved": float(achieved),
                        "tolerance": float(tolerance),
-                       "pass": bool(abs(achieved - target) <= tolerance), "run": True})
+                       "pass": bool(abs(achieved - target) <= tolerance)})
     return {"checks": report, "all_pass": all(c["pass"] for c in report)}

@@ -500,7 +500,6 @@ def test_verify_report_and_exit_code(tmp_path, monkeypatch, code, failing):
     assert main(["verify", "--config", _write_config(tmp_path, "v.json", {}), "--out", str(out)]) == code
     report = json.loads((out / "verify.json").read_text())
     assert len(report["checks"]) == 12
-    assert all(c["run"] for c in report["checks"])
     assert [c["name"] for c in report["checks"] if not c["pass"]] == failing
     assert report["all_pass"] == (not failing)
 

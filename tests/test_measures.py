@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fractrans
-from fractrans.errors import MassMismatchError, SupportCapError
+from fractrans.errors import MassMismatchError
 from fractrans.measures import (
     EmpiricalMeasure,
     MeasurePath,
@@ -140,6 +140,25 @@ def test_bl_anchors():
     assert bl_distance(double, d0) == pytest.approx(1.0, abs=1e-9)
 
 
+@given(mu=ensembles(max_n=8, dim=1))
+@settings(max_examples=25, deadline=None)
+def test_bl_to_the_zero_measure_is_the_mass(mu):
+    # f = 1 is admissible (Lip 0), and |<mu, f>| <= ||f||_inf mass(mu)
+    zero = EmpiricalMeasure(points=np.zeros((0, 1)), weights=np.zeros(0))
+    assert bl_distance(zero, mu) == pytest.approx(total_mass(mu), rel=1e-12)
+    assert bl_distance(mu, zero) == pytest.approx(total_mass(mu), rel=1e-12)
+
+
+def test_bl_far_apart_pairs_above_the_old_lp_cap():
+    # 1,000 unit atoms at 3i against the same atoms moved by h = 1/2: each
+    # pair is farther from its neighbours than f's optimal reach, so the
+    # distance is 1,000 times the two-Dirac optimum 2h/(2 + h) = 400
+    x = 3.0 * np.arange(1000.0)[:, None]
+    mu = EmpiricalMeasure(points=x, weights=np.ones(1000))
+    nu = EmpiricalMeasure(points=x + 0.5, weights=np.ones(1000))
+    assert bl_distance(mu, nu) == pytest.approx(400.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("sep", [0.25, 0.5, 1.0, 3.0, 10.0])
 def test_bl_separation_formula(sep):
     # two unit Diracs at distance d: optimum 2d/(2+d)
@@ -150,32 +169,30 @@ def test_bl_separation_formula(sep):
     assert _coupling_bound(d0, dd) == pytest.approx(2.0 * sep / (2.0 + sep), abs=1e-15)
 
 
-def test_bl_dimension_mismatch_and_cap():
+def test_bl_rejects_other_dimensions():
     d1 = EmpiricalMeasure.dirac([0.0])
     d2 = EmpiricalMeasure.dirac([0.0, 0.0])
     with pytest.raises(ValueError):
         bl_distance(d1, d2)
-    big = EmpiricalMeasure(points=np.random.default_rng(0).normal(size=(401, 1)),
-                           weights=np.ones(401))
-    with pytest.raises(SupportCapError):
-        bl_distance(big, d1)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        bl_distance(d2, EmpiricalMeasure.dirac([1.0, 0.0]))
 
 
-@given(a=ensembles(max_n=6, dim=2), b=ensembles(max_n=6, dim=2))
+@given(a=ensembles(max_n=6, dim=1), b=ensembles(max_n=6, dim=1))
 @settings(max_examples=25, deadline=None)
 def test_bl_symmetry(a, b):
     assert bl_distance(a, b) == pytest.approx(bl_distance(b, a), abs=1e-9)
 
 
 @st.composite
-def aligned_pairs(draw, max_n=100):
+def aligned_pairs(draw, max_n=100, dim=2):
     """(mu, nu) as consecutive Picard iterates: nu holds blocks of mu's
     particles, displaced, carrying mu's weights split by block weights that
     sum to 1 (one block: the same weights)."""
     blocks = draw(st.integers(1, 3))
-    mu = draw(ensembles(max_n=max_n // blocks, dim=2))
+    mu = draw(ensembles(max_n=max_n // blocks, dim=dim))
     split = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=blocks, max_size=blocks)))
-    shift = draw(arrays(float, (blocks * mu.size, 2), elements=st.floats(-3.0, 3.0)))
+    shift = draw(arrays(float, (blocks * mu.size, dim), elements=st.floats(-3.0, 3.0)))
     nu = EmpiricalMeasure(
         points=np.tile(mu.points, (blocks, 1)) + shift,
         weights=np.outer(split / split.sum(), mu.weights).ravel(),
@@ -183,11 +200,19 @@ def aligned_pairs(draw, max_n=100):
     return mu, nu
 
 
-@given(pair=aligned_pairs())
+@given(pair=aligned_pairs(dim=1))
 @settings(max_examples=25, deadline=None)
 def test_coupling_bound_dominates_bl(pair):
     mu, nu = pair
     assert _coupling_bound(mu, nu) >= bl_distance(mu, nu) - 1e-12
+
+
+@given(pair=aligned_pairs(dim=2))
+@settings(max_examples=25, deadline=None)
+def test_coupling_bound_dominates_the_lp_bl_in_2d(pair):
+    # the coupling bound certifies the Picard stop in every dimension
+    mu, nu = pair
+    assert _coupling_bound(mu, nu) >= _loop_built_bl(mu, nu) - 1e-12
 
 
 @given(
@@ -200,7 +225,7 @@ def test_bl_triangle_inequality(a, b, c):
     assert bl_distance(a, c) <= bl_distance(a, b) + bl_distance(b, c) + 1e-9
 
 
-@given(a=ensembles(max_n=5, dim=2), scale=st.floats(0.1, 5.0))
+@given(a=ensembles(max_n=5, dim=1), scale=st.floats(0.1, 5.0))
 @settings(max_examples=20, deadline=None)
 def test_bl_dual_norm_homogeneity(a, scale):
     b = EmpiricalMeasure(points=a.points + 1.0, weights=a.weights)
@@ -213,8 +238,13 @@ def test_bl_dual_norm_homogeneity(a, scale):
 
 
 def _loop_built_bl(mu, nu):
-    """bl_distance with its constraint matrix assembled one entry at a time
-    by Python loops, as first written: the reference for the array build."""
+    """The bounded-Lipschitz LP on the union support, in any dimension, with
+    its constraint matrix assembled one entry at a time by Python loops:
+
+        maximize  c . f   subject to  |f_i| <= u,  |f_i - f_j| <= l |x_i - x_j|,
+                                      u + l <= 1,  u, l >= 0,
+
+    c the signed weights of mu - nu.  The reference for ``bl_distance``."""
     from scipy import sparse
     from scipy.optimize import linprog
 
@@ -252,22 +282,42 @@ def _loop_built_bl(mu, nu):
 
 
 @st.composite
-def lp_pairs(draw):
-    d = draw(st.integers(1, 3))
-    return draw(ensembles(max_n=30, dim=d)), draw(ensembles(max_n=30, dim=d))
+def grid_ensembles(draw, max_n=30):
+    """Line ensembles on the multiples of 1/64 in [-5, 5]: atoms coincide or
+    lie 1/64 or more apart.  HiGHS' 1e-10 feasibility tolerance costs the
+    reference LP about 1e-9 on atoms 1e-9 apart (``test_bl_atoms_1e9_apart``)."""
+    n = draw(st.integers(1, max_n))
+    pts = np.array(draw(st.lists(st.integers(-320, 320), min_size=n, max_size=n))) / 64.0
+    wts = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    return EmpiricalMeasure(points=pts[:, None], weights=np.array(wts))
 
 
-@given(pair=lp_pairs())
+@given(mu=grid_ensembles(), nu=grid_ensembles())
 @settings(max_examples=25, deadline=None)
-def test_bl_array_build_matches_loop_build(pair):
-    # the same constraint arrays give HiGHS the same LP, so the same float
-    mu, nu = pair
-    assert bl_distance(mu, nu) == _loop_built_bl(mu, nu)
+def test_bl_matches_the_lp(mu, nu):
+    assert bl_distance(mu, nu) == pytest.approx(_loop_built_bl(mu, nu), abs=1e-9)
+
+
+def test_bl_atoms_1e9_apart():
+    # c = (-4, -1, 3) at (0, e, 1): f = (-1/3, -1/3 + 2e/3, 1/3) at u = 1/3
+    # is optimal, 8/3 - 2e/3; the reference LP returns about 8/3 - 16e/9
+    e = 1e-9
+    mu = EmpiricalMeasure(points=[[0.0], [1.0]], weights=[1.0, 3.0])
+    nu = EmpiricalMeasure(points=[[0.0], [e]], weights=[5.0, 1.0])
+    assert bl_distance(mu, nu) == pytest.approx(8.0 / 3.0 - 2.0 * e / 3.0, abs=1e-15)
+
+
+def test_bl_matches_the_lp_up_to_150_atoms():
+    rng = np.random.default_rng(23)
+    for n, m in ((150, 1), (1, 150), (150, 150), *rng.integers(1, 151, size=(3, 2))):
+        mu = EmpiricalMeasure(points=rng.normal(size=(n, 1)), weights=rng.uniform(0.1, 1.0, n))
+        nu = EmpiricalMeasure(points=rng.normal(size=(m, 1)), weights=rng.uniform(0.1, 1.0, m))
+        assert bl_distance(mu, nu) == pytest.approx(_loop_built_bl(mu, nu), abs=1e-9)
 
 
 def test_bl_identity_of_indiscernibles():
     rng = np.random.default_rng(3)
-    mu = EmpiricalMeasure(points=rng.normal(size=(5, 2)), weights=rng.uniform(0.1, 1, 5))
+    mu = EmpiricalMeasure(points=rng.normal(size=(5, 1)), weights=rng.uniform(0.1, 1, 5))
     assert bl_distance(mu, mu) == pytest.approx(0.0, abs=1e-9)
 
 

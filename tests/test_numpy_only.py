@@ -1,13 +1,10 @@
 """numpy is the only runtime dependency.
 
 The special functions integrate on fixed Gauss-Legendre nodes and solve
-rule quantiles by a vectorized Newton iteration, so building rules and
-solving never load scipy.  scipy is imported only inside
-``measures.bl_distance`` (the bounded-Lipschitz LP), which the two metric
-checks of ``verify`` call; it is the ``verify`` extra.  Without it
-``verify`` runs its other checks, reports those two as not run and exits
-1.  The tests here run the commands in a subprocess, with scipy
-importable but unused, or hidden from the import system.
+rule quantiles by a vectorized Newton iteration, and the bounded-Lipschitz
+distance is a dynamic program on the line, so no command loads scipy.
+The tests here run the commands in a subprocess, with scipy importable
+but unused, or hidden from the import system.
 """
 
 import json
@@ -37,7 +34,7 @@ for name, (command, cfg) in json.loads(sys.argv[2]).items():
     path = f"{out}/{name}.json"
     with open(path, "w") as handle:
         json.dump(cfg, handle)
-    seed = [] if command == "kernels" else ["--seed", "0"]  # kernels draws nothing
+    seed = [] if command in ("kernels", "verify") else ["--seed", "0"]  # they take no seed
     code = fractrans.cli.main([command, "--config", path, "--out", f"{out}/{name}"] + seed)
     assert code == 0, (name, code)
     assert not unwanted_modules(), (name, unwanted_modules())
@@ -67,12 +64,13 @@ _RUNS = {
                             "source": {"kind": "dirac",
                                        "point": [0.4475929254183783, 0.4475929254183783]}}),
     "kernels": ("kernels", {}),
+    "verify": ("verify", {}),
 }
 
 
 def test_cli_import_and_sample_load_no_scipy(tmp_path):
     # the benchmark's sample and three solves, one of each problem kind, and
-    # `kernels` on its defaults
+    # `kernels` and `verify` on their defaults
     env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY, str(tmp_path), json.dumps(_RUNS)],
@@ -83,6 +81,7 @@ def test_cli_import_and_sample_load_no_scipy(tmp_path):
     for name in ("linear-2d", "nonlinear-repulsion", "source-2d"):
         assert (tmp_path / name / "manifest.json").exists(), name
     assert (tmp_path / "kernels" / "mittag_leffler.csv").exists()
+    assert json.loads((tmp_path / "verify" / "verify.json").read_text())["all_pass"]
 
 
 _HIDDEN_SCIPY = """
@@ -98,26 +97,20 @@ import fractrans.cli
 from fractrans.measures import EmpiricalMeasure, bl_distance
 
 code = fractrans.cli.main(["verify", "--out", sys.argv[1]])
-try:
-    bl_distance(EmpiricalMeasure.dirac([0.0]), EmpiricalMeasure.dirac([1.0]))
-    raised = None
-except ModuleNotFoundError as exc:
-    raised = exc.name
-print(json.dumps({"code": code, "raised": raised}))
+bl = bl_distance(EmpiricalMeasure.dirac([0.0]), EmpiricalMeasure.dirac([1.0]))
+print(json.dumps({"code": code, "bl": bl}))
 """
 
 
-def test_verify_without_scipy_runs_all_but_the_lp_checks(tmp_path):
+def test_verify_without_scipy_runs_every_check(tmp_path):
     env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.run([sys.executable, "-c", _HIDDEN_SCIPY, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 1, "raised": "scipy"}
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0 and result["bl"] == pytest.approx(2.0 / 3.0, abs=1e-15)
     checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
-    not_run = [c["name"] for c in checks if not c["run"]]
-    assert not_run == ["bl_two_diracs", "bl_dominated_by_w1"]
-    assert sum(c["pass"] for c in checks) == 10 and len(checks) == 12
-    assert "NOT RUN bl_two_diracs" in proc.stdout
+    assert len(checks) == 12 and all(c["pass"] for c in checks)
 
 
 def test_pyproject_requires_numpy_alone():
@@ -127,8 +120,8 @@ def test_pyproject_requires_numpy_alone():
         project = tomllib.load(handle)["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
     extras = project["optional-dependencies"]
-    for extra in ("verify", "test"):
-        assert any(req.startswith("scipy") for req in extras[extra]), extra
+    assert set(extras) == {"test"}
+    assert any(req.startswith("scipy") for req in extras["test"])
 
 
 @pytest.mark.parametrize("z", [-1e153, -1e160])

@@ -1111,3 +1111,11 @@ def test_solver_config_rejects_non_real_floats(knob, value):
         SolverConfig(times=(1.0,), **{knob: value})
     # numpy scalars are real numbers
     SolverConfig(times=(1.0,), **{knob: np.float64(2.0)})
+
+
+@pytest.mark.parametrize("knob", ["eps_tail", "ode_step", "picard_tol", "t_ext"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_solver_config_rejects_non_finite_reals(knob, value):
+    # the CLI rejects NaN and Infinity in its config; the Python API must too
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(times=(1.0,), **{knob: value})
