@@ -3,10 +3,14 @@
 Evaluates the Mittag-Leffler function, the one-sided stable density
 G_beta (law of the unit-time subordinator), the rescaled subordinator
 density g_beta(s, t), the inverse-subordinator density h_beta(s, t), and
-builds quadrature rules for integrals against g_beta and h_beta.
+builds quadrature rules for integrals against g_beta and h_beta, and the
+product rule on Kanter's representation of the unit clock E_1 that the
+solvers plan their Gauss h-rule on.
 
 Everything runs on numpy, with fixed-node integrals and no adaptive
-routine:
+routine.  Gauss-Legendre nodes and weights come from Golub-Welsch, the
+eigen-decomposition of the Legendre Jacobi matrix by ``np.linalg.eigh``,
+so ``numpy.polynomial`` is never imported.
 
 - G_beta and its CDF: the convergent inverse-power series for arguments
   >= 1, and below 1 the Zolotarev angular integrals over (0, pi), each a
@@ -123,7 +127,15 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch:
+    the eigenvalues of the Legendre Jacobi matrix (zero diagonal,
+    off-diagonal k / sqrt(4 k^2 - 1)) and twice the squared first
+    components of its eigenvectors, made symmetric about 0."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 * vectors[0] ** 2
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -294,12 +306,13 @@ def _stable_series(b: float, x: np.ndarray, sf: bool = False) -> np.ndarray:
 
 def _log_zolotarev_a(phi: np.ndarray, b: float) -> np.ndarray:
     # log of the angular function of the Zolotarev representation,
-    # increasing on (0, pi)
-    return (
-        b / (1.0 - b) * np.log(np.sin(b * phi))
-        + np.log(np.sin((1.0 - b) * phi))
-        - np.log(np.sin(phi)) / (1.0 - b)
-    )
+    # increasing on (0, pi); summed in place, because the stable sampler
+    # passes all its draws at once and each temporary is one more array
+    out = np.log(np.sin(b * phi))
+    out *= b / (1.0 - b)
+    out += np.log(np.sin((1.0 - b) * phi))
+    out -= np.log(np.sin(phi)) / (1.0 - b)
+    return out
 
 
 def _zolotarev_a0(b: float) -> float:
@@ -388,6 +401,57 @@ def _stable_sf(beta: FracOrder, x):
         lambda b, y: _stable_series(b, y, sf=True),
         lambda b, y: 1.0 - _stable_zolotarev(b, y)[1],
     )
+
+
+# ---------------------------------------------------------------------------
+# Kanter's representation of the unit clock
+# ---------------------------------------------------------------------------
+
+
+def _log_kanter_clock(b: float, u, log_w):
+    """log E_1 by Kanter's representation (Ann. Probab. 3 (1975) 697-707):
+    with U uniform on (0, pi) and W unit exponential,
+
+        E_1 = D_1^(-b) = (W / a(U))^(1-b)
+            = W^(1-b) sin U / (sin(b U)^b sin((1-b) U)^(1-b)),
+
+    a the angular function of the Zolotarev integrals.  ``u`` and ``log_w``
+    broadcast together."""
+    return (1.0 - b) * (log_w - _log_zolotarev_a(u, b))
+
+
+#: least nodes per panel of the Kanter planning rule, in log W and in U
+_KANTER_NODES = 12
+#: log W panel edges below 0, the last panel ending at 0; the mass below
+#: W = e^-40, about 4e-18, is dropped
+_KANTER_LOW_EDGES = (-40.0, -16.0, -6.0, -2.0)
+
+
+def _kanter_rule(b: float, tail: float, q: int):
+    """Planning rule for the q-point Gauss rule of E_1: (nodes, weights
+    summing to 1) of a product Gauss-Legendre rule over (log W, U), mapped
+    to E_1 by Kanter's representation (``_log_kanter_clock``).  No special
+    function is evaluated.
+
+    W is cut where e^(-W) = 0.05 * ``tail``; above W = 1 the log W panels
+    have equal widths of at most 1, where e^(-W) varies fastest.  The map's
+    continuation is singular at U = pi / b and pi / (1 - b), so the U panels
+    halve toward pi, down to half the distance of the nearer one.  Each panel
+    has max(12, q / 8) nodes: the Stieltjes recurrence of q steps stays
+    within 1e-13 of a reorthogonalized Lanczos run on this rule up to
+    q = 256 (at beta 0.05, 0.3, 0.5 and 0.99), while with 12 nodes per
+    panel its nodes are 7e-4 off at q = 128 (beta 0.3).
+    """
+    n = max(_KANTER_NODES, -(-q // 8))
+    log_w_cut = math.log(-math.log(0.05 * tail))
+    top = np.linspace(0.0, log_w_cut, math.ceil(log_w_cut) + 1)
+    y, wy = _panel_nodes(np.concatenate([_KANTER_LOW_EDGES, top]), n)
+    wy *= np.exp(y - np.exp(y))
+    depth = 1 + math.ceil(math.log2(max(b, 1.0 - b) / min(b, 1.0 - b)))
+    u, wu = _panel_nodes(np.append(math.pi * (1.0 - 0.5 ** np.arange(depth + 1)), math.pi), n)
+    nodes = np.exp(_log_kanter_clock(b, u[:, None], y)).ravel()
+    weights = np.multiply.outer(wu, wy).ravel()
+    return nodes, weights / weights.sum()
 
 
 # ---------------------------------------------------------------------------

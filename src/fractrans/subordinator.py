@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo import l1_weights
-from .specfun import FracOrder, mittag_leffler
+from .specfun import FracOrder, _log_kanter_clock, mittag_leffler
 
 __all__ = [
     "RngSpec",
@@ -53,16 +52,17 @@ def sample_stable_unit(beta: FracOrder, rng, size=None):
 
         D = (sin(b U) / sin(U)^(1/b)) * (sin((1-b) U) / W)^((1-b)/b)
 
-    has Laplace transform exp(-s^b).
+    has Laplace transform exp(-s^b).  It is drawn as E_1^(-1/b) from
+    ``specfun._log_kanter_clock``, the map that also plans the solvers'
+    Gauss h-rule.
     """
     b = beta.beta
     if not 0.0 < b < 1.0:
         raise ValueError("stable sampling requires 0 < beta < 1")
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
     u = gen.uniform(0.0, math.pi, size=size)
-    w = gen.exponential(size=size)
-    num = np.sin(b * u) / np.sin(u) ** (1.0 / b)
-    return num * (np.sin((1.0 - b) * u) / w) ** ((1.0 - b) / b)
+    log_w = np.log(gen.exponential(size=size))
+    return np.exp(_log_kanter_clock(b, u, log_w) / -b)
 
 
 def mc_moment(beta: FracOrder, gammas, t: float, n: int, rng: RngSpec):
@@ -126,6 +126,8 @@ def solve_psi_fode(beta: FracOrder, lam: float, t_max: float, dt: float):
         raise ValueError(
             f"step rejected: lam*dt^beta*Gamma(2-beta) = {amp:.3g} >= {_FODE_STABILITY}"
         )
+    from .caputo import l1_weights  # only here: no CLI command compiles caputo
+
     m = int(round(t_max / dt))
     grid = dt * np.arange(m + 1, dtype=float)
     w = l1_weights(b, m)

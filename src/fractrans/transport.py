@@ -29,12 +29,14 @@ h-weight is fed, and later intervals take min(ode_step * W^(-1/5), 1/Lip),
 W the h-weight they still feed (``_flow_schedule``); a time-dependent
 explicit field also gets a graded start, steps of about s/8 near s = 0,
 where its g-average varies fastest.  The h-rule is the
-Gauss rule of the unit clock E_1, planned by Lanczos on a fine composite
-rule, so each of its few nodes (one push-forward of mu0 each) carries
-spectral accuracy; the g-rule stays composite.  An explicit field marked autonomous (independent
+Gauss rule of the unit clock E_1, planned by the Stieltjes procedure on a
+product rule over Kanter's representation of E_1, so each of its few
+nodes (one push-forward of mu0 each) carries spectral accuracy; the
+g-rule stays composite.  An explicit field marked autonomous (independent
 of t) skips the field average: the g-rule weights sum to 1, so its
 g-average is the field itself, evaluated once per RK4 stage instead of
-q_g times, and with no source atoms no g-rule is built.  The interaction
+q_g times, and with no source atoms, or a source of one measure, which
+every lookup reads whole, no g-rule is built.  The interaction
 field is linear in the measure, so its g-average is the field induced by
 the path average.  The path average weights each recorded measure by a
 segment mass, the g-weight whose real time looks it up; the stage times
@@ -62,7 +64,7 @@ from .measures import (
     MeasurePath,
     total_mass,
 )
-from .specfun import FracOrder, _check_rule_args, _sorted_unique, _stable_sf, g_quadrature, h_quadrature
+from .specfun import FracOrder, _check_rule_args, _kanter_rule, _sorted_unique, _stable_sf, g_quadrature
 from .subordinator import RngSpec, sample_inverse
 
 __all__ = [
@@ -168,15 +170,15 @@ class SolverConfig:
     in the returned path); ``t_ext`` extends the working grid beyond the
     last output time for the nonlinear velocity lookup, with the induced
     freezing error logged per run.  ``q_h`` is the size of the Gauss
-    h-rule (see ``_h_rules``); ``eps_tail`` sets only tails of composite
-    rules: min(eps_tail, 1e-12) for the fine rule that the h-rule is
-    planned on, and max(eps_tail, 1e-8) for the g-rule.  ``ode_step`` is
-    the RK4 step where the full h-weight is fed; later intervals take
-    min(ode_step * W^(-1/5), 1/Lip), W the h-weight they still feed and
-    Lip the constant of the step guard (see ``_flow_schedule``), and the
-    coarse Picard level steps min(16 ode_step, 1/Lip).  The knobs
-    that only the nonlinear solver reads carry
-    ``metadata={"nonlinear": True}``.
+    h-rule (see ``_h_rules``); ``eps_tail`` sets the tails: the rule the
+    h-rule is planned on cuts W where e^(-W) = 0.05 min(eps_tail, 1e-12),
+    and the composite g-rule's tail target is 0.05 max(eps_tail, 1e-8).
+    ``ode_step`` is the RK4 step where the full h-weight is fed; later
+    intervals take min(ode_step * W^(-1/5), 1/Lip), W the h-weight they
+    still feed and Lip the constant of the step guard (see
+    ``_flow_schedule``), and the coarse Picard level steps
+    min(16 ode_step, 1/Lip).  The knobs that only the nonlinear solver
+    reads carry ``metadata={"nonlinear": True}``.
     """
 
     times: tuple
@@ -284,31 +286,29 @@ def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
     The rule is the q_h-point Gauss rule of the unit clock E_1, nodes scaled
     by t^beta.  E_1 has the Mittag-Leffler law, whose moments
     n! / Gamma(1 + n beta) are all finite, so the rule converges spectrally.
-    It is planned on a fine composite rule (``h_quadrature``, at least 512
-    and 4 q_h nodes, tail target min(eps_tail, 1e-12)): q_h Lanczos steps
-    on its nodes with full reorthogonalization, twice, give the Jacobi
-    matrix, whose eigenvalues are the nodes and whose squared first
-    eigenvector components are the weights (Golub & Welsch, Math. Comp. 23
-    (1969) 221-230; Gautschi, Orthogonal Polynomials, 2004, Sec. 2.2).  Sums
-    are numpy reductions, not BLAS products, so no thread count changes the
-    Lanczos vectors.
+    It is planned on the product rule of Kanter's representation
+    (``_kanter_rule``, W cut where e^(-W) = 0.05 min(eps_tail, 1e-12)): q_h
+    steps of the discretized Stieltjes procedure on its nodes, O(q_h N),
+    give the Jacobi matrix of orthonormal polynomials, whose eigenvalues are
+    the nodes and whose squared first eigenvector components are the
+    weights (Golub & Welsch, Math. Comp. 23 (1969) 221-230; Gautschi,
+    Orthogonal Polynomials, 2004, Sec. 2.2).  Sums are numpy reductions,
+    not BLAS products, so no thread count changes the recurrence.
     """
     if beta.is_classical:
         return [(np.array([t]), np.ones(1)) for t in times]
     _check_rule_args(beta, 1.0, config.q_h, config.eps_tail)
-    fine = h_quadrature(beta, 1.0, max(512, 4 * config.q_h), min(config.eps_tail, 1e-12))
-    x, q = fine.nodes, config.q_h
-    basis = np.zeros((q + 1, x.size))
-    basis[0] = np.sqrt(fine.weights / fine.weights.sum())
-    alpha, off = np.zeros(q), np.zeros(q)
+    x, w = _kanter_rule(beta.beta, min(config.eps_tail, 1e-12), config.q_h)
+    q = config.q_h
+    alpha, off = np.zeros(q), np.zeros(q + 1)
+    # the orthonormal polynomials p_j and p_(j-1) at the planning nodes
+    p, p_prev = np.ones_like(x), np.zeros_like(x)
     for j in range(q):
-        u = x * basis[j]
-        alpha[j] = np.sum(u * basis[j])
-        for _ in range(2):
-            u -= (np.sum(basis[: j + 1] * u, axis=1)[:, None] * basis[: j + 1]).sum(axis=0)
-        off[j] = math.sqrt(np.sum(u * u))
-        basis[j + 1] = u / off[j]
-    jacobi = np.diag(alpha) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+        alpha[j] = np.sum(w * x * p * p)
+        u = (x - alpha[j]) * p - off[j] * p_prev
+        off[j + 1] = math.sqrt(np.sum(w * u * u))
+        p, p_prev = u / off[j + 1], p
+    jacobi = np.diag(alpha) + np.diag(off[1:-1], 1) + np.diag(off[1:-1], -1)
     nodes, vectors = np.linalg.eigh(jacobi)
     weights = vectors[0] ** 2
     weights /= weights.sum()
@@ -484,8 +484,8 @@ def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps) 
     the RK4 ``steps`` of their ``_stage_schedule``, covers every term: at
     each node the source is injected, weighted by the width of the
     following interval (rectangle rule), and advected with the initial
-    ensemble.  Only a source with atoms reads ``g_rule``; it may be None
-    otherwise.
+    ensemble.  Only a source of more than one measure, with atoms, reads
+    ``g_rule``; it may be None otherwise.
 
     With no source the particles come in index order: output particle
     (q, i), at position q * mu0.size + i, is mu0 particle i pushed to h-node
@@ -499,7 +499,11 @@ def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps) 
     starts = nodes[:-1].tolist()
     rows = None
     if any(mu.size for mu in gamma_path.measures):
-        rows, index = g_rule.segment_masses(gamma_path.times, starts)
+        if len(gamma_path.measures) == 1:
+            # every lookup reads the one measure, with mass 1
+            rows, index = np.ones((1, 1)), np.zeros(len(starts), dtype=np.intp)
+        else:
+            rows, index = g_rule.segment_masses(gamma_path.times, starts)
     for j, (s_a, s_b) in enumerate(zip(starts, nodes[1:].tolist())):
         if rows is not None:
             g_pts, g_wts = _path_average(gamma_path, rows[index[j]])
@@ -895,9 +899,10 @@ def solve_with_source(
     # Duhamel rectangle rule, so the flow also steps through the ode_step grid
     fine = np.arange(0.0, config.times[-1] + 1e-12, config.ode_step) if beta.is_classical else ()
     _check_step(config.ode_step, v.lip)
-    # only a time-dependent field or a source with atoms reads the g-rule
-    has_source = any(mu.size for mu in gamma_path.measures)
-    g_rule = _GRule(beta, config) if has_source or not v.autonomous else None
+    # only a time-dependent field or a source of more than one measure, with
+    # atoms, reads the g-rule
+    varying_source = len(gamma_path.measures) > 1 and any(mu.size for mu in gamma_path.measures)
+    g_rule = _GRule(beta, config) if varying_source or not v.autonomous else None
     h_rules = _h_rules(beta, config.times, config)
     nodes = _flow_nodes(h_rules, fine)
     if not (beta.is_classical or v.autonomous) and _varies_in_t(v, mu0, nodes[0], nodes[-1]):

@@ -81,9 +81,10 @@ def check_exponential_identity(eps_tail=1e-13, q=128):
 
 def check_gauss_h_rule():
     """The solvers' Gauss h-rule at the default q_h against the Laplace
-    identity E[exp(-lam E_1)] = E_beta(-lam)."""
+    identity E[exp(-lam E_1)] = E_beta(-lam), from near-exponential to
+    near-classical clocks."""
     worst = 0.0
-    for b in (0.3, 0.5, 0.7):
+    for b in (0.05, 0.3, 0.5, 0.7, 0.99):
         beta = FracOrder(b)
         (nodes, weights), = _h_rules(beta, (1.0,), SolverConfig(times=(1.0,)))
         for lam in (0.5, 1.0, 4.0):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -219,15 +220,30 @@ def test_solve_nonconvergence_exit_code(tmp_path):
 
 
 def test_unreachable_tail_mass_exit_4(tmp_path, capsys):
-    # a source with atoms reads the g-rule.  At beta = 0.1 the g-kernel tail
-    # is too heavy for any q_g; at beta = 1/2, q_g = 4 is too few nodes for
-    # the composite rule's panels
-    source = {"kind": "dirac", "point": [0.5]}
+    # the nonlinear problem reads the composite g-rule.  At beta = 0.1 the
+    # g-kernel tail is too heavy for any q_g; at beta = 1/2, q_g = 4 is too
+    # few nodes for the composite rule's panels
     for beta, q_g in ((0.1, 12), (0.5, 4)):
-        cfg = _linear_config(tmp_path, beta=beta, problem="source", source=source,
+        cfg = _linear_config(tmp_path, beta=beta, problem="nonlinear", velocity={"kind": "repulsion"},
                              solver={"q_h": 24, "q_g": q_g, "ode_step": 0.02})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical error:")
+
+
+def test_constant_source_solve_builds_no_g_rule(tmp_path, monkeypatch):
+    # the CLI's source is one measure for all time, so every lookup reads it
+    # whole and, with the autonomous damping field, nothing reads the g-rule:
+    # beta = 0.1, whose g-rule cannot meet the default eps_tail, solves, and
+    # its mass solves D^beta m = 1, m(t) = 1 + t^beta / Gamma(1 + beta)
+    calls = []
+    monkeypatch.setattr(transport, "g_quadrature", lambda *args: calls.append(args))
+    cfg = _linear_config(tmp_path, beta=0.1, problem="source", source={"kind": "dirac", "point": [0.5]})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert calls == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    for t, mass in zip(manifest["times"], manifest["outputs"]["total_mass"][1:]):
+        assert mass == pytest.approx(1.0 + t**0.1 / math.gamma(1.1), abs=1e-10)
 
 
 def test_autonomous_linear_solve_builds_no_g_rule(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@
 The special functions integrate on fixed Gauss-Legendre nodes and solve
 rule quantiles by a vectorized Newton iteration, and the bounded-Lipschitz
 distance is a dynamic program on the line, so no command loads scipy.
+Nor does any command load ``numpy.polynomial`` (Gauss-Legendre nodes come
+from ``eigh``) or ``fractrans.caputo`` (only ``solve_psi_fode`` reads it).
 The tests here run the commands in a subprocess, with scipy importable
 but unused, or hidden from the import system.
 """
@@ -25,7 +27,8 @@ import json, sys
 
 def unwanted_modules():
     # numpy.ma too: numpy 2.4 imports it from np.unique without return_inverse
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")
+    unused = ("numpy.ma", "numpy.polynomial", "fractrans.caputo")
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in unused)
 
 import fractrans, fractrans.cli
 assert not unwanted_modules(), ("import", unwanted_modules())

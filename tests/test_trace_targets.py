@@ -15,7 +15,6 @@ from fractrans import _core, cli, specfun, subordinator, transport
 
 TARGETS = [
     (transport, "_advect_segment"),
-    (transport, "h_quadrature"),
     (transport, "g_quadrature"),
     (transport.ExplicitField, "__call__"),
     (cli, "solve_linear"),

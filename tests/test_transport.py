@@ -28,6 +28,7 @@ from fractrans.measures import (
 )
 from fractrans.specfun import (
     FracOrder,
+    _kanter_rule,
     h_quadrature,
     inverse_moment_coeff,
     mittag_leffler,
@@ -217,10 +218,10 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
     # the point rule at s = 0 and the rules just past it, all of whose nodes
     # look up t_0: at beta 1/2 the normalized weights add up, in bincount
     # order, to exactly 1.0 at q_g 8, so the two give one row, kept once, and
-    # to just below 1.0 at q_g 32, so they give two.  A grid of one time (a
+    # to just below 1.0 at q_g 28, so they give two.  A grid of one time (a
     # source path of one measure) has no grid time to cross.
     times = [0.0, 0.025, 0.05]
-    for q_g, n_rows in ((8, 1), (32, 2)):
+    for q_g, n_rows in ((8, 1), (28, 2)):
         half = _GRule(FracOrder(0.5), _cfg(q_g=q_g))
         for grid in (np.array([0.0, 1e300]), np.array([0.0])):
             rows, index = half.segment_masses(grid, times)
@@ -386,11 +387,11 @@ def test_rk4_step_writes_to_no_velocity_and_no_input():
     np.testing.assert_allclose(got, np.broadcast_to(expected, x0.shape), rtol=1e-15)
 
 
-def test_default_linear_solve_takes_357_rk4_steps():
+def test_default_linear_solve_takes_358_rk4_steps():
     # the steps past the heavy h-nodes grow as the weight they feed falls;
-    # uniform steps of ode_step take 1,083 here
+    # uniform steps of ode_step take 1,121 here
     path = solve_linear(B, DAMP, _dirac(1.0), SolverConfig(times=(0.5, 1.0)))
-    assert path.diagnostics["rk4_steps"] == 357
+    assert path.diagnostics["rk4_steps"] == 358
 
 
 @pytest.mark.parametrize("lip", [1.0, 20.0])
@@ -589,16 +590,60 @@ def test_default_gauss_h_rule_beats_composite_64(b):
 @pytest.mark.parametrize("b", [0.05, 0.5, 0.99])
 @pytest.mark.parametrize("q_h", [2, 24, 96])
 def test_gauss_h_rule_is_a_probability_rule_inside_the_fine_support(b, q_h):
+    # the fine rule is the planning rule of Kanter's representation
     beta = FracOrder(b)
     nodes, weights = _unit_h_rule(beta, q_h=q_h)
-    fine = h_quadrature(beta, 1.0, max(512, 4 * q_h), 1e-12)
+    fine, _ = _kanter_rule(b, 1e-12, q_h)
     assert nodes.shape == weights.shape == (q_h,)
     assert np.all(weights > 0.0)
     assert weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.all(np.diff(nodes) > 0.0)
-    # inside [first, last] fine node up to eigh's rounding: at beta 0.99 and
-    # 96 nodes the first Gauss node is the first fine node to 1.6e-14
-    assert fine.nodes[0] * (1.0 - 1e-12) <= nodes[0] and nodes[-1] <= fine.nodes[-1] * (1.0 + 1e-12)
+    # inside [least, largest] planning node up to eigh's rounding
+    assert fine.min() * (1.0 - 1e-12) <= nodes[0] and nodes[-1] <= fine.max() * (1.0 + 1e-12)
+
+
+def _lanczos_gauss_rule(x, w, q):
+    """Reference for the Stieltjes recurrence: the q-point Gauss rule of the
+    discrete measure sum_i w_i delta_(x_i) from q Lanczos steps on sqrt(w)
+    with full reorthogonalization, twice, O(q^2 N)."""
+    basis = np.zeros((q + 1, x.size))
+    basis[0] = np.sqrt(w / w.sum())
+    alpha, off = np.zeros(q), np.zeros(q)
+    for j in range(q):
+        u = x * basis[j]
+        alpha[j] = np.sum(u * basis[j])
+        for _ in range(2):
+            u -= (np.sum(basis[: j + 1] * u, axis=1)[:, None] * basis[: j + 1]).sum(axis=0)
+        off[j] = math.sqrt(np.sum(u * u))
+        basis[j + 1] = u / off[j]
+    nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    weights = vectors[0] ** 2
+    return nodes, weights / weights.sum()
+
+
+@pytest.mark.parametrize("b", [0.05, 0.5, 0.99])
+@pytest.mark.parametrize("q_h", [2, 24, 96])
+def test_stieltjes_h_rule_matches_reorthogonalized_lanczos(b, q_h):
+    nodes, weights = _unit_h_rule(FracOrder(b), q_h=q_h)
+    ref_nodes, ref_weights = _lanczos_gauss_rule(*_kanter_rule(b, 1e-12, q_h), q_h)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(weights, ref_weights, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("b", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_kanter_planning_rule_moments_and_laplace(b):
+    # E_1 = W^(1-b) A(U) with W and U independent, so cutting W at w_c
+    # scales E[E_1^k] by exactly 1 - Q(1 + (1-b) k, w_c), Q the regularized
+    # upper incomplete gamma function; renormalizing divides by 1 - e^(-w_c)
+    gammaincc = pytest.importorskip("scipy.special").gammaincc
+    beta = FracOrder(b)
+    x, w = _kanter_rule(b, 1e-12, 24)
+    w_cut = -math.log(0.05e-12)
+    for k in range(1, 9):
+        truncated = (1.0 - gammaincc(1.0 + (1.0 - b) * k, w_cut)) / (1.0 - 0.05e-12)
+        ratio = float(np.sum(w * x**k)) * math.gamma(1.0 + k * b) / math.factorial(k)
+        assert ratio == pytest.approx(truncated, rel=0.0, abs=1e-14), k
+    assert _laplace_error(x, w, beta) < 1e-12
 
 
 def test_gauss_h_rule_nodes_scale_by_t_to_the_beta():
@@ -622,7 +667,7 @@ def test_linear_damping_at_the_defaults_matches_erfcx():
 
 
 def test_path_csv_does_not_depend_on_blas_threads(tmp_path):
-    # the Lanczos sums and eigh run in BLAS/LAPACK's process, whose thread
+    # the Stieltjes sums and eigh run in BLAS/LAPACK's process, whose thread
     # count must not reach the rule's nodes or weights
     src = os.path.dirname(os.path.dirname(os.path.abspath(fractrans.__file__)))
     config = tmp_path / "cfg.json"
