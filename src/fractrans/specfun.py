@@ -3,9 +3,9 @@
 Evaluates the Mittag-Leffler function, the one-sided stable density
 G_beta (law of the unit-time subordinator), the rescaled subordinator
 density g_beta(s, t), the inverse-subordinator density h_beta(s, t), and
-builds quadrature rules for integrals against g_beta and h_beta, and the
-product rule on Kanter's representation of the unit clock E_1 that the
-solvers plan their Gauss h-rule on.
+builds quadrature rules for integrals against them: a composite rule for
+g_beta, and for h_beta the Gauss rule of the unit clock E_1, planned on a
+product rule over Kanter's representation of E_1.
 
 Everything runs on numpy, with fixed-node integrals and no adaptive
 routine.  Gauss-Legendre nodes and weights come from Golub-Welsch, the
@@ -20,17 +20,16 @@ so ``numpy.polynomial`` is never imported.
   branches take arrays; a scalar in gives a float out.  The switchover
   was cross-validated against the beta = 1/2 closed form, where G is an
   inverse-Gaussian-type Levy density.
-- Mittag-Leffler: the power series where it does not cancel, else the
-  Hankel branch-cut integral on Gauss-Legendre panels whose edges follow
-  the decay of exp(-u^(1/beta)) and the near-pole of the denominator at
-  |u| = |z|.
+- Mittag-Leffler: the power series where it does not cancel and
+  converges within its term cap, else the Hankel branch-cut integral on
+  Gauss-Legendre panels whose edges follow the decay of exp(-u^(1/beta))
+  and the near-pole of the denominator at |u| = |z|.
 - Rule edges (quantiles at fixed survival levels): a safeguarded
   Newton/bisection in log s, on all levels at once.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,21 +77,15 @@ class FracOrder:
         return self.beta == 1.0
 
 
-class KernelTarget(enum.Enum):
-    """Which unit-time kernel ``_unit_rule`` integrates against."""
-
-    H_KERNEL = "h"  # inverse-subordinator density h_beta(., t)
-    G_KERNEL = "g"  # subordinator density g_beta(., t)
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights for an integral against h_beta or g_beta, as built
     by ``h_quadrature`` or ``g_quadrature``.
 
     ``integrate(f)`` approximates the kernel-weighted integral of f over
-    (0, inf); the probability mass beyond the last node is recorded in
-    ``tail_mass``.
+    (0, inf).  ``tail_mass`` is the probability mass the rule leaves out:
+    beyond the last node of a composite g-rule, and 0 for the Gauss h-rule,
+    whose weights sum to 1.
     """
 
     nodes: np.ndarray
@@ -168,7 +161,10 @@ _ML_SERIES_PEAK = 1e3
 _ML_MAX_TERMS = 400
 
 
-def _ml_series(beta: float, z: float) -> float:
+def _ml_series(beta: float, z: float) -> float | None:
+    """The power series, or None when its terms do not fall below 1e-17 of
+    the partial sum within ``_ML_MAX_TERMS``: near |z| = 1 at beta <= 0.04
+    they decay like 1 / Gamma(1 + beta k)."""
     total = 1.0
     log_az = math.log(abs(z))
     for k in range(1, _ML_MAX_TERMS):
@@ -178,7 +174,7 @@ def _ml_series(beta: float, z: float) -> float:
         total += term
         if abs(term) < 1e-17 * max(1.0, abs(total)):
             return total
-    raise RuntimeError("Mittag-Leffler series did not converge")
+    return None
 
 
 def _ml_series_peak(beta: float, z: float) -> float:
@@ -252,7 +248,9 @@ def mittag_leffler(beta: FracOrder, z: float) -> float:
             raise OverflowError(f"exp({z}) exceeds the floating-point range")
         return math.exp(z)
     if _ml_series_peak(b, z) <= _ML_SERIES_PEAK:
-        return _ml_series(b, z)
+        value = _ml_series(b, z)
+        if value is not None:
+            return value
     return _ml_integral(b, z)
 
 
@@ -521,26 +519,12 @@ _PANEL_SURVIVALS = (
 )
 
 
-def _unit_pdf(beta: FracOrder, target: KernelTarget, s):
-    if target is KernelTarget.H_KERNEL:
-        return inverse_subordinator_density(beta, s, 1.0)
-    return stable_density(beta, s)
-
-
-def _unit_sf(beta: FracOrder, target: KernelTarget, s):
-    if target is KernelTarget.H_KERNEL:
-        # P(E_1 > s) = P(D_s < 1): evaluate the stable CDF directly so the
-        # deep tail keeps full relative accuracy (no 1 - (1 - cdf) round trip)
-        return stable_cdf(beta, s ** (-1.0 / beta.beta))
-    return _stable_sf(beta, s)
-
-
 #: iteration cap of the quantile solve; bisection alone needs about 60
 _QUANTILE_MAX_ITER = 200
 
 
-def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: np.ndarray) -> np.ndarray:
-    """s with survival(s) = w, for every level w at once.
+def _unit_quantile_sf(beta: FracOrder, w: np.ndarray) -> np.ndarray:
+    """s with P(D_1 > s) = w, for every level w at once.
 
     Safeguarded Newton in log s (Numerical Recipes' rtsafe): a bisection
     step whenever the Newton step leaves the closed bracket (a converged
@@ -548,19 +532,18 @@ def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: np.ndarray) -> n
     step before last.  The bracket is [top(k - 1), top(k)], where
     top(k) = min(1 + 2k, log(S_MAX_CAP)) and k is the least index with the
     survival at top(k) at or below the level ([-40, 1] at k = 0).  The
-    search for k starts at k = 0 for the H-kernel, and for the G-kernel at
-    the tail asymptote s = (w Gamma(1 - beta))^(-1/beta) of
-    P(D_1 > s) ~ s^-beta / Gamma(1 - beta), near which the deep levels lie:
-    the brackets, and so the quantiles, are bit for bit those of a walk up
-    from k = 0, in a few survival evaluations instead of one per step.
+    search for k starts at the tail asymptote s = (w Gamma(1 - beta))^(-1/beta)
+    of P(D_1 > s) ~ s^-beta / Gamma(1 - beta), near which the deep levels
+    lie: the brackets, and so the quantiles, are bit for bit those of a walk
+    up from k = 0, in a few survival evaluations instead of one per step.
     """
     log_w = np.log(w)
 
     def excess(ls, lw):
         # log survival minus log target, and its slope in log s
         s = np.exp(ls)
-        sf = np.maximum(_unit_sf(beta, target, s), _TINY)
-        return np.log(sf) - lw, -s * _unit_pdf(beta, target, s) / sf
+        sf = np.maximum(_stable_sf(beta, s), _TINY)
+        return np.log(sf) - lw, -s * stable_density(beta, s) / sf
 
     lhi_cap = math.log(S_MAX_CAP)
     k_cap = math.ceil((lhi_cap - 1.0) / 2.0)
@@ -568,10 +551,8 @@ def _unit_quantile_sf(beta: FracOrder, target: KernelTarget, w: np.ndarray) -> n
     def top(k):
         return np.minimum(1.0 + 2.0 * k, lhi_cap)
 
-    k = np.zeros(w.shape)
-    if target is KernelTarget.G_KERNEL:
-        log_s = -(log_w + math.lgamma(1.0 - beta.beta)) / beta.beta
-        k = np.clip(np.ceil((log_s - 1.0) / 2.0), 0.0, k_cap)
+    log_s = -(log_w + math.lgamma(1.0 - beta.beta)) / beta.beta
+    k = np.clip(np.ceil((log_s - 1.0) / 2.0), 0.0, k_cap)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # a level above top(k) walks up to the first top below it; one
         # below walks down while the top under it is below too
@@ -622,8 +603,8 @@ def _allocate(q: int, n_panels: int) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def _unit_rule(beta_value: float, target: KernelTarget, q: int, eps_tail: float):
-    """Composite Gauss-Legendre rule for the unit-time kernel.
+def _unit_rule(beta_value: float, q: int, eps_tail: float):
+    """Composite Gauss-Legendre rule for the unit-time subordinator density.
 
     Panels are delimited by quantiles at fixed survival levels so the node
     density follows the probability mass; wide panels (heavy subordinator
@@ -642,7 +623,7 @@ def _unit_rule(beta_value: float, target: KernelTarget, q: int, eps_tail: float)
         idx = sorted(set(np.linspace(0, len(survivals) - 1, n_panels + 1).round().astype(int)))
         survivals = [survivals[i] for i in idx]
         n_panels = len(survivals) - 1
-    edges = [0.0] + _unit_quantile_sf(beta, target, np.array(survivals[1:])).tolist()
+    edges = [0.0] + _unit_quantile_sf(beta, np.array(survivals[1:])).tolist()
     counts = _allocate(q, n_panels)
     nodes, weights = [], []
     for (a, b), (wa, wb), n in zip(
@@ -659,7 +640,7 @@ def _unit_rule(beta_value: float, target: KernelTarget, q: int, eps_tail: float)
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             s = mid + half * x
             w_gl = v * half
-        pdf = _unit_pdf(beta, target, s)
+        pdf = stable_density(beta, s)
         panel_w = w_gl * pdf
         mass_exact = wa - wb
         mass_gl = float(panel_w.sum())
@@ -691,19 +672,52 @@ def _check_rule_args(beta: FracOrder, t: float, q: int, eps_tail: float):
         raise ValueError("eps_tail must lie in (0, 0.1)")
 
 
+@lru_cache(maxsize=64)
+def _gauss_clock_rule(b: float, q: int, tail: float):
+    """(nodes, weights summing to 1) of the q-point Gauss rule of the unit
+    clock E_1.  E_1 has the Mittag-Leffler law, whose moments
+    n! / Gamma(1 + n b) are all finite, so the rule converges spectrally.
+
+    It is planned on the product rule of Kanter's representation
+    (``_kanter_rule``, W cut where e^(-W) = 0.05 ``tail``): q steps of the
+    discretized Stieltjes procedure on its nodes, O(q N), give the Jacobi
+    matrix of orthonormal polynomials, whose eigenvalues are the nodes and
+    whose squared first eigenvector components are the weights (Golub &
+    Welsch, Math. Comp. 23 (1969) 221-230; Gautschi, Orthogonal
+    Polynomials, 2004, Sec. 2.2).  Sums are numpy reductions, not BLAS
+    products, so no thread count changes the recurrence.
+    """
+    x, w = _kanter_rule(b, tail, q)
+    alpha, off = np.zeros(q), np.zeros(q + 1)
+    # the orthonormal polynomials p_j and p_(j-1) at the planning nodes
+    p, p_prev = np.ones_like(x), np.zeros_like(x)
+    for j in range(q):
+        alpha[j] = np.sum(w * x * p * p)
+        u = (x - alpha[j]) * p - off[j] * p_prev
+        off[j + 1] = math.sqrt(np.sum(w * u * u))
+        p, p_prev = u / off[j + 1], p
+    jacobi = np.diag(alpha) + np.diag(off[1:-1], 1) + np.diag(off[1:-1], -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    weights /= weights.sum()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def h_quadrature(beta: FracOrder, t: float, q: int, eps_tail: float) -> QuadratureRule:
-    """Rule for integrals against h_beta(., t).
+    """The q-point Gauss rule for integrals against h_beta(., t), the law
+    of E_t = t^beta E_1 (``_gauss_clock_rule``).
 
     Built once at unit time and rescaled by t**beta (self-similarity of the
-    inverse clock), so rules at different times share their weights.
+    inverse clock), so rules at different times share their weights.  The
+    weights sum to 1 and ``tail_mass`` is 0: ``eps_tail`` only sets the cut
+    of the planning rule, at e^(-W) = 0.05 min(eps_tail, 1e-12), whose mass
+    (at most 5e-14) is renormalized away.
     """
     _check_rule_args(beta, t, q, eps_tail)
-    nodes, weights, cut = _unit_rule(beta.beta, KernelTarget.H_KERNEL, q, eps_tail)
-    return QuadratureRule(
-        nodes=nodes * t**beta.beta,
-        weights=weights,
-        tail_mass=cut,
-    )
+    nodes, weights = _gauss_clock_rule(beta.beta, q, min(eps_tail, 1e-12))
+    return QuadratureRule(nodes=nodes * t**beta.beta, weights=weights, tail_mass=0.0)
 
 
 def g_quadrature(beta: FracOrder, s: float, q: int, eps_tail: float) -> QuadratureRule:
@@ -713,7 +727,7 @@ def g_quadrature(beta: FracOrder, s: float, q: int, eps_tail: float) -> Quadratu
     control is guaranteed; bounded integrands incur error <= sup|f| * tail.
     """
     _check_rule_args(beta, s, q, eps_tail)
-    nodes, weights, cut = _unit_rule(beta.beta, KernelTarget.G_KERNEL, q, eps_tail)
+    nodes, weights, cut = _unit_rule(beta.beta, q, eps_tail)
     return QuadratureRule(
         nodes=nodes * s ** (1.0 / beta.beta),
         weights=weights,

@@ -64,7 +64,7 @@ from .measures import (
     MeasurePath,
     total_mass,
 )
-from .specfun import FracOrder, _check_rule_args, _kanter_rule, _sorted_unique, _stable_sf, g_quadrature
+from .specfun import FracOrder, _sorted_unique, _stable_sf, g_quadrature, h_quadrature
 from .subordinator import RngSpec, sample_inverse
 
 __all__ = [
@@ -170,9 +170,10 @@ class SolverConfig:
     in the returned path); ``t_ext`` extends the working grid beyond the
     last output time for the nonlinear velocity lookup, with the induced
     freezing error logged per run.  ``q_h`` is the size of the Gauss
-    h-rule (see ``_h_rules``); ``eps_tail`` sets the tails: the rule the
-    h-rule is planned on cuts W where e^(-W) = 0.05 min(eps_tail, 1e-12),
-    and the composite g-rule's tail target is 0.05 max(eps_tail, 1e-8).
+    h-rule (see ``specfun.h_quadrature``); ``eps_tail`` sets the tails:
+    the rule the h-rule is planned on cuts W where e^(-W) =
+    0.05 min(eps_tail, 1e-12), and the composite g-rule's tail target is
+    0.05 max(eps_tail, 1e-8).
     ``ode_step`` is the RK4 step where the full h-weight is fed; later
     intervals take min(ode_step * W^(-1/5), 1/Lip), W the h-weight they
     still feed and Lip the constant of the step guard (see
@@ -280,39 +281,13 @@ class _GRule:
 
 
 def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
-    """(nodes, weights summing to 1) of the h_beta(., t) rule for each t; at
-    beta = 1 the point mass at t, so classical transport needs no branch.
-
-    The rule is the q_h-point Gauss rule of the unit clock E_1, nodes scaled
-    by t^beta.  E_1 has the Mittag-Leffler law, whose moments
-    n! / Gamma(1 + n beta) are all finite, so the rule converges spectrally.
-    It is planned on the product rule of Kanter's representation
-    (``_kanter_rule``, W cut where e^(-W) = 0.05 min(eps_tail, 1e-12)): q_h
-    steps of the discretized Stieltjes procedure on its nodes, O(q_h N),
-    give the Jacobi matrix of orthonormal polynomials, whose eigenvalues are
-    the nodes and whose squared first eigenvector components are the
-    weights (Golub & Welsch, Math. Comp. 23 (1969) 221-230; Gautschi,
-    Orthogonal Polynomials, 2004, Sec. 2.2).  Sums are numpy reductions,
-    not BLAS products, so no thread count changes the recurrence.
-    """
+    """(nodes, weights summing to 1) of the h_beta(., t) rule for each t:
+    the q_h-point Gauss rule of ``h_quadrature``, or at beta = 1 the point
+    mass at t, so classical transport needs no branch."""
     if beta.is_classical:
         return [(np.array([t]), np.ones(1)) for t in times]
-    _check_rule_args(beta, 1.0, config.q_h, config.eps_tail)
-    x, w = _kanter_rule(beta.beta, min(config.eps_tail, 1e-12), config.q_h)
-    q = config.q_h
-    alpha, off = np.zeros(q), np.zeros(q + 1)
-    # the orthonormal polynomials p_j and p_(j-1) at the planning nodes
-    p, p_prev = np.ones_like(x), np.zeros_like(x)
-    for j in range(q):
-        alpha[j] = np.sum(w * x * p * p)
-        u = (x - alpha[j]) * p - off[j] * p_prev
-        off[j + 1] = math.sqrt(np.sum(w * u * u))
-        p, p_prev = u / off[j + 1], p
-    jacobi = np.diag(alpha) + np.diag(off[1:-1], 1) + np.diag(off[1:-1], -1)
-    nodes, vectors = np.linalg.eigh(jacobi)
-    weights = vectors[0] ** 2
-    weights /= weights.sum()
-    return [(nodes * t**beta.beta, weights) for t in times]
+    rules = [h_quadrature(beta, t, config.q_h, config.eps_tail) for t in times]
+    return [(rule.nodes, rule.weights) for rule in rules]
 
 
 def _field_average(v: ExplicitField, x, times, weights) -> np.ndarray:

@@ -23,7 +23,7 @@ from .specfun import (
     mittag_leffler,
 )
 from .subordinator import RngSpec, mc_exponential_functional, mc_moment
-from .transport import ExplicitField, SolverConfig, _h_rules, solve_linear, solve_linear_mc
+from .transport import ExplicitField, SolverConfig, solve_linear, solve_linear_mc
 
 __all__ = ["run_checks", "CHECKS"]
 
@@ -80,15 +80,16 @@ def check_exponential_identity(eps_tail=1e-13, q=128):
 
 
 def check_gauss_h_rule():
-    """The solvers' Gauss h-rule at the default q_h against the Laplace
-    identity E[exp(-lam E_1)] = E_beta(-lam), from near-exponential to
-    near-classical clocks."""
+    """The Gauss h-rule at the solvers' default q_h and eps_tail against the
+    Laplace identity E[exp(-lam E_1)] = E_beta(-lam), from near-exponential
+    to near-classical clocks."""
+    default = SolverConfig(times=(1.0,))
     worst = 0.0
     for b in (0.05, 0.3, 0.5, 0.7, 0.99):
         beta = FracOrder(b)
-        (nodes, weights), = _h_rules(beta, (1.0,), SolverConfig(times=(1.0,)))
+        rule = h_quadrature(beta, 1.0, default.q_h, default.eps_tail)
         for lam in (0.5, 1.0, 4.0):
-            got = float(np.sum(weights * np.exp(-lam * nodes)))
+            got = rule.integrate(lambda s: np.exp(-lam * s))
             worst = max(worst, abs(got - mittag_leffler(beta, -lam)))
     return 0.0, worst, 1e-10
 

@@ -257,6 +257,15 @@ def test_autonomous_linear_solve_builds_no_g_rule(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_kernels_at_small_order_near_unit_argument(tmp_path):
+    # the Mittag-Leffler series cannot converge here within its term cap
+    cfg = _write_config(tmp_path, "k.json", {"betas": [0.03], "z_grid": [-1.0, 1.0]})
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = (out / "mittag_leffler.csv").read_text().splitlines()
+    assert len(rows) == 3
+
+
 def test_mislabelled_autonomous_field_exit_2(tmp_path, monkeypatch, capsys):
     # a field marked autonomous that depends on t is a configuration error
     decay = ExplicitField(func=lambda x, t: np.exp(-t) * np.ones_like(x), lip=0.0, autonomous=True)

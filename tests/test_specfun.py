@@ -79,6 +79,23 @@ def test_ml_half_order_oracle():
         assert got == pytest.approx(exact, rel=1e-10), f"z={z}"
 
 
+@pytest.mark.parametrize("b", [0.01, 0.03])
+@pytest.mark.parametrize("z", [-1.0, -0.99, 0.99, 1.0])
+def test_ml_small_order_near_unit_argument(b, z):
+    # near |z| = 1 the series terms decay like 1 / Gamma(1 + b k), too slowly
+    # for the series' term cap at b <= 0.04, so the Hankel integral is used
+    import mpmath as mp
+
+    with mp.workdps(40):
+        b_mp, z_mp = mp.mpf(b), mp.mpf(z)
+        exact, k, term = mp.mpf(0), 0, mp.mpf(1)
+        while abs(term) > mp.mpf(10) ** -30:
+            term = z_mp**k * mp.rgamma(b_mp * k + 1)
+            exact += term
+            k += 1
+    assert mittag_leffler(FracOrder(b), z) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
 def test_ml_known_value():
     # E_{1/2}(1) = e * erfc(-1) ~ 5.00898
     assert mittag_leffler(FracOrder(0.5), 1.0) == pytest.approx(5.008980080762283, rel=1e-10)

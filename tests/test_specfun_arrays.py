@@ -13,10 +13,8 @@ from fractrans import specfun
 from fractrans.specfun import (
     _PANEL_SURVIVALS,
     FracOrder,
-    KernelTarget,
     _stable_sf,
     _unit_quantile_sf,
-    _unit_sf,
     inverse_subordinator_density,
     stable_cdf,
     stable_density,
@@ -67,37 +65,16 @@ def test_inverse_subordinator_density_array_outside_support_raises(s, t):
         inverse_subordinator_density(FracOrder(0.5), s, t)
 
 
-@pytest.mark.parametrize("target", list(KernelTarget), ids=lambda t: t.value)
 @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
-def test_quantile_round_trip(target, b):
+def test_quantile_round_trip(b):
     # the rule edges down to the tail cut the solvers use (g rules stop at
-    # eps_tail 1e-8, h rules at 1e-10)
-    cut = 0.05 * (1e-10 if target is KernelTarget.H_KERNEL else 1e-8)
+    # eps_tail 1e-8)
+    cut = 0.05 * 1e-8
     levels = np.array([w for w in _PANEL_SURVIVALS[1:] if w > cut] + [cut])
     beta = FracOrder(b)
-    edges = _unit_quantile_sf(beta, target, levels)
+    edges = _unit_quantile_sf(beta, levels)
     assert np.all(np.diff(edges) > 0.0)
-    np.testing.assert_allclose(_unit_sf(beta, target, edges), levels, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
-def test_quantile_newton_step_on_the_bracket_end_is_kept(b, monkeypatch):
-    # a converged Newton step can land exactly on the bracket end it just
-    # set; an open-bracket test sent it to the midpoint, and the h-levels
-    # of a fine rule then took 57-58 survival evaluations instead of 16-17
-    calls = {"sf": 0}
-
-    def counting_sf(*args):
-        calls["sf"] += 1
-        return _unit_sf(*args)
-
-    monkeypatch.setattr(specfun, "_unit_sf", counting_sf)
-    cut = 0.05 * 1e-12
-    levels = np.array([w for w in _PANEL_SURVIVALS[1:] if w > cut] + [cut])
-    beta = FracOrder(b)
-    edges = _unit_quantile_sf(beta, KernelTarget.H_KERNEL, levels)
-    assert calls["sf"] <= 20
-    np.testing.assert_allclose(_unit_sf(beta, KernelTarget.H_KERNEL, edges), levels, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(_stable_sf(beta, edges), levels, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("b, calls, evals", [(0.3, 8, 49), (0.5, 8, 47), (0.7, 7, 49)])
@@ -108,12 +85,12 @@ def test_g_rule_quantiles_start_at_the_tail_asymptote(b, calls, evals, monkeypat
     # survival calls (145, 101 and 84 evaluations) per rule build
     counts = {"calls": 0, "evals": 0}
 
-    def counting_sf(beta, target, s):
+    def counting_sf(beta, s):
         counts["calls"] += 1
         counts["evals"] += np.size(s)
-        return _unit_sf(beta, target, s)
+        return _stable_sf(beta, s)
 
-    monkeypatch.setattr(specfun, "_unit_sf", counting_sf)
+    monkeypatch.setattr(specfun, "_stable_sf", counting_sf)
     specfun._unit_rule.cache_clear()
     rule = specfun.g_quadrature(FracOrder(b), 1.0, 32, 1e-8)
     assert counts == {"calls": calls, "evals": evals}

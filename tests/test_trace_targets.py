@@ -16,6 +16,7 @@ from fractrans import _core, cli, specfun, subordinator, transport
 TARGETS = [
     (transport, "_advect_segment"),
     (transport, "g_quadrature"),
+    (transport, "h_quadrature"),
     (transport.ExplicitField, "__call__"),
     (cli, "solve_linear"),
     (cli, "solve_nonlinear"),
