@@ -267,41 +267,37 @@ def _atomic_write(path: str, writer):
         raise
 
 
-#: rows formatted by one string operation in ``path_to_csv``
-_CSV_CHUNK_ROWS = 1024
+#: rows written by one ``"".join`` in ``path_to_csv``
+_CSV_CHUNK_ROWS = 2048
 
 
 def path_to_csv(path: MeasurePath, filename: str):
     """Columns: t, particle_id, x_1..x_d, weight; one row per particle.
 
     Each float is written as its ``repr`` (shortest exact round trip), the
-    rows as ``csv.writer`` writes them.  Rows are formatted
-    ``_CSV_CHUNK_ROWS`` at a time by one ``%`` on a repeated row template.
-    Within a chunk each distinct float bit pattern is formatted once and
-    its string reused for every cell holding it (t is constant within a
-    measure, and weights and grid coordinates repeat), so the bytes are
-    the same as formatting every cell.  Bit patterns, not values, are
-    compared, so ``-0.0`` and ``0.0`` keep their own strings.
+    rows as ``csv.writer`` writes them.  Each ``_CSV_CHUNK_ROWS`` rows are
+    one ``"".join`` of cells that carry their own separators: ``"t,id,"``
+    per row, ``","`` after a coordinate, ``"\\r\\n"`` after the weight.
+    In a chunk each distinct bit pattern of the coordinates, and of the
+    weights, is formatted once and its string reused, so the bytes are the
+    same as formatting every cell; ``-0.0`` and ``0.0`` differ in bits.
     """
     d = path.dim
-    row = "%s,%d," + "%s," * d + "%s\r\n"
 
     def write(handle):
         csv.writer(handle).writerow(["t", "particle_id"] + [f"x_{k + 1}" for k in range(d)] + ["weight"])
         for t, mu in zip(path.times.tolist(), path.measures):
+            prefix = repr(t) + ",%d,\n"
             for a in range(0, mu.size, _CSV_CHUNK_ROWS):
                 b = min(a + _CSV_CHUNK_ROWS, mu.size)
-                block = np.empty((b - a, d + 3))
-                # column 1 holds t until particle_id replaces its strings,
-                # so it adds no distinct value
-                block[:, :2] = t
-                block[:, 2:-1] = mu.points[a:b]
-                block[:, -1] = mu.weights[a:b]
-                bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-                text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-                cells = text[inverse.reshape(block.shape)]
-                cells[:, 1] = range(a, b)
-                handle.write(row * (b - a) % tuple(cells.ravel().tolist()))
+                cells = np.empty((b - a, d + 2), dtype=object)
+                # one % formats the prefixes, which hold no whitespace
+                cells[:, 0] = (prefix * (b - a) % tuple(range(a, b))).split()
+                for column, values, end in ((slice(1, -1), mu.points[a:b], ","), (-1, mu.weights[a:b], "\r\n")):
+                    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+                    text = np.array([repr(v) + end for v in bits.view(np.float64).tolist()], dtype=object)
+                    cells[:, column] = text[inverse.reshape(values.shape)]
+                handle.write("".join(cells.ravel().tolist()))
 
     _atomic_write(filename, write)
 

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,16 +419,18 @@ def _awkward_measure(rng, n, d):
 
 
 @pytest.mark.parametrize("d, sizes", [(1, [2500, 0, 7]), (3, [5, 1100, 0])])
-def test_csv_writer_matches_row_writer_bytewise(tmp_path, d, sizes):
-    # 2500 and 1100 rows span more than one formatting chunk; size 0 writes
-    # no row for that time
+def test_csv_writer_matches_row_writer_bytewise(tmp_path, monkeypatch, d, sizes):
+    # 2500 and 1100 rows span more than one chunk of either size, and 7 rows
+    # fill one 7-row chunk exactly; size 0 writes no row for that time
     rng = np.random.default_rng(d)
     measures = [_awkward_measure(rng, n, d) for n in sizes]
     path = MeasurePath(times=np.array([0.0, 1e-05, 0.1 + 0.2]), measures=measures)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    path_to_csv(path, str(got))
     _reference_csv(path, str(want))
-    assert got.read_bytes() == want.read_bytes()
+    for chunk in (7, 1000):
+        monkeypatch.setattr("fractrans.measures._CSV_CHUNK_ROWS", chunk)
+        path_to_csv(path, str(got))
+        assert got.read_bytes() == want.read_bytes()
     # the round trip is bitwise; a time with no particle has no row
     back = path_from_csv(str(got))
     kept = [k for k, n in enumerate(sizes) if n]
@@ -438,26 +441,61 @@ def test_csv_writer_matches_row_writer_bytewise(tmp_path, d, sizes):
         assert mu.weights.tobytes() == nu.weights.tobytes()
 
 
-def test_csv_writer_on_a_solved_grid_path(tmp_path):
-    # a 2-D grid under damping repeats t, weights and coordinates inside a
-    # chunk; 49 particles times 24 h-nodes is 1176 rows, so the chunk
-    # boundary at row 1024 falls inside the 21st node's block
-    ax = np.linspace(-1.0, 1.0, 7)
+def _damped_grid_path(n, **solver):
+    """The linear solve of an n x n grid on [-1, 1]^2 under damping."""
+    ax = np.linspace(-1.0, 1.0, n)
     grid = np.stack([m.ravel() for m in np.meshgrid(ax, ax, indexing="ij")], axis=1)
     mu0 = EmpiricalMeasure(points=grid, weights=np.full(grid.shape[0], 1.0 / grid.shape[0]))
     damping = ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
-    path = solve_linear(FracOrder(0.5), damping, mu0,
-                        SolverConfig(times=(0.5, 1.0), q_h=24, q_g=12, ode_step=0.02))
+    return solve_linear(FracOrder(0.5), damping, mu0, SolverConfig(times=(0.5, 1.0), **solver))
+
+
+def test_csv_writer_on_a_solved_grid_path(tmp_path, monkeypatch):
+    # a 2-D grid under damping repeats t, weights and coordinates inside a
+    # chunk; 49 particles times 24 h-nodes is 1176 rows, so a 7-row chunk
+    # ends inside every node's block and a 1000-row chunk ends inside the
+    # 21st
+    path = _damped_grid_path(7, q_h=24, q_g=12, ode_step=0.02)
     assert [mu.size for mu in path.measures] == [49, 1176, 1176]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    path_to_csv(path, str(got))
     _reference_csv(path, str(want))
+    for chunk in (7, 1000):
+        monkeypatch.setattr("fractrans.measures._CSV_CHUNK_ROWS", chunk)
+        path_to_csv(path, str(got))
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def benchmark_size_path():
+    # the size of perfbench's linear-2d solve, a 30 x 30 grid at the
+    # default SolverConfig: 900 + 2 x 24 x 900 = 44,100 rows
+    path = _damped_grid_path(30)
+    assert [mu.size for mu in path.measures] == [900, 21600, 21600]
+    return path
+
+
+def test_csv_writer_matches_row_writer_at_benchmark_size(tmp_path, benchmark_size_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    path_to_csv(benchmark_size_path, str(got))
+    _reference_csv(benchmark_size_path, str(want))
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_writer_memory_stays_per_chunk(tmp_path, benchmark_size_path):
+    # formatting a chunk at a time keeps the writer's peak at about 0.5 MiB;
+    # one chunk per measure would take about 5.2 MiB on this path
+    tracemalloc.start()
+    try:
+        path_to_csv(benchmark_size_path, str(tmp_path / "path.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_csv_writer_keeps_signed_zeros_apart(tmp_path):
     # -0.0 == 0.0, so only a bitwise comparison keeps their strings apart
-    # when both sit in one chunk, as a time and as coordinates
+    # when both sit in one chunk as coordinates; t = -0.0 is written too
     path = MeasurePath(
         times=np.array([-0.0, 1.0]),
         measures=[
