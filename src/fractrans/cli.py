@@ -5,7 +5,8 @@ table per command and per measure or velocity kind: a key that is
 unknown, missing or of the wrong type is a configuration error.  Exit
 codes: 0 success, 1 verification failure, 2 configuration error, 3
 solver non-convergence, 4 numerical failure (a quadrature tail mass that
-cannot be met, or a floating-point overflow).  Every output file is
+cannot be met, a floating-point overflow, or an output that is not
+finite, which no file is written for).  Every output file is
 written through a temp-file rename, so no partial file survives a
 failure, and each solve emits a manifest recording every tolerance and
 seed used.  Every command runs on numpy alone.
@@ -28,7 +29,6 @@ from . import __version__
 from .errors import PicardConvergenceError, TailMassError
 from .measures import (
     EmpiricalMeasure,
-    MeasurePath,
     _atomic_write,
     moment,
     path_from_csv,
@@ -230,6 +230,14 @@ def _parse_velocity(spec: dict):
     return repulsion_field()
 
 
+def _check_finite(what: str, values):
+    """OverflowError if one of ``values`` is not finite: JSON has no NaN or
+    Infinity, so no output file may hold one."""
+    bad = [x for x in values if not math.isfinite(x)]
+    if bad:
+        raise OverflowError(f"{what} is not finite: {bad[0]!r}")
+
+
 def _write_jsonl(filename: str, records):
     """One JSON object per line, keys sorted."""
 
@@ -282,6 +290,8 @@ def cmd_sample(cfg: dict, out_dir: str) -> int:
         for lam in cfg["lambdas"]:
             est, se = mc_exponential_functional(beta, lam, t, n, RngSpec(seed, stream_id=1000 + k))
             records.append({**run, "lambda": lam, "estimate": est, "stderr": se})
+    _check_finite("a Monte Carlo estimate or standard error",
+                  [rec[k] for rec in records for k in ("estimate", "stderr")])
 
     os.makedirs(out_dir, exist_ok=True)
     _write_jsonl(os.path.join(out_dir, "samples.jsonl"), records)
@@ -327,11 +337,18 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
             _write_jsonl(os.path.join(out_dir, "picard.jsonl"), exc.trace)
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        _write_jsonl(os.path.join(out_dir, "picard.jsonl"), path.diagnostics["picard_log"])
     else:
-        gamma_path = MeasurePath(times=np.zeros(1), measures=[nu])  # constant in time
-        path = solve_with_source(beta, field, mu0, gamma_path, solver_cfg)
+        path = solve_with_source(beta, field, mu0, nu, solver_cfg)
 
+    outputs = {
+        "total_mass": [total_mass(m) for m in path.measures],
+        "first_moment": [moment(m, 1) for m in path.measures],
+        "second_moment": [moment(m, 2) for m in path.measures],
+    }
+    for name, values in outputs.items():
+        _check_finite(name, values)
+    if problem == "nonlinear":
+        _write_jsonl(os.path.join(out_dir, "picard.jsonl"), path.diagnostics["picard_log"])
     path_to_csv(path, os.path.join(out_dir, "path.csv"))
     manifest = {
         "tool": {"name": "fractrans", "version": __version__},
@@ -340,11 +357,7 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         "times": times,
         "seed": cfg["seed"],
         "solver": solver,
-        "outputs": {
-            "total_mass": [total_mass(m) for m in path.measures],
-            "first_moment": [moment(m, 1) for m in path.measures],
-            "second_moment": [moment(m, 2) for m in path.measures],
-        },
+        "outputs": outputs,
         "diagnostics": {
             k: v for k, v in path.diagnostics.items() if k != "picard_log"
         },

@@ -19,14 +19,16 @@ instead of integrating it and serves as an independent oracle.
 
 Every solver is built from three shared pieces: one g-rule map
 s -> (real times, weights), whose two consumers are the field average
-sum_q w_q v(x, r_q) and the path average sum_q w_q mu_{r_q}; one RK4
-stepper, which walks a stage schedule laid out once per solve and passes
-each velocity call its stage index; and one routine that advects mu0
-(plus any injected source) over the union of the h-rule nodes and mixes
-the node push-forwards.  A step matters only through the push-forwards at
-the h-nodes past it, so ``ode_step`` is the RK4 step where the full
-h-weight is fed, and later intervals take min(ode_step * W^(-1/5), 1/Lip),
-W the h-weight they still feed (``_flow_schedule``); a time-dependent
+sum_q w_q v(x, r_q) and the path average sum_q w_q mu_{r_q} of a Picard
+iterate; one RK4 stepper, which walks a stage schedule laid out once per
+solve and passes each velocity call its stage index; and one routine that
+advects mu0 (plus a source measure, constant in time and injected
+unchanged at every flow node) over the union of the h-rule nodes and
+mixes the node push-forwards.  A step matters only through the
+push-forwards at the h-nodes past it, so ``ode_step`` is the RK4 step
+where the full h-weight is fed, and later intervals take
+min(ode_step * W^(-1/5), 1/Lip), W the h-weight they still feed
+(``_flow_schedule``); a time-dependent
 explicit field also gets a graded start, steps of about s/8 near s = 0,
 where its g-average varies fastest.  The h-rule is the
 Gauss rule of the unit clock E_1, planned by the Stieltjes procedure on a
@@ -35,8 +37,7 @@ nodes (one push-forward of mu0 each) carries spectral accuracy; the
 g-rule stays composite.  An explicit field marked autonomous (independent
 of t) skips the field average: the g-rule weights sum to 1, so its
 g-average is the field itself, evaluated once per RK4 stage instead of
-q_g times, and with no source atoms, or a source of one measure, which
-every lookup reads whole, no g-rule is built.  The interaction
+q_g times, and no g-rule is built.  The interaction
 field is linear in the measure, so its g-average is the field induced by
 the path average.  The path average weights each recorded measure by a
 segment mass, the g-weight whose real time looks it up; the stage times
@@ -371,7 +372,8 @@ def _stage_schedule(nodes: np.ndarray, max_step):
     j = [nodes[j], nodes[j + 1]], whose stages s, s + h/2 and s + h are
     times[k], times[k + 1] and times[k + 2].  A step ends at the float its
     successor starts from, so only an interval's first stage can be new.
-    The solvers size the steps with ``_flow_schedule``."""
+    The solvers on h-rules size the steps with ``_flow_schedule``; the Monte
+    Carlo grid, whose every point a clock may read, steps at ``ode_step``."""
     caps = np.broadcast_to(max_step, nodes[:-1].shape).tolist()
     times, steps = [], []
     for s_a, s_b, cap in zip(nodes[:-1].tolist(), nodes[1:].tolist(), caps):
@@ -399,11 +401,7 @@ def _flow_schedule(nodes: np.ndarray, h_rules, ode_step: float, lip: float):
     weighted error sum of h^4 W ds for a given step count (the integral of
     ds / h) is least for h proportional to W^(-1/5).  Where the full weight
     is fed (W = 1, near s = 0) the step is ``ode_step`` itself; ``lip``, the
-    Lipschitz constant that ``_check_step`` guards, bounds every step.
-    With no rules (the Monte Carlo grid, whose every point a clock may read)
-    the steps are uniform, ``ode_step``."""
-    if not h_rules:
-        return _stage_schedule(nodes, ode_step)
+    Lipschitz constant that ``_check_step`` guards, bounds every step."""
     fed = np.zeros(nodes.size - 1)
     for h_nodes, weights in h_rules:
         past = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
@@ -449,18 +447,16 @@ def _advect_segment(vel, points, steps):
     return x
 
 
-def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps) -> list:
+def _average_push_forwards(vel, mu0, nu, h_rules, nodes, steps) -> list:
     """One measure per h-rule: sum_q w_q (Phi_{s_q} # mu0 + Duhamel_{s_q}),
 
-        Duhamel_s = sum over flow nodes r < s of dr * Phi_{r -> s} # Gamma_r,
+        Duhamel_s = sum over flow nodes r < s of dr * Phi_{r -> s} # nu,
 
-    where Gamma_r is the path average of the source at the g-rule of r.
-    One flow sweep over the flow ``nodes`` (which hold every h-node), in
-    the RK4 ``steps`` of their ``_stage_schedule``, covers every term: at
-    each node the source is injected, weighted by the width of the
-    following interval (rectangle rule), and advected with the initial
-    ensemble.  Only a source of more than one measure, with atoms, reads
-    ``g_rule``; it may be None otherwise.
+    for the source measure ``nu`` (None for no source).  One flow sweep over
+    the flow ``nodes`` (which hold every h-node), in the RK4 ``steps`` of
+    their ``_stage_schedule``, covers every term: at each node nu is
+    injected, weighted by the width of the following interval (rectangle
+    rule), and advected with the initial ensemble.
 
     With no source the particles come in index order: output particle
     (q, i), at position q * mu0.size + i, is mu0 particle i pushed to h-node
@@ -471,20 +467,10 @@ def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps) 
     src_pts = np.zeros((0, mu0.dim))
     src_wts = np.zeros(0)
     at_node = [(x, src_pts, src_wts)]
-    starts = nodes[:-1].tolist()
-    rows = None
-    if any(mu.size for mu in gamma_path.measures):
-        if len(gamma_path.measures) == 1:
-            # every lookup reads the one measure, with mass 1
-            rows, index = np.ones((1, 1)), np.zeros(len(starts), dtype=np.intp)
-        else:
-            rows, index = g_rule.segment_masses(gamma_path.times, starts)
-    for j, (s_a, s_b) in enumerate(zip(starts, nodes[1:].tolist())):
-        if rows is not None:
-            g_pts, g_wts = _path_average(gamma_path, rows[index[j]])
-            if g_wts.size:
-                src_pts = np.concatenate([src_pts, g_pts])
-                src_wts = np.concatenate([src_wts, (s_b - s_a) * g_wts])
+    for j, (s_a, s_b) in enumerate(zip(nodes[:-1].tolist(), nodes[1:].tolist())):
+        if nu is not None and nu.size:
+            src_pts = np.concatenate([src_pts, nu.points])
+            src_wts = np.concatenate([src_wts, (s_b - s_a) * nu.weights])
         moved = _advect_segment(vel, np.concatenate([x, src_pts]), steps[j])
         x, src_pts = moved[: x.shape[0]], moved[x.shape[0] :]
         at_node.append((x, src_pts, src_wts))
@@ -503,11 +489,6 @@ def _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps) 
 # ---------------------------------------------------------------------------
 # Helpers shared by the solvers
 # ---------------------------------------------------------------------------
-
-
-def _empty_path(mu0: EmpiricalMeasure) -> MeasurePath:
-    empty = EmpiricalMeasure(points=np.zeros((0, mu0.dim)), weights=np.zeros(0))
-    return MeasurePath(times=np.zeros(1), measures=[empty])
 
 
 def _paired_points(mu: EmpiricalMeasure, n: int) -> np.ndarray:
@@ -553,7 +534,7 @@ def solve_linear(beta: FracOrder, v: ExplicitField, mu0: EmpiricalMeasure, confi
     the weight-renormalized mixture of node push-forwards, so mass is
     conserved exactly.
     """
-    path = solve_with_source(beta, v, mu0, _empty_path(mu0), config)
+    path = solve_with_source(beta, v, mu0, None, config)
     del path.diagnostics["source_mass"]
     return path
 
@@ -589,7 +570,7 @@ def solve_linear_mc(
     s_max = float(clocks.max())
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
-    times, steps = _flow_schedule(s_grid, (), config.ode_step, v.lip)
+    times, steps = _stage_schedule(s_grid, config.ode_step)
     _check_autonomous(v, mu0, times)
     vel = _effective_velocity(v, None if v.autonomous else _GRule(beta, config), times)
 
@@ -635,7 +616,6 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
     nodes = _flow_nodes(h_rules)
     times, steps = _flow_schedule(nodes, h_rules, config.ode_step, lip)
     rows, index = g_rule.segment_masses(grid, times)
-    no_source = _empty_path(mu0)
 
     def sweep(path: MeasurePath) -> MeasurePath:
         cached = [-1, None]  # row and path average of the last stage
@@ -648,7 +628,7 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
             # path average instead of one per g-node
             return v.field(x, *cached[1])
 
-        measures = _average_push_forwards(vel, mu0, no_source, g_rule, h_rules, nodes, steps)
+        measures = _average_push_forwards(vel, mu0, None, h_rules, nodes, steps)
         return MeasurePath(times=grid, measures=[mu0] + measures)
 
     sweep.rk4_steps = sum(map(len, steps))
@@ -844,16 +824,16 @@ def solve_with_source(
     beta: FracOrder,
     v: ExplicitField,
     mu0: EmpiricalMeasure,
-    gamma_path: MeasurePath,
+    nu: EmpiricalMeasure | None,
     config: SolverConfig,
 ) -> MeasurePath:
-    """Linear problem with a nonnegative source, by the double average
+    """Linear problem with the nonnegative source measure ``nu`` (None for
+    no source), constant in time, by the double average
 
         mu_t = integral of (Phi_s # mu0 + Duhamel_s) h_beta(s, t) ds,
-        Duhamel_s = sum over flow nodes r < s of dr * Phi_{r -> s} # Gamma_r,
+        Duhamel_s = sum over flow nodes r < s of dr * Phi_{r -> s} # nu.
 
-    where Gamma_r is the source path averaged against g_beta(., r).  The
-    inner integral uses the rectangle rule on the flow node grid; source
+    The inner integral uses the rectangle rule on the flow node grid; nu's
     particles are injected at each node and advected together with the
     initial ensemble, so one flow sweep covers every term.  Mass grows by
     the accumulated source mass under the double average (reported in the
@@ -867,17 +847,14 @@ def solve_with_source(
     of each g-node, and steps of ode_step across them dominate the flow
     error.
     """
-    for gm in gamma_path.measures:
-        if gm.size and np.any(gm.weights <= 0.0):
-            raise ValueError("source measures must be nonnegative")
+    if nu is not None and nu.size and np.any(nu.weights <= 0.0):
+        raise ValueError("the source measure must be nonnegative")
     # at beta = 1 the h-nodes are the output times alone, too coarse for the
     # Duhamel rectangle rule, so the flow also steps through the ode_step grid
     fine = np.arange(0.0, config.times[-1] + 1e-12, config.ode_step) if beta.is_classical else ()
     _check_step(config.ode_step, v.lip)
-    # only a time-dependent field or a source of more than one measure, with
-    # atoms, reads the g-rule
-    varying_source = len(gamma_path.measures) > 1 and any(mu.size for mu in gamma_path.measures)
-    g_rule = _GRule(beta, config) if varying_source or not v.autonomous else None
+    # only a time-dependent field reads the g-rule
+    g_rule = None if v.autonomous else _GRule(beta, config)
     h_rules = _h_rules(beta, config.times, config)
     nodes = _flow_nodes(h_rules, fine)
     if not (beta.is_classical or v.autonomous) and _varies_in_t(v, mu0, nodes[0], nodes[-1]):
@@ -886,7 +863,7 @@ def solve_with_source(
     times, steps = _flow_schedule(nodes, h_rules, config.ode_step, v.lip)
     _check_autonomous(v, mu0, times)
     vel = _effective_velocity(v, g_rule, times)
-    measures = _average_push_forwards(vel, mu0, gamma_path, g_rule, h_rules, nodes, steps)
+    measures = _average_push_forwards(vel, mu0, nu, h_rules, nodes, steps)
     grid = np.concatenate([[0.0], np.asarray(config.times)])
     out = MeasurePath(times=grid, measures=[mu0] + measures)
     out.diagnostics["source_mass"] = [total_mass(m) - total_mass(mu0) for m in measures]

@@ -22,7 +22,7 @@ from fractrans.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from fractrans.measures import EmpiricalMeasure, MeasurePath, path_to_csv
+from fractrans.measures import EmpiricalMeasure, path_to_csv
 from fractrans.specfun import FracOrder
 from fractrans.transport import ExplicitField, SolverConfig, solve_with_source
 
@@ -188,14 +188,14 @@ def test_solve_nonlinear_and_source(tmp_path):
 
 
 def test_cli_source_is_one_constant_measure(tmp_path):
-    # the CLI's source is constant in time, so it is one measure at t = 0
-    # and each g-average of the source path reads its atoms once
+    # the CLI's source is one measure, constant in time, which the library
+    # solve injects unchanged at every flow node
     cfg = _linear_config(tmp_path, problem="source", initial={"kind": "dirac", "point": [1.0, 0.0]},
                          source={"kind": "dirac", "point": [0.5, -0.5]})
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
     damping = ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
-    source = MeasurePath(times=np.zeros(1), measures=[EmpiricalMeasure.dirac([0.5, -0.5])])
+    source = EmpiricalMeasure.dirac([0.5, -0.5])
     config = SolverConfig(times=(0.5, 1.0), q_h=24, q_g=12, ode_step=0.02)
     path = solve_with_source(FracOrder(0.5), damping, EmpiricalMeasure.dirac([1.0, 0.0]), source, config)
     path_to_csv(path, str(tmp_path / "library.csv"))
@@ -231,8 +231,8 @@ def test_unreachable_tail_mass_exit_4(tmp_path, capsys):
 
 
 def test_constant_source_solve_builds_no_g_rule(tmp_path, monkeypatch):
-    # the CLI's source is one measure for all time, so every lookup reads it
-    # whole and, with the autonomous damping field, nothing reads the g-rule:
+    # the CLI's source is one measure for all time, so with the autonomous
+    # damping field nothing reads the g-rule:
     # beta = 0.1, whose g-rule cannot meet the default eps_tail, solves, and
     # its mass solves D^beta m = 1, m(t) = 1 + t^beta / Gamma(1 + beta)
     calls = []
@@ -282,6 +282,29 @@ def test_float_overflow_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error:")
     assert "Traceback" not in err
+
+
+def test_non_finite_sample_exit_4(tmp_path, capsys):
+    # E[exp(800 E_1)] overflows at beta = 1/2: the estimate is inf and its
+    # standard error NaN, which JSON cannot hold, so nothing is written
+    cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "lambdas": [800.0], "n": 200})
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical error:")
+    assert not (out / "samples.jsonl").exists()
+
+
+def test_non_finite_solve_exit_4(tmp_path, capsys):
+    # a Dirac carried at speed 1e307 has a first moment past the float range
+    cfg = _linear_config(tmp_path, times=[1.0], velocity={"kind": "constant", "value": [1e307]},
+                         initial={"kind": "dirac", "point": [0.0]}, solver={})
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical error:")
+    assert not (out / "manifest.json").exists()
+    assert not (out / "path.csv").exists()
 
 
 @pytest.mark.parametrize("mutation", [

@@ -418,17 +418,30 @@ def test_flow_steps_follow_the_h_weight_they_feed(lip):
 
 
 def test_mc_schedule_is_the_uniform_one(monkeypatch):
-    # the Monte Carlo grid passes no h-rules: its steps stay ode_step, bit
-    # for bit, and so does its solve
-    grid = np.linspace(0.0, 3.7, 371)
-    assert transport._flow_schedule(grid, (), 0.01, 1.0) == transport._stage_schedule(grid, 0.01)
+    # a clock may read every point of the Monte Carlo grid, so no h-weight
+    # sizes its steps: the solve never lays out a weighted schedule, and its
+    # one schedule is the uniform grid at ode_step itself, one step per grid
+    # interval of exactly min(ode_step, spacing), bit for bit
+    schedules = []
+    stage_schedule = transport._stage_schedule
+
+    def recording(nodes, max_step):
+        schedules.append((nodes, max_step))
+        return stage_schedule(nodes, max_step)
+
+    def weighted(*args):
+        raise AssertionError("the Monte Carlo grid was sized by h-weights")
+
+    monkeypatch.setattr(transport, "_stage_schedule", recording)
+    monkeypatch.setattr(transport, "_flow_schedule", weighted)
     cfg = _cfg(times=(0.5, 1.0), ode_step=0.02)
-    got = solve_linear_mc(B, DAMP, _two_diracs(), cfg, n_paths=50, seed=4)
-    monkeypatch.setattr(transport, "_flow_schedule", _uniform_schedule)
-    want = solve_linear_mc(B, DAMP, _two_diracs(), cfg, n_paths=50, seed=4)
-    for a, b in zip(got.measures, want.measures):
-        np.testing.assert_array_equal(a.points, b.points)
-        np.testing.assert_array_equal(a.weights, b.weights)
+    solve_linear_mc(B, DAMP, _two_diracs(), cfg, n_paths=50, seed=4)
+    [(grid, max_step)] = schedules
+    assert type(max_step) is float and max_step == cfg.ode_step
+    np.testing.assert_array_equal(grid, np.linspace(0.0, grid[-1], grid.size))
+    _, steps = stage_schedule(grid, max_step)
+    spacing = np.diff(grid).tolist()
+    assert [[h for h, _ in interval] for interval in steps] == [[min(cfg.ode_step, ds)] for ds in spacing]
 
 
 def test_weighted_steps_keep_a_time_dependent_flow(monkeypatch):
@@ -464,7 +477,7 @@ def test_mislabelled_autonomous_field_is_rejected():
     # the first and the last stage time and refuses it
     decay = ExplicitField(func=lambda x, t: np.exp(-t) * np.ones_like(x), lip=0.0, autonomous=True)
     cfg = _cfg(times=(0.5, 1.0), q_h=8, q_g=8, ode_step=0.05)
-    source = _const_source_path(_dirac(0.5))
+    source = _dirac(0.5)
     solves = [
         lambda beta, v, mu0: solve_linear(beta, v, mu0, cfg),
         lambda beta, v, mu0: solve_with_source(beta, v, mu0, source, cfg),
@@ -1024,14 +1037,10 @@ def test_freezing_tail_probability_half_order_closed_form():
 # ---------------------------------------------------------------------------
 
 
-def _const_source_path(nu, t_max=1.0):
-    return MeasurePath(times=np.array([0.0, t_max]), measures=[nu, nu])
-
-
 def test_source_zero_reduces_to_linear():
     empty = EmpiricalMeasure(points=np.zeros((0, 1)), weights=np.zeros(0))
     cfg = _cfg(times=(1.0,))
-    with_source = solve_with_source(B, ONES, _dirac(), _const_source_path(empty), cfg)
+    with_source = solve_with_source(B, ONES, _dirac(), empty, cfg)
     plain = solve_linear(B, ONES, _dirac(), cfg)
     assert moment(with_source.measures[-1], 1) == pytest.approx(
         moment(plain.measures[-1], 1), rel=1e-10
@@ -1042,7 +1051,7 @@ def test_source_mass_growth_fractional():
     # no motion, constant source: mass grows by mass(nu) * E[E_t]
     nu = EmpiricalMeasure.dirac([0.5], 1.0)
     cfg = _cfg(times=(0.5, 1.0))
-    path = solve_with_source(B, ZERO, _dirac(), _const_source_path(nu), cfg)
+    path = solve_with_source(B, ZERO, _dirac(), nu, cfg)
     for t, mu in zip(path.times[1:], path.measures[1:]):
         exact = 1.0 + inverse_moment_coeff(B, 1.0) * t**0.5
         assert total_mass(mu) == pytest.approx(exact, rel=1e-6), f"t={t}"
@@ -1052,19 +1061,17 @@ def test_source_mass_growth_classical():
     beta1 = FracOrder(1.0)
     nu = EmpiricalMeasure.dirac([0.5], 1.0)
     cfg = SolverConfig(times=(0.5, 1.0), ode_step=1e-2)
-    gamma_path = MeasurePath(times=np.array([0.0, 1.0]), measures=[nu, nu])
-    path = solve_with_source(beta1, ZERO, _dirac(), gamma_path, cfg)
+    path = solve_with_source(beta1, ZERO, _dirac(), nu, cfg)
     assert total_mass(path.measures[1]) == pytest.approx(1.5, rel=1e-10)
     assert total_mass(path.measures[2]) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_source_rejects_negative():
-    nu = EmpiricalMeasure.dirac([0.0], 1.0)
     bad = EmpiricalMeasure(points=np.array([[0.0]]), weights=np.array([1.0]))
     object.__setattr__(bad, "weights", np.array([-1.0]))
     cfg = _cfg(times=(1.0,))
     with pytest.raises(ValueError):
-        solve_with_source(B, ZERO, _dirac(), _const_source_path(bad), cfg)
+        solve_with_source(B, ZERO, _dirac(), bad, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,7 +1104,7 @@ def test_autonomous_flag_does_not_change_the_answers(beta):
     cfg = _cfg(times=(0.5, 1.0), q_h=16, q_g=16, ode_step=0.05)
     mu0 = _square_2d()
     _assert_paths_close(solve_linear(beta, auto, mu0, cfg), solve_linear(beta, plain, mu0, cfg), 1e-14)
-    source = _const_source_path(EmpiricalMeasure.dirac([0.5, 0.5], 0.3))
+    source = EmpiricalMeasure.dirac([0.5, 0.5], 0.3)
     _assert_paths_close(
         solve_with_source(beta, auto, mu0, source, cfg),
         solve_with_source(beta, plain, mu0, source, cfg),
@@ -1138,7 +1145,7 @@ def test_autonomous_field_is_called_once_per_rk4_stage(monkeypatch, autonomous):
     field = ExplicitField(func=func, lip=1.0, autonomous=autonomous)
     cfg = _cfg(times=(0.5, 1.0), q_h=8, q_g=q_g, ode_step=0.05)
     solve_linear(B, field, _dirac(1.0), cfg)
-    solve_with_source(B, field, _dirac(1.0), _const_source_path(_dirac(0.5)), cfg)
+    solve_with_source(B, field, _dirac(1.0), _dirac(0.5), cfg)
     solve_linear_mc(B, field, _dirac(1.0), cfg, n_paths=20)
     assert calls["stages"] > 0 and calls["stages"] % 4 == 0
     if autonomous:
