@@ -10,6 +10,11 @@ finite, which no file is written for).  Every output file is
 written through a temp-file rename, so no partial file survives a
 failure, and each solve emits a manifest recording every tolerance and
 seed used.  Every command runs on numpy alone.
+
+Only ``solve`` and ``verify`` load ``transport``: the module
+``__getattr__`` binds the names read from it on first use, so that
+``perfbench/tracer.py`` can still wrap ``cli.solve_linear`` and its
+siblings by name.
 """
 
 from __future__ import annotations
@@ -43,16 +48,6 @@ from .specfun import (
     subordinator_density,
 )
 from .subordinator import RngSpec, mc_exponential_functional, mc_moment
-from .transport import (
-    ExplicitField,
-    InteractionField,
-    SolverConfig,
-    attraction_field,
-    repulsion_field,
-    solve_linear,
-    solve_nonlinear,
-    solve_with_source,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -146,11 +141,35 @@ _VELOCITIES = {
     "repulsion": {},
 }
 
-#: every SolverConfig field but ``times`` (a top-level key), typed as its default
-_SOLVER = {f.name: _Key({int: "integer", float: "number"}[type(f.default)], f.default)
-           for f in dataclasses.fields(SolverConfig) if f.name != "times"}
-#: the solver keys that only the nonlinear problem reads
-_NONLINEAR_ONLY = [f.name for f in dataclasses.fields(SolverConfig) if f.metadata.get("nonlinear")]
+#: the names read from ``transport``; they and the two key tables made
+#: from ``SolverConfig`` are bound by ``_bind_transport`` on first use
+_FROM_TRANSPORT = ("ExplicitField", "InteractionField", "SolverConfig", "attraction_field",
+                   "repulsion_field", "solve_linear", "solve_nonlinear", "solve_with_source")
+
+
+def _bind_transport():
+    """Import ``transport`` and bind here every name of ``_FROM_TRANSPORT``,
+    ``_SOLVER`` and ``_NONLINEAR_ONLY``; a name already bound (a wrapper
+    set on this module) is kept."""
+    from . import transport
+
+    fields = dataclasses.fields(transport.SolverConfig)
+    names = {name: getattr(transport, name) for name in _FROM_TRANSPORT}
+    # every SolverConfig field but ``times`` (a top-level key), typed as its default
+    names["_SOLVER"] = {f.name: _Key({int: "integer", float: "number"}[type(f.default)], f.default)
+                        for f in fields if f.name != "times"}
+    # the solver keys that only the nonlinear problem reads
+    names["_NONLINEAR_ONLY"] = [f.name for f in fields if f.metadata.get("nonlinear")]
+    for name, value in names.items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name):
+    if name not in _FROM_TRANSPORT + ("_SOLVER", "_NONLINEAR_ONLY"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_transport()
+    return globals()[name]
+
 
 _COMMANDS = {
     "kernels": {
@@ -299,6 +318,7 @@ def cmd_sample(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_solve(cfg: dict, out_dir: str) -> int:
+    _bind_transport()
     problem, times = cfg["problem"], cfg["times"]
     if problem not in ("linear", "nonlinear", "source"):
         raise ConfigError(f"unknown problem {problem!r}")

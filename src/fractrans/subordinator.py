@@ -66,10 +66,19 @@ def sample_stable_unit(beta: FracOrder, rng, size=None):
 
 
 def mc_moment(beta: FracOrder, gammas, t: float, n: int, rng: RngSpec):
-    """MC estimates (mean, stderr) of E[E_t^gamma] for each gamma."""
+    """MC estimates (mean, stderr) of E[E_t^gamma] for each gamma.
+
+    For beta < 1 the moment is finite only for gamma > -1, since the
+    clock's density h_beta(s, t) is positive at s = 0; a gamma <= -1 is a
+    ValueError.  The classical clock, E_t = t, has every moment.
+    """
+    gammas = np.atleast_1d(gammas)
+    if not beta.is_classical and np.any(gammas <= -1.0):
+        raise ValueError(f"E[E_t^gamma] is infinite for gamma <= -1 when beta < 1, "
+                         f"got gammas {gammas.tolist()}")
     draws = sample_inverse(beta, t, rng, size=n)
     results = []
-    for g in np.atleast_1d(gammas):
+    for g in gammas:
         vals = draws**g
         results.append((float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))))
     return results
@@ -102,8 +111,9 @@ def mc_exponential_functional(beta: FracOrder, lam: float, t: float, n: int, rng
     if beta.is_classical:
         return math.exp(lam * t), 0.0
     draws = sample_inverse(beta, t, rng, size=n)
-    vals = np.exp(lam * draws)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf estimate is the caller's to reject
+        vals = np.exp(lam * draws)
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 
 
 def solve_psi_fode(beta: FracOrder, lam: float, t_max: float, dt: float):

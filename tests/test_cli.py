@@ -284,27 +284,47 @@ def test_float_overflow_exit_4(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would reach stderr
 def test_non_finite_sample_exit_4(tmp_path, capsys):
     # E[exp(800 E_1)] overflows at beta = 1/2: the estimate is inf and its
     # standard error NaN, which JSON cannot hold, so nothing is written
     cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "lambdas": [800.0], "n": 200})
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith("numerical error:")
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and err.count("\n") == 1
     assert not (out / "samples.jsonl").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_solve_exit_4(tmp_path, capsys):
     # a Dirac carried at speed 1e307 has a first moment past the float range
     cfg = _linear_config(tmp_path, times=[1.0], velocity={"kind": "constant", "value": [1e307]},
                          initial={"kind": "dirac", "point": [0.0]}, solver={})
     out = tmp_path / "o"
-    with np.errstate(over="ignore"):
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith("numerical error:")
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and err.count("\n") == 1
     assert not (out / "manifest.json").exists()
     assert not (out / "path.csv").exists()
+
+
+def test_sample_infinite_negative_moment_exit_2(tmp_path, capsys):
+    # E[E_1^-1.5] is infinite at beta = 1/2: no finite estimate is written
+    cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "gammas": [-1.5, -0.5],
+                                             "n": 2000})
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (out / "samples.jsonl").exists()
+
+
+def test_sample_classical_clock_takes_every_gamma(tmp_path):
+    cfg = _write_config(tmp_path, "s.json", {"beta": 1.0, "times": [1.0], "gammas": [-1.5], "n": 2000})
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rec = json.loads((out / "samples.jsonl").read_text())
+    assert rec["estimate"] == 1.0 and rec["stderr"] == 0.0
 
 
 @pytest.mark.parametrize("mutation", [

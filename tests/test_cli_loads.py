@@ -1,0 +1,127 @@
+"""Only ``solve`` and ``verify`` load ``fractrans.transport``.
+
+``cli`` binds the names it reads from ``transport`` on first use, through
+its module ``__getattr__``, so ``kernels``, ``sample``, ``--version`` and
+``--help`` never compile ``transport.py``.  The names stay attributes of
+``cli``: ``perfbench/tracer.py`` wraps ``cli.solve_linear`` and its
+siblings before a run, and ``cmd_solve`` must call those wrappers.  The
+tests that watch ``sys.modules`` or a fresh binding run in a subprocess.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import fractrans
+from fractrans import cli, transport
+from fractrans.cli import EXIT_OK, main
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(fractrans.__file__)))
+
+_LINEAR = {"problem": "linear", "beta": 0.5, "times": [0.5], "velocity": {"kind": "damping"},
+           "initial": {"kind": "dirac", "point": [1.0]}, "solver": {"q_h": 8}}
+_RUNS = {
+    "linear": _LINEAR,
+    "nonlinear": {**_LINEAR, "problem": "nonlinear", "velocity": {"kind": "repulsion"},
+                  "initial": {"kind": "uniform-grid", "low": [-1.0], "high": [1.0], "n": 4},
+                  "solver": {"q_h": 8, "q_g": 8}},
+    "source": {**_LINEAR, "problem": "source", "source": {"kind": "dirac", "point": [0.0]}},
+}
+
+_LOADS = """
+import contextlib, io, json, sys
+
+def loaded():
+    return "fractrans.transport" in sys.modules
+
+out = sys.argv[1]
+import fractrans.cli
+from fractrans.cli import main
+assert not loaded(), "import"
+for flag in ("--version", "--help"):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main([flag])
+    except SystemExit:
+        pass
+    assert not loaded(), flag
+# the benchmark's clock-sample config at seed 0, then kernels on its defaults
+sample = {"beta": 0.5, "times": [0.5, 1.0], "gammas": [1.0, 2.0], "lambdas": [-1.0],
+          "n": 20000, "dtau": 1e-3}
+with open(f"{out}/sample.json", "w") as handle:
+    json.dump(sample, handle)
+assert main(["sample", "--config", f"{out}/sample.json", "--out", out, "--seed", "0"]) == 0
+assert not loaded(), "sample"
+assert main(["kernels", "--out", out]) == 0
+assert not loaded(), "kernels"
+with open(f"{out}/solve.json", "w") as handle:
+    json.dump(json.loads(sys.argv[2]), handle)
+assert main(["solve", "--config", f"{out}/solve.json", "--out", out]) == 0
+assert loaded(), "solve"
+"""
+
+
+def _run(script, *args):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_only_solve_loads_transport(tmp_path):
+    proc = _run(_LOADS, str(tmp_path), json.dumps(_LINEAR))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "samples.jsonl").read_text().count("\n") == 6
+    assert (tmp_path / "mittag_leffler.csv").exists()
+
+
+_WRAPPED = """
+import json, sys
+from fractrans import cli
+
+calls = []
+
+def recorded(name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+# as the benchmark tracer does: wrap the names on cli before any solve runs
+for name in ("solve_linear", "solve_nonlinear", "solve_with_source"):
+    setattr(cli, name, recorded(name, getattr(cli, name)))
+out = sys.argv[1]
+for problem, cfg in json.loads(sys.argv[2]).items():
+    with open(f"{out}/{problem}.json", "w") as handle:
+        json.dump(cfg, handle)
+    assert cli.main(["solve", "--config", f"{out}/{problem}.json", "--out", f"{out}/{problem}"]) == 0
+print(json.dumps(calls))
+"""
+
+
+def test_solve_calls_the_wrappers_set_on_cli(tmp_path):
+    proc = _run(_WRAPPED, str(tmp_path), json.dumps(_RUNS))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["solve_linear", "solve_nonlinear", "solve_with_source"]
+
+
+def test_monkeypatched_solver_reaches_cmd_solve(tmp_path, monkeypatch):
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        return transport.solve_linear(*args)
+
+    monkeypatch.setattr(cli, "solve_linear", fake)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_LINEAR))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(cli, "no_such_name")
+    assert getattr(cli, "sample_inverse", None) is None

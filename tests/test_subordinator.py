@@ -21,6 +21,7 @@ from fractrans.specfun import (
 from fractrans.subordinator import (
     RngSpec,
     mc_exponential_functional,
+    mc_moment,
     sample_inverse,
     sample_stable_unit,
     solve_psi_fode,
@@ -71,6 +72,14 @@ def test_inverse_moments_mc():
         exact = inverse_moment_coeff(beta, g)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - exact) < 3.0 * se
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -1.5])
+def test_moment_rejects_infinite_negative_order(gamma):
+    # h_beta(0, t) > 0 for beta < 1, so E[E_t^gamma] diverges at s = 0 for
+    # gamma <= -1; a sample mean of it would be a finite number
+    with pytest.raises(ValueError, match="infinite"):
+        mc_moment(FracOrder(0.5), [gamma, -0.5], 1.0, 100, RngSpec(0))
 
 
 @pytest.mark.parametrize("b", [0.3, 0.7])
