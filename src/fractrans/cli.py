@@ -14,7 +14,9 @@ seed used.  Every command runs on numpy alone.
 Only ``solve`` and ``verify`` load ``transport``: the module
 ``__getattr__`` binds the names read from it on first use, so that
 ``perfbench/tracer.py`` can still wrap ``cli.solve_linear`` and its
-siblings by name.
+siblings by name.  ``main`` freezes the objects made at start-up out of
+the garbage collector, so no collection walks them, the ones at exit
+included; importing the package leaves the collector untouched.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import numbers
@@ -217,6 +220,9 @@ def _parse_measure(block, where: str) -> EmpiricalMeasure:
         low, high = spec["low"], spec["high"]
         if not low or len(low) != len(high):
             raise ConfigError(f"{where} low and high must have the same length >= 1, got {low} and {high}")
+        for lo, hi in zip(low, high):
+            if not math.isfinite(hi - lo):  # np.linspace forms the span first
+                raise ConfigError(f"{where} uniform-grid span high - low = {hi!r} - {lo!r} overflows")
         axes = [np.linspace(lo, hi, spec["n"]) for lo, hi in zip(low, high)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -400,6 +406,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
 
 def main(argv=None) -> int:
+    gc.freeze()  # what start-up made lives until exit: no collection, shutdown's included, should walk it
     parser = argparse.ArgumentParser(
         prog="fractrans",
         description="Fractional-in-time measure transport: kernels, samplers, solvers.",

@@ -447,6 +447,15 @@ def _advect_segment(vel, points, steps):
     return x
 
 
+def _check_flow(*positions):
+    """OverflowError unless every one of the advected ``positions`` at the
+    end of a flow sweep is finite.  An RK4 step adds x to its increment, so
+    a position that is not finite stays so to the end of the sweep, and
+    this one check covers every node of it."""
+    if not all(np.isfinite(x).all() for x in positions):
+        raise OverflowError("an advected position is not finite: the flow left the float range")
+
+
 def _average_push_forwards(vel, mu0, nu, h_rules, nodes, steps) -> list:
     """One measure per h-rule: sum_q w_q (Phi_{s_q} # mu0 + Duhamel_{s_q}),
 
@@ -467,13 +476,15 @@ def _average_push_forwards(vel, mu0, nu, h_rules, nodes, steps) -> list:
     src_pts = np.zeros((0, mu0.dim))
     src_wts = np.zeros(0)
     at_node = [(x, src_pts, src_wts)]
-    for j, (s_a, s_b) in enumerate(zip(nodes[:-1].tolist(), nodes[1:].tolist())):
-        if nu is not None and nu.size:
-            src_pts = np.concatenate([src_pts, nu.points])
-            src_wts = np.concatenate([src_wts, (s_b - s_a) * nu.weights])
-        moved = _advect_segment(vel, np.concatenate([x, src_pts]), steps[j])
-        x, src_pts = moved[: x.shape[0]], moved[x.shape[0] :]
-        at_node.append((x, src_pts, src_wts))
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_flow raises instead
+        for j, (s_a, s_b) in enumerate(zip(nodes[:-1].tolist(), nodes[1:].tolist())):
+            if nu is not None and nu.size:
+                src_pts = np.concatenate([src_pts, nu.points])
+                src_wts = np.concatenate([src_wts, (s_b - s_a) * nu.weights])
+            moved = _advect_segment(vel, np.concatenate([x, src_pts]), steps[j])
+            x, src_pts = moved[: x.shape[0]], moved[x.shape[0] :]
+            at_node.append((x, src_pts, src_wts))
+    _check_flow(x, src_pts)
 
     measures = []
     for h_nodes, weights in h_rules:
@@ -575,8 +586,10 @@ def solve_linear_mc(
     vel = _effective_velocity(v, None if v.autonomous else _GRule(beta, config), times)
 
     flow = [mu0.points.astype(float)]
-    for interval in steps:
-        flow.append(_advect_segment(vel, flow[-1], interval))
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_flow raises instead
+        for interval in steps:
+            flow.append(_advect_segment(vel, flow[-1], interval))
+    _check_flow(flow[-1])
     flow = np.array(flow)
     wts = np.tile(mu0.weights / n_paths, n_paths)
     measures = [mu0]
@@ -838,7 +851,9 @@ def solve_with_source(
     initial ensemble, so one flow sweep covers every term.  Mass grows by
     the accumulated source mass under the double average (reported in the
     path diagnostics, not conserved).  The diagnostics also hold
-    ``rk4_steps``, the RK4 steps of the flow sweep.  At beta < 1 a field
+    ``rk4_steps``, the RK4 steps of the flow sweep.  A flow that carries a
+    particle past the float range raises OverflowError, as it does in
+    every solver.  At beta < 1 a field
     not marked autonomous that differs at mu0's points between s = 0 and
     the last flow node gets the graded start: flow nodes at
     ode_step * ``_GRADED_START``, so that the steps near s = 0 are about

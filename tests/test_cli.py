@@ -309,6 +309,26 @@ def test_non_finite_solve_exit_4(tmp_path, capsys):
     assert not (out / "path.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("overrides", [
+    # the affine flow x' = 50 x carries a grid at 1e300 past the float range
+    {"times": [1.0], "velocity": {"kind": "affine", "matrix": [[50.0]]},
+     "initial": {"kind": "uniform-grid", "low": [1e300], "high": [2e300], "n": 4}, "solver": {}},
+    # the attraction between particles 1.6e308 apart overflows in the first sweep
+    {"problem": "nonlinear", "times": [0.5], "velocity": {"kind": "attraction"},
+     "initial": {"kind": "uniform-grid", "low": [-8e307], "high": [8e307], "n": 4},
+     "solver": {"q_h": 4, "q_g": 8, "picard_max_iters": 2}},
+], ids=["linear", "nonlinear"])
+def test_overflowing_flow_exit_4(tmp_path, capsys, overrides):
+    cfg = _linear_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+    assert not (out / "path.csv").exists()
+
+
 def test_sample_infinite_negative_moment_exit_2(tmp_path, capsys):
     # E[E_1^-1.5] is infinite at beta = 1/2: no finite estimate is written
     cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "gammas": [-1.5, -0.5],
@@ -513,6 +533,19 @@ def test_uniform_grid_bounds_of_different_lengths_exit_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "same length" in capsys.readouterr().err
+    assert not (out / "path.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # np.linspace would warn on the span
+def test_uniform_grid_span_past_the_float_range_exit_2(tmp_path, capsys):
+    # every grid point is finite, but high - low is not
+    cfg = _linear_config(tmp_path, initial={
+        "kind": "uniform-grid", "low": [-1e308], "high": [1e308], "n": 4})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "span" in err and "overflows" in err
     assert not (out / "path.csv").exists()
 
 

@@ -1,0 +1,66 @@
+"""``cli.main`` freezes the start-up objects; importing the package does not.
+
+Everything a command makes before ``main`` runs lives until exit, so
+``main`` moves it to the collector's permanent generation
+(``gc.freeze``) and no collection, the ones at shutdown included, walks
+it.  Library users import the package and keep their collector as they
+set it.  Each test runs in a fresh interpreter, whose freeze count starts
+at 0.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import fractrans
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(fractrans.__file__)))
+
+_MAIN_FREEZES = """
+import gc, sys
+from fractrans import cli
+
+counts = []
+
+def recorded(cfg, out_dir):
+    counts.append(gc.get_freeze_count())
+    return 0
+
+assert gc.get_freeze_count() == 0
+cli.cmd_sample = recorded
+assert cli.main(["sample", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(counts[0])
+"""
+
+_IMPORTS_LEAVE_GC = """
+import gc, json
+before = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+import fractrans
+import fractrans.cli
+import fractrans.transport
+print(json.dumps([[gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()], before]))
+"""
+
+
+def _run(script, *args):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_main_freezes_the_start_up_objects(tmp_path):
+    cfg = tmp_path / "sample.json"
+    cfg.write_text(json.dumps({"beta": 0.5, "times": [1.0]}))
+    proc = _run(_MAIN_FREEZES, str(cfg), str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    # the command runs with the modules and objects of start-up frozen
+    assert int(proc.stdout) > 0
+
+
+def test_imports_leave_the_collector_as_they_found_it():
+    proc = _run(_IMPORTS_LEAVE_GC)
+    assert proc.returncode == 0, proc.stderr
+    after, before = json.loads(proc.stdout)
+    assert after == before
+    assert after[0] is True and after[2] == 0

@@ -503,6 +503,19 @@ def test_solvers_reject_steps_beyond_the_lipschitz_scale():
         solve_linear_mc(B, DAMP, _dirac(), cfg, n_paths=10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the flow is computed with numpy's warnings off
+def test_solvers_raise_overflow_when_the_flow_leaves_the_float_range():
+    # x' = 50 x carries 1e300 past the float range by s = 0.4
+    grow = ExplicitField(func=lambda x, t: 50.0 * x, lip=50.0, autonomous=True)
+    cfg = _cfg(times=(1.0,), q_h=8)
+    mu0 = _dirac(1e300)
+    for solve in (lambda: solve_linear(B, grow, mu0, cfg),
+                  lambda: solve_with_source(B, grow, mu0, _dirac(1.0), cfg),
+                  lambda: solve_linear_mc(B, grow, mu0, cfg, n_paths=10, seed=1)):
+        with pytest.raises(OverflowError, match="not finite"):
+            solve()
+
+
 # ---------------------------------------------------------------------------
 # Linear solver
 # ---------------------------------------------------------------------------
