@@ -1,21 +1,37 @@
 """Measure transport with memory: fractional-in-time transport equations
-solved by averaging push-forward flows over a random internal clock."""
+solved by averaging push-forward flows over a random internal clock.
 
-from .errors import MassMismatchError, PicardConvergenceError, TailMassError
-from .measures import EmpiricalMeasure, MeasurePath
-from .specfun import FracOrder, QuadratureRule
-from .subordinator import RngSpec
+The public names below are imported from their modules on first access
+(PEP 562), so ``import fractrans`` compiles no submodule and each command
+of the CLI compiles only the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FracOrder",
-    "QuadratureRule",
-    "EmpiricalMeasure",
-    "MeasurePath",
-    "RngSpec",
-    "TailMassError",
-    "MassMismatchError",
-    "PicardConvergenceError",
-    "__version__",
-]
+#: each public name and the module that defines it
+_PUBLIC = {
+    "FracOrder": "subordinator",
+    "QuadratureRule": "specfun",
+    "EmpiricalMeasure": "measures",
+    "MeasurePath": "measures",
+    "RngSpec": "subordinator",
+    "TailMassError": "errors",
+    "MassMismatchError": "errors",
+    "PicardConvergenceError": "errors",
+}
+
+__all__ = [*_PUBLIC, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _PUBLIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_PUBLIC[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_PUBLIC})

@@ -11,12 +11,17 @@ written through a temp-file rename, so no partial file survives a
 failure, and each solve emits a manifest recording every tolerance and
 seed used.  Every command runs on numpy alone.
 
-Only ``solve`` and ``verify`` load ``transport``: the module
-``__getattr__`` binds the names read from it on first use, so that
-``perfbench/tracer.py`` can still wrap ``cli.solve_linear`` and its
-siblings by name.  ``main`` freezes the objects made at start-up out of
-the garbage collector, so no collection walks them, the ones at exit
-included; importing the package leaves the collector untouched.
+Each command compiles only the modules it runs.  ``import fractrans.cli``,
+``--version``, ``--help`` and ``sample`` load ``cli``, ``errors``,
+``atomic`` and ``subordinator``; ``kernels`` adds ``specfun``; only
+``solve`` and ``verify`` load ``measures`` and ``transport``.  The module
+``__getattr__`` binds the names ``solve`` reads from those two on first
+use, so that ``perfbench/tracer.py`` can still wrap ``cli.solve_linear``,
+``cli.path_to_csv`` and their siblings by name.  ``main`` freezes the
+objects made at start-up out of the garbage collector, so no collection
+walks them, the ones at exit included, and ``solve`` freezes once more
+after loading its modules; importing the package, or looking up a name
+on ``cli``, leaves the collector untouched.
 """
 
 from __future__ import annotations
@@ -34,23 +39,9 @@ import sys
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_write
 from .errors import PicardConvergenceError, TailMassError
-from .measures import (
-    EmpiricalMeasure,
-    _atomic_write,
-    moment,
-    path_from_csv,
-    path_to_csv,
-    total_mass,
-    write_manifest,
-)
-from .specfun import (
-    FracOrder,
-    inverse_subordinator_density,
-    mittag_leffler,
-    subordinator_density,
-)
-from .subordinator import RngSpec, mc_exponential_functional, mc_moment
+from .subordinator import FracOrder, RngSpec, mc_exponential_functional, mc_moment
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -144,20 +135,24 @@ _VELOCITIES = {
     "repulsion": {},
 }
 
-#: the names read from ``transport``; they and the two key tables made
-#: from ``SolverConfig`` are bound by ``_bind_transport`` on first use
+#: the names ``solve`` reads from ``measures`` and ``transport``; they and the two key tables made from ``SolverConfig``
+#: are bound by ``_bind_solve_names`` on first use
+_FROM_MEASURES = ("EmpiricalMeasure", "moment", "path_from_csv", "path_to_csv", "total_mass",
+                  "write_manifest")
 _FROM_TRANSPORT = ("ExplicitField", "InteractionField", "SolverConfig", "attraction_field",
                    "repulsion_field", "solve_linear", "solve_nonlinear", "solve_with_source")
 
 
-def _bind_transport():
-    """Import ``transport`` and bind here every name of ``_FROM_TRANSPORT``,
-    ``_SOLVER`` and ``_NONLINEAR_ONLY``; a name already bound (a wrapper
-    set on this module) is kept."""
-    from . import transport
+def _bind_solve_names():
+    """Import ``measures`` and ``transport`` and bind here every name of
+    ``_FROM_MEASURES``, ``_FROM_TRANSPORT``, ``_SOLVER`` and
+    ``_NONLINEAR_ONLY``; a name already bound (a wrapper set on this
+    module) is kept."""
+    from . import measures, transport
 
     fields = dataclasses.fields(transport.SolverConfig)
-    names = {name: getattr(transport, name) for name in _FROM_TRANSPORT}
+    names = {name: getattr(measures, name) for name in _FROM_MEASURES}
+    names.update((name, getattr(transport, name)) for name in _FROM_TRANSPORT)
     # every SolverConfig field but ``times`` (a top-level key), typed as its default
     names["_SOLVER"] = {f.name: _Key({int: "integer", float: "number"}[type(f.default)], f.default)
                         for f in fields if f.name != "times"}
@@ -168,9 +163,9 @@ def _bind_transport():
 
 
 def __getattr__(name):
-    if name not in _FROM_TRANSPORT + ("_SOLVER", "_NONLINEAR_ONLY"):
+    if name not in _FROM_MEASURES + _FROM_TRANSPORT + ("_SOLVER", "_NONLINEAR_ONLY"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_transport()
+    _bind_solve_names()
     return globals()[name]
 
 
@@ -270,7 +265,7 @@ def _write_jsonl(filename: str, records):
         for rec in records:
             handle.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    _atomic_write(filename, write)
+    atomic_write(filename, write)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +274,8 @@ def _write_jsonl(filename: str, records):
 
 
 def cmd_kernels(cfg: dict, out_dir: str) -> int:
+    from .specfun import inverse_subordinator_density, mittag_leffler, subordinator_density
+
     orders = [FracOrder(b) for b in cfg["betas"]]
 
     def write_kernels(handle):
@@ -299,8 +296,8 @@ def cmd_kernels(cfg: dict, out_dir: str) -> int:
                 writer.writerow([beta.beta, z, repr(mittag_leffler(beta, z))])
 
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "kernels.csv"), write_kernels)
-    _atomic_write(os.path.join(out_dir, "mittag_leffler.csv"), write_ml)
+    atomic_write(os.path.join(out_dir, "kernels.csv"), write_kernels)
+    atomic_write(os.path.join(out_dir, "mittag_leffler.csv"), write_ml)
     return EXIT_OK
 
 
@@ -324,7 +321,8 @@ def cmd_sample(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_solve(cfg: dict, out_dir: str) -> int:
-    _bind_transport()
+    _bind_solve_names()
+    gc.freeze()  # measures, specfun and transport, loaded just now, live until exit too
     problem, times = cfg["problem"], cfg["times"]
     if problem not in ("linear", "nonlinear", "source"):
         raise ConfigError(f"unknown problem {problem!r}")
@@ -393,6 +391,7 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_verify(cfg: dict, out_dir: str) -> int:
+    from .measures import write_manifest
     from .verify import run_checks
 
     report = run_checks()

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import MassMismatchError
 
 __all__ = [
@@ -246,28 +245,6 @@ class MeasurePath:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, writer):
-    """Write via a temp file in the same directory, then rename.
-
-    ``mkstemp`` creates the temp file with mode 0600 and the rename keeps
-    it, so the file is given the mode a plain ``open()`` would create it
-    with: 0666 minus the umask.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            os.chmod(tmp, 0o666 & ~umask)
-            writer(handle)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 #: rows written by one ``"".join`` in ``path_to_csv``
 _CSV_CHUNK_ROWS = 2048
 
@@ -300,7 +277,7 @@ def path_to_csv(path: MeasurePath, filename: str):
                     cells[:, column] = text[inverse.reshape(values.shape)]
                 handle.write("".join(cells.ravel().tolist()))
 
-    _atomic_write(filename, write)
+    atomic_write(filename, write)
 
 
 def path_from_csv(filename: str) -> MeasurePath:
@@ -342,4 +319,4 @@ def write_manifest(filename: str, payload: dict):
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    _atomic_write(filename, write)
+    atomic_write(filename, write)

@@ -7,6 +7,11 @@ builds quadrature rules for integrals against them: a composite rule for
 g_beta, and for h_beta the Gauss rule of the unit clock E_1, planned on a
 product rule over Kanter's representation of E_1.
 
+``FracOrder``, Kanter's map and the Zolotarev angular function are
+defined in ``subordinator`` and imported here (``specfun.FracOrder``
+still resolves), so the clock sampler, and with it ``fractrans sample``,
+runs without compiling this module.
+
 Everything runs on numpy, with fixed-node integrals and no adaptive
 routine.  Gauss-Legendre nodes and weights come from Golub-Welsch, the
 eigen-decomposition of the Legendre Jacobi matrix by ``np.linalg.eigh``,
@@ -37,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TailMassError
+from .subordinator import FracOrder, _log_kanter_clock, _log_zolotarev_a
 
 __all__ = [
     "FracOrder",
@@ -60,21 +66,6 @@ S_MAX_CAP = 1e40
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order beta in (0, 1]; beta = 1 is the classical regime."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"fractional order must lie in (0, 1], got {self.beta}")
-
-    @property
-    def is_classical(self) -> bool:
-        return self.beta == 1.0
 
 
 @dataclass(frozen=True)
@@ -302,17 +293,6 @@ def _stable_series(b: float, x: np.ndarray, sf: bool = False) -> np.ndarray:
     return np.minimum(out, 1.0) if sf else out
 
 
-def _log_zolotarev_a(phi: np.ndarray, b: float) -> np.ndarray:
-    # log of the angular function of the Zolotarev representation,
-    # increasing on (0, pi); summed in place, because the stable sampler
-    # passes all its draws at once and each temporary is one more array
-    out = np.log(np.sin(b * phi))
-    out *= b / (1.0 - b)
-    out += np.log(np.sin((1.0 - b) * phi))
-    out -= np.log(np.sin(phi)) / (1.0 - b)
-    return out
-
-
 def _zolotarev_a0(b: float) -> float:
     return b ** (b / (1.0 - b)) * (1.0 - b)
 
@@ -402,20 +382,9 @@ def _stable_sf(beta: FracOrder, x):
 
 
 # ---------------------------------------------------------------------------
-# Kanter's representation of the unit clock
+# The Gauss h-rule's planning rule on Kanter's representation of the unit
+# clock (``subordinator._log_kanter_clock``)
 # ---------------------------------------------------------------------------
-
-
-def _log_kanter_clock(b: float, u, log_w):
-    """log E_1 by Kanter's representation (Ann. Probab. 3 (1975) 697-707):
-    with U uniform on (0, pi) and W unit exponential,
-
-        E_1 = D_1^(-b) = (W / a(U))^(1-b)
-            = W^(1-b) sin U / (sin(b U)^b sin((1-b) U)^(1-b)),
-
-    a the angular function of the Zolotarev integrals.  ``u`` and ``log_w``
-    broadcast together."""
-    return (1.0 - b) * (log_w - _log_zolotarev_a(u, b))
 
 
 #: least nodes per panel of the Kanter planning rule, in log W and in U

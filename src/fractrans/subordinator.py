@@ -8,6 +8,13 @@ stable draw gives one clock with no time stepping and no O(dtau) bias.
 Statistical identities (moments, exponential functional, the associated
 fractional ODE) are exposed as estimators with standard errors so callers
 can make 3-sigma assertions.
+
+This module also defines the fractional order ``FracOrder`` and Kanter's
+map ``_log_kanter_clock``, which ``specfun`` imports to plan the solvers'
+Gauss h-rule.  It imports nothing from ``specfun`` at load time, so
+``fractrans sample`` compiles neither ``specfun.py`` nor ``measures.py``;
+only ``solve_psi_fode`` reads ``specfun.mittag_leffler``, imported where
+it is called.
 """
 
 from __future__ import annotations
@@ -17,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import FracOrder, _log_kanter_clock, mittag_leffler
-
 __all__ = [
+    "FracOrder",
     "RngSpec",
     "sample_stable_unit",
     "sample_inverse",
@@ -31,6 +37,44 @@ __all__ = [
 #: reject the implicit L1 step when lambda * dt^beta * Gamma(2-beta)
 #: exceeds this fraction of 1 (the diagonal would lose dominance)
 _FODE_STABILITY = 0.5
+
+
+@dataclass(frozen=True)
+class FracOrder:
+    """Fractional order beta in (0, 1]; beta = 1 is the classical regime."""
+
+    beta: float
+
+    def __post_init__(self):
+        if not (0.0 < self.beta <= 1.0):
+            raise ValueError(f"fractional order must lie in (0, 1], got {self.beta}")
+
+    @property
+    def is_classical(self) -> bool:
+        return self.beta == 1.0
+
+
+def _log_zolotarev_a(phi: np.ndarray, b: float) -> np.ndarray:
+    # log of the angular function of the Zolotarev representation,
+    # increasing on (0, pi); summed in place, because the stable sampler
+    # passes all its draws at once and each temporary is one more array
+    out = np.log(np.sin(b * phi))
+    out *= b / (1.0 - b)
+    out += np.log(np.sin((1.0 - b) * phi))
+    out -= np.log(np.sin(phi)) / (1.0 - b)
+    return out
+
+
+def _log_kanter_clock(b: float, u, log_w):
+    """log E_1 by Kanter's representation (Ann. Probab. 3 (1975) 697-707):
+    with U uniform on (0, pi) and W unit exponential,
+
+        E_1 = D_1^(-b) = (W / a(U))^(1-b)
+            = W^(1-b) sin U / (sin(b U)^b sin((1-b) U)^(1-b)),
+
+    a the angular function of the Zolotarev integrals.  ``u`` and ``log_w``
+    broadcast together."""
+    return (1.0 - b) * (log_w - _log_zolotarev_a(u, b))
 
 
 @dataclass(frozen=True)
@@ -53,7 +97,7 @@ def sample_stable_unit(beta: FracOrder, rng, size=None):
         D = (sin(b U) / sin(U)^(1/b)) * (sin((1-b) U) / W)^((1-b)/b)
 
     has Laplace transform exp(-s^b).  It is drawn as E_1^(-1/b) from
-    ``specfun._log_kanter_clock``, the map that also plans the solvers'
+    ``_log_kanter_clock``, the map that also plans the solvers'
     Gauss h-rule.
     """
     b = beta.beta
@@ -137,6 +181,7 @@ def solve_psi_fode(beta: FracOrder, lam: float, t_max: float, dt: float):
             f"step rejected: lam*dt^beta*Gamma(2-beta) = {amp:.3g} >= {_FODE_STABILITY}"
         )
     from .caputo import l1_weights  # only here: no CLI command compiles caputo
+    from .specfun import mittag_leffler  # only here: ``sample`` does not compile specfun
 
     m = int(round(t_max / dt))
     grid = dt * np.arange(m + 1, dtype=float)

@@ -148,9 +148,16 @@ def repulsion_field() -> InteractionField:
     """K(z) = z / (1 + |z|^2): bounded repulsion from nearby mass."""
 
     def kernel(z):
-        # in 1-D, |z|^2 is z * z itself: the sum over a length-1 axis is
-        # skipped; z is the field's fresh displacement array, divided in place
-        r2 = z * z if z.shape[-1] == 1 else (z * z).sum(axis=-1, keepdims=True)
+        # in 1-D, |z|^2 is z * z itself; in d >= 2 the d columns are summed
+        # in place, left to right as (z * z).sum(axis=-1) adds them, with
+        # no length-d inner loop; z is the field's fresh displacement
+        # array, divided in place
+        if z.shape[-1] == 1:
+            r2 = z * z
+        else:
+            r2 = np.square(z[..., :1])
+            for k in range(1, z.shape[-1]):
+                r2 += np.square(z[..., k : k + 1])
         r2 += 1.0
         z /= r2
         return z
@@ -516,7 +523,11 @@ def _coupling_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     2r / (2 + r), which bounds d_BL by sum_k w_k 2 r_k / (2 + r_k) (Villani,
     Optimal Transport: Old and New, 2009, Ch. 6).  Exact for two Diracs.
     """
-    r = np.linalg.norm(nu.points - _paired_points(mu, nu.size), axis=1)
+    # past about 1e154 apart the squares overflow and r reads inf; capped
+    # at 1e300, such a pair's term is exactly 2, as 2r / (2 + r) is for
+    # every r >= 2^54, and no smaller r changes
+    with np.errstate(over="ignore"):
+        r = np.minimum(np.linalg.norm(nu.points - _paired_points(mu, nu.size), axis=1), 1e300)
     return float(np.sum(nu.weights * (2.0 * r / (2.0 + r))))
 
 
@@ -659,11 +670,14 @@ def _moved(path: MeasurePath, points: np.ndarray) -> MeasurePath:
 def _mixing_weight(dr: np.ndarray, r: np.ndarray, w: np.ndarray):
     """Depth-1 Anderson weight <dr, r>_w / <dr, dr>_w for the (P, d)
     residual difference ``dr`` and residual ``r``, each coordinate weighted
-    by its atom's weight ``w`` (P, 1); None when <dr, dr>_w = 0.  np.sum,
-    not a BLAS dot, so the weight does not depend on the thread count."""
+    by its atom's weight ``w`` (P, 1); None when <dr, dr>_w is 0 or not
+    finite, or the weight overflows.  np.sum, not a BLAS dot, so the
+    weight does not depend on the thread count."""
     wdr = w * dr
-    norm = float(np.sum(wdr * dr))
-    return float(np.sum(wdr * r)) / norm if norm > 0.0 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.sum(wdr * dr))
+        gamma = float(np.sum(wdr * r)) / norm if 0.0 < norm < math.inf else math.nan
+    return gamma if math.isfinite(gamma) else None
 
 
 def _picard(sweep, start: MeasurePath, config: SolverConfig):

@@ -329,6 +329,20 @@ def test_overflowing_flow_exit_4(tmp_path, capsys, overrides):
     assert not (out / "path.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_apart_particles_exit_4_with_one_line(tmp_path, capsys):
+    # particles 2e307 apart: their Picard coupling bound is finite, and
+    # only the first moment past the float range stops the run
+    cfg = _linear_config(tmp_path, problem="nonlinear", times=[0.5], velocity={"kind": "attraction"},
+                         initial={"kind": "uniform-grid", "low": [-1e307], "high": [1e307], "n": 4},
+                         solver={"q_h": 4, "q_g": 8, "picard_max_iters": 5})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: first_moment is not finite") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
 def test_sample_infinite_negative_moment_exit_2(tmp_path, capsys):
     # E[E_1^-1.5] is infinite at beta = 1/2: no finite estimate is written
     cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "gammas": [-1.5, -0.5],

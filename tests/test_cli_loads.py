@@ -1,11 +1,15 @@
-"""Only ``solve`` and ``verify`` load ``fractrans.transport``.
+"""Each command loads only the modules it runs.
 
-``cli`` binds the names it reads from ``transport`` on first use, through
-its module ``__getattr__``, so ``kernels``, ``sample``, ``--version`` and
-``--help`` never compile ``transport.py``.  The names stay attributes of
-``cli``: ``perfbench/tracer.py`` wraps ``cli.solve_linear`` and its
-siblings before a run, and ``cmd_solve`` must call those wrappers.  The
-tests that watch ``sys.modules`` or a fresh binding run in a subprocess.
+``import fractrans`` loads no submodule: the package resolves its public
+names on first access.  ``import fractrans.cli``, ``--version``,
+``--help`` and ``sample`` load ``cli``, ``errors``, ``atomic`` and
+``subordinator``; ``kernels`` adds ``specfun``; only ``solve`` and
+``verify`` load ``measures`` and ``transport``.  ``cli`` binds the names
+it reads from those two on first use, through its module ``__getattr__``.
+The names stay attributes of ``cli``: ``perfbench/tracer.py`` wraps
+``cli.solve_linear``, ``cli.path_to_csv`` and their siblings before a
+run, and ``cmd_solve`` must call those wrappers.  The tests that watch
+``sys.modules`` or a fresh binding run in a subprocess.
 """
 
 import json
@@ -16,7 +20,7 @@ import sys
 import pytest
 
 import fractrans
-from fractrans import cli, transport
+from fractrans import cli, specfun, subordinator, transport
 from fractrans.cli import EXIT_OK, main
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(fractrans.__file__)))
@@ -75,6 +79,83 @@ def test_only_solve_loads_transport(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "samples.jsonl").read_text().count("\n") == 6
     assert (tmp_path / "mittag_leffler.csv").exists()
+
+
+_FRESH = """
+import contextlib, io, json, sys
+
+out, step = sys.argv[1], sys.argv[2]
+if step == "import fractrans":
+    import fractrans
+else:
+    from fractrans.cli import main
+if step in ("--version", "--help"):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main([step])
+    except SystemExit:
+        pass
+elif not step.startswith("import"):
+    with open(f"{out}/cfg.json", "w") as handle:
+        json.dump(json.loads(sys.argv[3]), handle)
+    assert main([step, "--config", f"{out}/cfg.json", "--out", out]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "fractrans")))
+"""
+
+_START = ["fractrans", "fractrans.atomic", "fractrans.cli", "fractrans.errors", "fractrans.subordinator"]
+_SOLVE = ["fractrans.measures", "fractrans.specfun", "fractrans.transport"]
+#: the benchmark's clock-sample config
+_SAMPLE = {"beta": 0.5, "times": [0.5, 1.0], "gammas": [1.0, 2.0], "lambdas": [-1.0], "n": 20000,
+           "dtau": 1e-3}
+
+
+#: (step, its config, the fractrans modules loaded after it)
+_STEPS = [
+    ("import fractrans", None, ["fractrans"]),
+    ("import fractrans.cli", None, _START),
+    ("--version", None, _START),
+    ("--help", None, _START),
+    ("sample", _SAMPLE, _START),
+    ("kernels", {}, sorted(_START + ["fractrans.specfun"])),
+    ("solve", _LINEAR, sorted(_START + _SOLVE)),
+]
+
+
+@pytest.mark.parametrize("step, cfg, expected", _STEPS, ids=[step for step, _, _ in _STEPS])
+def test_fresh_process_loads_exactly(tmp_path, step, cfg, expected):
+    proc = _run(_FRESH, str(tmp_path), step, json.dumps(cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
+
+
+_LAZY_PACKAGE = """
+import json
+import fractrans
+names = dir(fractrans)
+public = {name: getattr(fractrans, name) for name in fractrans.__all__}
+import fractrans.errors, fractrans.measures, fractrans.specfun, fractrans.subordinator
+same = [public[name] is getattr(getattr(fractrans, module), name)
+        for name, module in fractrans._PUBLIC.items()]
+try:
+    fractrans.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([names, sorted(fractrans.__all__), same, unknown]))
+"""
+
+
+def test_package_names_resolve_on_first_access():
+    proc = _run(_LAZY_PACKAGE)
+    assert proc.returncode == 0, proc.stderr
+    names, all_names, same, unknown = json.loads(proc.stdout)
+    public = ["EmpiricalMeasure", "FracOrder", "MassMismatchError", "MeasurePath",
+              "PicardConvergenceError", "QuadratureRule", "RngSpec", "TailMassError"]
+    assert all_names == sorted(public + ["__version__"])
+    assert set(all_names) <= set(names)
+    assert same == [True] * len(public)
+    assert "no_such_name" in unknown
+    assert fractrans.FracOrder is fractrans.specfun.FracOrder is fractrans.subordinator.FracOrder
 
 
 _WRAPPED = """

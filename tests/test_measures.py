@@ -216,6 +216,30 @@ def test_coupling_bound_dominates_the_lp_bl_in_2d(pair):
     assert _coupling_bound(mu, nu) >= _loop_built_bl(mu, nu) - 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coupling_bound_of_far_apart_particles_is_two_per_unit_mass():
+    # np.linalg.norm squares the distance: past about 1.3e154 apart it
+    # overflows, and the term 2r / (2 + r), which tends to 2, read inf / inf
+    mu = EmpiricalMeasure(points=np.array([[-1e307], [1e307]]), weights=np.array([0.25, 0.5]))
+    nu = EmpiricalMeasure(points=mu.points[::-1], weights=mu.weights)
+    assert _coupling_bound(mu, nu) == 2.0 * 0.75
+    # 2-D, one pair past the float range apart and one pair 1e160 apart
+    mu = EmpiricalMeasure(points=np.array([[-1.5e308, 0.0], [1e160, 1e160]]), weights=np.array([0.5, 0.5]))
+    nu = EmpiricalMeasure(points=np.array([[1.5e308, 0.0], [0.0, 0.0]]), weights=mu.weights)
+    assert _coupling_bound(mu, nu) == 2.0
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 1e3, 1e100, 1e149])
+def test_coupling_bound_below_1e150_is_the_plain_formula(scale):
+    # the cap at far distances changes no bit of a bound over pairs closer than 1e150
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3):
+        mu = EmpiricalMeasure(points=rng.normal(size=(50, dim)) * scale, weights=rng.uniform(0.1, 1.0, size=50))
+        nu = EmpiricalMeasure(points=rng.normal(size=(50, dim)) * scale, weights=mu.weights)
+        r = np.linalg.norm(nu.points - mu.points, axis=1)
+        assert _coupling_bound(mu, nu) == float(np.sum(nu.weights * (2.0 * r / (2.0 + r))))
+
+
 @given(
     a=ensembles(max_n=5, dim=1),
     b=ensembles(max_n=5, dim=1),

@@ -289,6 +289,19 @@ def test_repulsion_field_matches_double_loop(dim):
     np.testing.assert_allclose(repulsion_field().induced(mu)(x), expected, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_repulsion_kernel_is_bitwise_the_summed_formula(dim):
+    # the columns of |z|^2 summed in place add in the order of
+    # (z * z).sum(axis=-1), so every bit of the field is kept
+    rng = np.random.default_rng(5)
+    for scale in (1e-200, 1.0, 1e3, 1e200):
+        z = rng.normal(size=(36, 90, dim)) * scale
+        with np.errstate(over="ignore"):
+            expected = z / (1.0 + (z * z).sum(axis=-1, keepdims=True))
+            got = repulsion_field().kernel(z.copy())
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_kernel_gets_the_displacements_unreshaped():
     # one kernel call on the fresh (n, M, d) displacements, which the
     # repulsion kernel divides in place; x and the points are not written
@@ -1002,6 +1015,15 @@ def test_mixing_weight_with_no_residual_change_is_none():
     assert transport._mixing_weight(np.zeros_like(r), r, w) is None
     # gamma = <dr, r>_w / <dr, dr>_w with per-coordinate weights
     assert transport._mixing_weight(2.0 * r, r, w) == 0.5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mixing_weight_that_overflows_is_none():
+    # residuals past about 1e154 overflow <dr, dr>_w; the plain step is taken
+    w = np.array([[0.5], [0.5]])
+    r = np.array([[1e307], [-1e307]])
+    assert transport._mixing_weight(2.0 * r, r, w) is None
+    assert transport._mixing_weight(np.array([[1e-3], [0.0]]), r, w) is None
 
 
 @pytest.mark.parametrize("beta", [B, FracOrder(1.0)])
