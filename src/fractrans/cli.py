@@ -139,7 +139,7 @@ _VELOCITIES = {
 #: are bound by ``_bind_solve_names`` on first use
 _FROM_MEASURES = ("EmpiricalMeasure", "moment", "path_from_csv", "path_to_csv", "total_mass",
                   "write_manifest")
-_FROM_TRANSPORT = ("ExplicitField", "InteractionField", "SolverConfig", "attraction_field",
+_FROM_TRANSPORT = ("AffineField", "InteractionField", "SolverConfig", "attraction_field",
                    "repulsion_field", "solve_linear", "solve_nonlinear", "solve_with_source")
 
 
@@ -230,21 +230,15 @@ def _parse_measure(block, where: str) -> EmpiricalMeasure:
 
 def _parse_velocity(spec: dict):
     kind = spec["kind"]
-    # the explicit kinds are autonomous: the solvers skip their g-average
+    # the explicit kinds are affine, so the solvers advance each flow
+    # interval by one composed RK4 map; a bare number broadcasts over the
+    # dimensions (a I for the matrix)
     if kind == "constant":
-        value = np.array(spec["value"])
-        return ExplicitField(
-            func=lambda x, t: np.broadcast_to(value, x.shape).copy(), lip=0.0, autonomous=True
-        )
+        return AffineField(matrix=0.0, offset=spec["value"])
     if kind == "damping":
-        return ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
+        return AffineField(matrix=-1.0)
     if kind == "affine":
-        matrix = np.array(spec["matrix"])
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ConfigError(f"affine matrix must be square, got shape {matrix.shape}")
-        offset = np.array(spec["offset"])
-        lip = float(np.linalg.norm(matrix, 2))
-        return ExplicitField(func=lambda x, t: x @ matrix.T + offset, lip=lip, autonomous=True)
+        return AffineField(matrix=spec["matrix"], offset=spec["offset"])
     if kind == "attraction":
         return attraction_field()
     return repulsion_field()

@@ -21,7 +21,9 @@ Every solver is built from three shared pieces: one g-rule map
 s -> (real times, weights), whose two consumers are the field average
 sum_q w_q v(x, r_q) and the path average sum_q w_q mu_{r_q} of a Picard
 iterate; one RK4 stepper, which walks a stage schedule laid out once per
-solve and passes each velocity call its stage index; and one routine that
+solve and passes each velocity call its stage index, except for an affine
+field, whose RK4 steps across a flow interval compose to one affine map
+(RK4's own discrete map, not an exact exponential); and one routine that
 advects mu0 (plus a source measure, constant in time and injected
 unchanged at every flow node) over the union of the h-rule nodes and
 mixes the node push-forwards.  A step matters only through the
@@ -52,6 +54,8 @@ classical transport.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 import time as _time
@@ -69,6 +73,7 @@ from .specfun import FracOrder, _sorted_unique, _stable_sf, g_quadrature, h_quad
 from .subordinator import RngSpec, sample_inverse
 
 __all__ = [
+    "AffineField",
     "ExplicitField",
     "InteractionField",
     "attraction_field",
@@ -108,6 +113,41 @@ class ExplicitField:
     def __call__(self, x, t):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.asarray(self.func(x, t), dtype=float).reshape(x.shape)
+
+
+class AffineField:
+    """Affine field v(x) = A x + b, autonomous by construction.
+
+    ``matrix`` is A, a (d, d) array or a number a for a I; ``offset`` is b,
+    a (d,) array or one number for every coordinate, so a field given by
+    numbers serves every dimension.  ``lip`` is ||A||_2, computed.  The
+    solvers do not step an affine field stage by stage: RK4's map for it
+    is affine, so each flow interval is advanced by one composed
+    (d+1) x (d+1) matrix (``_affine_maps``).
+    """
+
+    autonomous = True
+
+    def __init__(self, matrix, offset=0.0):
+        self.matrix = np.array(matrix, dtype=float)
+        self.offset = np.array(offset, dtype=float)
+        # shape[:1] == shape[1:] holds for () and (d, d) alone
+        if self.matrix.shape[:1] != self.matrix.shape[1:] or self.offset.ndim > 1:
+            raise ValueError(f"affine matrix must be square and offset a vector, got shapes "
+                             f"{self.matrix.shape} and {self.offset.shape}")
+        self.lip = float(np.linalg.norm(self.matrix, 2)) if self.matrix.ndim else abs(float(self.matrix))
+
+    def augmented(self, dim: int) -> np.ndarray:
+        """Z = [[A, b], [0, 0]], the (dim+1) x (dim+1) matrix of the linear
+        system (x, 1)' = Z (x, 1)."""
+        z = np.zeros((dim + 1, dim + 1))
+        z[:dim, :dim] = self.matrix if self.matrix.ndim else self.matrix * np.eye(dim)
+        z[:dim, dim] = self.offset
+        return z
+
+    def __call__(self, x, t):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return _affine_map(self.augmented(x.shape[1]), x)
 
 
 @dataclass(frozen=True)
@@ -174,10 +214,11 @@ def repulsion_field() -> InteractionField:
 class SolverConfig:
     """Numerical knobs shared by all solvers.
 
-    ``times`` is the output grid (excluding 0, which is always included
-    in the returned path); ``t_ext`` extends the working grid beyond the
-    last output time for the nonlinear velocity lookup, with the induced
-    freezing error logged per run.  ``q_h`` is the size of the Gauss
+    ``times`` is the output grid, positive and strictly increasing
+    (excluding 0, which is always included in the returned path);
+    ``t_ext`` extends the working grid beyond the last output time for
+    the nonlinear velocity lookup, with the induced freezing error logged
+    per run.  ``q_h`` is the size of the Gauss
     h-rule (see ``specfun.h_quadrature``); ``eps_tail`` sets the tails:
     the rule the h-rule is planned on cuts W where e^(-W) =
     0.05 min(eps_tail, 1e-12), and the composite g-rule's tail target is
@@ -208,8 +249,9 @@ class SolverConfig:
                    for x in reals):
             raise ValueError("eps_tail, ode_step, picard_tol and t_ext must be real numbers and finite")
         times = tuple(float(t) for t in self.times)
-        if not times or any(t <= 0.0 for t in times) or list(times) != sorted(times):
-            raise ValueError("output times must be positive and increasing")
+        # 0 < t_1 < ... < t_n < inf, which no NaN meets
+        if not times or not all(a < b for a, b in zip((0.0,) + times, times + (math.inf,))):
+            raise ValueError(f"output times must be positive and strictly increasing, got {list(times)}")
         object.__setattr__(self, "times", times)
         if self.t_ext and self.t_ext < times[-1]:
             raise ValueError("t_ext must reach at least the last output time")
@@ -304,16 +346,6 @@ def _field_average(v: ExplicitField, x, times, weights) -> np.ndarray:
     for r_q, w_q in zip(times, weights):
         out += w_q * v(x, float(r_q))
     return out
-
-
-def _effective_velocity(v: ExplicitField, g_rule, stage_times):
-    """(x, k) -> effective velocity at stage time s = stage_times[k]: v
-    itself when v is autonomous (its g-average is v, one call instead of
-    q_g, and ``g_rule`` may be None), otherwise the field average over the
-    g-rule of s."""
-    if v.autonomous:
-        return lambda x, k: v(x, stage_times[k])
-    return lambda x, k: _field_average(v, x, *g_rule(stage_times[k]))
 
 
 def _varies_in_t(v: ExplicitField, mu0: EmpiricalMeasure, t_a: float, t_b: float) -> bool:
@@ -454,6 +486,79 @@ def _advect_segment(vel, points, steps):
     return x
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, by np.einsum: no BLAS call, so the
+    bytes do not depend on the BLAS thread count, and a solve that makes
+    no other BLAS product pages in no BLAS code or buffers for it."""
+    return np.einsum("...ij,...jk->...ik", a, b)
+
+
+def _rk4_map(hz: np.ndarray) -> np.ndarray:
+    """RK4's one-step map of the linear system y' = Z y, for a stack hz of
+    matrices h Z: the matrix polynomial I + hZ (I + hZ/2 (I + hZ/3 (I +
+    hZ/4))), which is the stepper's x + (h/6)(k1 + 2 k2 + 2 k3 + k4) with
+    k_i linear in x."""
+    eye = np.eye(hz.shape[-1])
+    r = eye + hz / 4.0
+    for k in (3.0, 2.0, 1.0):
+        r = eye + _matmul(hz / k, r)
+    return r
+
+
+def _affine_map(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x L^T + c for the (d+1) x (d+1) matrix m = [[L, c], [0, 1]] and (N, d)
+    positions x, in a fresh array (np.einsum, as ``_matmul``)."""
+    d = x.shape[1]
+    out = np.einsum("nj,ij->ni", x, m[:d, :d])
+    out += m[:d, d]
+    return out
+
+
+def _affine_maps(z: np.ndarray, steps) -> list:
+    """Per interval of ``steps`` (a ``_stage_schedule``), the product of the
+    RK4 maps of its steps for the augmented matrix ``z``, or None for an
+    interval with no step.  A run of n equal steps (an interval is one, or
+    a run of full steps and a short last one) is R(hZ)^n, by repeated
+    squaring; the maps of every run of the schedule are built and raised
+    as one stack."""
+    runs = [[(h, len(list(g))) for h, g in itertools.groupby(h for h, _ in interval)] for interval in steps]
+    flat = list(itertools.chain(*runs))
+    base = _rk4_map(np.multiply.outer(np.array([h for h, _ in flat]), z))
+    power = np.broadcast_to(np.eye(z.shape[0]), base.shape).copy()
+    # the exponents stay Python ints: numpy's integer loops would page in
+    # code that nothing else in a solve runs
+    n = [count for _, count in flat]
+    while any(n):
+        odd = np.array([k % 2 == 1 for k in n])
+        power[odd] = _matmul(power[odd], base[odd])
+        n = [k // 2 for k in n]
+        base = _matmul(base, base)
+    power = iter(power)
+    return [functools.reduce(lambda m, p: _matmul(p, m), itertools.islice(power, len(interval)))
+            if interval else None for interval in runs]
+
+
+def _flow_advance(beta: FracOrder, v, mu0: EmpiricalMeasure, config: SolverConfig, times, steps):
+    """advance(points, j): raw positions moved across interval j of the
+    stage schedule (``times``, ``steps``) of the explicit field v.  An
+    ``AffineField`` is advanced by its ``_affine_maps``, every other field
+    by ``_advect_segment`` on its effective velocity: v itself when v is
+    autonomous (its g-average is v, one call per stage instead of q_g, and
+    no g-rule is built; ``_check_autonomous`` holds v to it), otherwise
+    the field average over the g-rule of each stage time."""
+    if isinstance(v, AffineField):
+        with np.errstate(over="ignore", invalid="ignore"):  # _check_flow raises instead
+            maps = _affine_maps(v.augmented(mu0.dim), steps)
+        return lambda x, j: x if maps[j] is None else _affine_map(maps[j], x)
+    _check_autonomous(v, mu0, times)
+    if v.autonomous:
+        vel = lambda x, k: v(x, times[k])
+    else:
+        g_rule = _GRule(beta, config)
+        vel = lambda x, k: _field_average(v, x, *g_rule(times[k]))
+    return lambda x, j: _advect_segment(vel, x, steps[j])
+
+
 def _check_flow(*positions):
     """OverflowError unless every one of the advected ``positions`` at the
     end of a flow sweep is finite.  An RK4 step adds x to its increment, so
@@ -463,16 +568,17 @@ def _check_flow(*positions):
         raise OverflowError("an advected position is not finite: the flow left the float range")
 
 
-def _average_push_forwards(vel, mu0, nu, h_rules, nodes, steps) -> list:
+def _average_push_forwards(advance, mu0, nu, h_rules, nodes) -> list:
     """One measure per h-rule: sum_q w_q (Phi_{s_q} # mu0 + Duhamel_{s_q}),
 
         Duhamel_s = sum over flow nodes r < s of dr * Phi_{r -> s} # nu,
 
     for the source measure ``nu`` (None for no source).  One flow sweep over
-    the flow ``nodes`` (which hold every h-node), in the RK4 ``steps`` of
-    their ``_stage_schedule``, covers every term: at each node nu is
-    injected, weighted by the width of the following interval (rectangle
-    rule), and advected with the initial ensemble.
+    the flow ``nodes`` (which hold every h-node), where ``advance(points, j)``
+    moves raw positions across interval j = [nodes[j], nodes[j + 1]] (see
+    ``_flow_advance``), covers every term: at each node nu is injected,
+    weighted by the width of the following interval (rectangle rule), and
+    advected with the initial ensemble.
 
     With no source the particles come in index order: output particle
     (q, i), at position q * mu0.size + i, is mu0 particle i pushed to h-node
@@ -488,7 +594,7 @@ def _average_push_forwards(vel, mu0, nu, h_rules, nodes, steps) -> list:
             if nu is not None and nu.size:
                 src_pts = np.concatenate([src_pts, nu.points])
                 src_wts = np.concatenate([src_wts, (s_b - s_a) * nu.weights])
-            moved = _advect_segment(vel, np.concatenate([x, src_pts]), steps[j])
+            moved = advance(np.concatenate([x, src_pts]), j)
             x, src_pts = moved[: x.shape[0]], moved[x.shape[0] :]
             at_node.append((x, src_pts, src_wts))
     _check_flow(x, src_pts)
@@ -547,7 +653,9 @@ def _grid_with_extension(config: SolverConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def solve_linear(beta: FracOrder, v: ExplicitField, mu0: EmpiricalMeasure, config: SolverConfig) -> MeasurePath:
+def solve_linear(
+    beta: FracOrder, v: ExplicitField | AffineField, mu0: EmpiricalMeasure, config: SolverConfig
+) -> MeasurePath:
     """Linear problem: average of effective-flow push-forwards.
 
     The source solver with an empty source.  One flow integration covers
@@ -563,7 +671,7 @@ def solve_linear(beta: FracOrder, v: ExplicitField, mu0: EmpiricalMeasure, confi
 
 def solve_linear_mc(
     beta: FracOrder,
-    v: ExplicitField,
+    v: ExplicitField | AffineField,
     mu0: EmpiricalMeasure,
     config: SolverConfig,
     n_paths: int,
@@ -593,13 +701,12 @@ def solve_linear_mc(
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
     times, steps = _stage_schedule(s_grid, config.ode_step)
-    _check_autonomous(v, mu0, times)
-    vel = _effective_velocity(v, None if v.autonomous else _GRule(beta, config), times)
+    advance = _flow_advance(beta, v, mu0, config, times, steps)
 
     flow = [mu0.points.astype(float)]
     with np.errstate(over="ignore", invalid="ignore"):  # _check_flow raises instead
-        for interval in steps:
-            flow.append(_advect_segment(vel, flow[-1], interval))
+        for j in range(len(steps)):
+            flow.append(advance(flow[-1], j))
     _check_flow(flow[-1])
     flow = np.array(flow)
     wts = np.tile(mu0.weights / n_paths, n_paths)
@@ -652,7 +759,8 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
             # path average instead of one per g-node
             return v.field(x, *cached[1])
 
-        measures = _average_push_forwards(vel, mu0, None, h_rules, nodes, steps)
+        advance = lambda x, j: _advect_segment(vel, x, steps[j])
+        measures = _average_push_forwards(advance, mu0, None, h_rules, nodes)
         return MeasurePath(times=grid, measures=[mu0] + measures)
 
     sweep.rk4_steps = sum(map(len, steps))
@@ -849,7 +957,7 @@ def solve_nonlinear(
 
 def solve_with_source(
     beta: FracOrder,
-    v: ExplicitField,
+    v: ExplicitField | AffineField,
     mu0: EmpiricalMeasure,
     nu: EmpiricalMeasure | None,
     config: SolverConfig,
@@ -882,17 +990,14 @@ def solve_with_source(
     # Duhamel rectangle rule, so the flow also steps through the ode_step grid
     fine = np.arange(0.0, config.times[-1] + 1e-12, config.ode_step) if beta.is_classical else ()
     _check_step(config.ode_step, v.lip)
-    # only a time-dependent field reads the g-rule
-    g_rule = None if v.autonomous else _GRule(beta, config)
     h_rules = _h_rules(beta, config.times, config)
     nodes = _flow_nodes(h_rules, fine)
     if not (beta.is_classical or v.autonomous) and _varies_in_t(v, mu0, nodes[0], nodes[-1]):
         start = config.ode_step * np.array(_GRADED_START)
         nodes = _flow_nodes(h_rules, start[start < nodes[-1]])
     times, steps = _flow_schedule(nodes, h_rules, config.ode_step, v.lip)
-    _check_autonomous(v, mu0, times)
-    vel = _effective_velocity(v, g_rule, times)
-    measures = _average_push_forwards(vel, mu0, nu, h_rules, nodes, steps)
+    advance = _flow_advance(beta, v, mu0, config, times, steps)
+    measures = _average_push_forwards(advance, mu0, nu, h_rules, nodes)
     grid = np.concatenate([[0.0], np.asarray(config.times)])
     out = MeasurePath(times=grid, measures=[mu0] + measures)
     out.diagnostics["source_mass"] = [total_mass(m) - total_mass(mu0) for m in measures]

@@ -24,7 +24,7 @@ from fractrans.cli import (
 )
 from fractrans.measures import EmpiricalMeasure, path_to_csv
 from fractrans.specfun import FracOrder
-from fractrans.transport import ExplicitField, SolverConfig, solve_with_source
+from fractrans.transport import AffineField, ExplicitField, SolverConfig, solve_with_source
 
 
 def _write_config(tmp_path, name, payload):
@@ -189,12 +189,13 @@ def test_solve_nonlinear_and_source(tmp_path):
 
 def test_cli_source_is_one_constant_measure(tmp_path):
     # the CLI's source is one measure, constant in time, which the library
-    # solve injects unchanged at every flow node
+    # solve injects unchanged at every flow node; the library solve takes
+    # the field the CLI builds, whose flow is RK4's composed affine map
     cfg = _linear_config(tmp_path, problem="source", initial={"kind": "dirac", "point": [1.0, 0.0]},
                          source={"kind": "dirac", "point": [0.5, -0.5]})
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    damping = ExplicitField(func=lambda x, t: -x, lip=1.0, autonomous=True)
+    damping = AffineField(matrix=-np.eye(2))
     source = EmpiricalMeasure.dirac([0.5, -0.5])
     config = SolverConfig(times=(0.5, 1.0), q_h=24, q_g=12, ode_step=0.02)
     path = solve_with_source(FracOrder(0.5), damping, EmpiricalMeasure.dirac([1.0, 0.0]), source, config)
@@ -563,6 +564,25 @@ def test_uniform_grid_span_past_the_float_range_exit_2(tmp_path, capsys):
     assert not (out / "path.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an np.arange step of 0 would warn
+@pytest.mark.parametrize("overrides", [
+    {},
+    # the nonlinear grid extends the output times to t_ext in steps of
+    # their finest spacing, which repeated times make 0
+    {"problem": "nonlinear", "velocity": {"kind": "repulsion"},
+     "initial": {"kind": "uniform-grid", "low": [-1.0], "high": [1.0], "n": 4},
+     "solver": {"q_h": 4, "q_g": 8, "t_ext": 1.0}},
+], ids=["linear", "nonlinear"])
+def test_repeated_output_times_exit_2_before_the_flow(tmp_path, capsys, overrides):
+    cfg = _linear_config(tmp_path, **{"times": [0.5, 0.5], **overrides})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: output times") and err.count("\n") == 1
+    assert "[0.5, 0.5]" in err
+    assert not out.exists()
+
+
 def test_sample_needs_two_draws(tmp_path):
     # one draw has no standard error (NaN, which is not strict JSON)
     cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "n": 1})
@@ -614,7 +634,7 @@ def test_verify_report_and_exit_code(tmp_path, monkeypatch, code, failing):
     out = tmp_path / "o"
     assert main(["verify", "--config", _write_config(tmp_path, "v.json", {}), "--out", str(out)]) == code
     report = json.loads((out / "verify.json").read_text())
-    assert len(report["checks"]) == 12
+    assert len(report["checks"]) == 13
     assert [c["name"] for c in report["checks"] if not c["pass"]] == failing
     assert report["all_pass"] == (not failing)
 

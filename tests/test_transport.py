@@ -36,6 +36,7 @@ from fractrans.specfun import (
 from fractrans import transport
 from fractrans.subordinator import RngSpec, sample_inverse
 from fractrans.transport import (
+    AffineField,
     ExplicitField,
     InteractionField,
     SolverConfig,
@@ -381,6 +382,57 @@ def test_rk4_step_is_the_textbook_expression_bit_for_bit():
     np.testing.assert_array_equal(got, expected)
 
 
+#: (A, b) per dimension: A = 0 (a nilpotent augmented matrix), pure
+#: damping, and rotation plus damping, each with a nonzero offset
+_AFFINE_CASES = {
+    "drift": lambda d: (np.zeros((d, d)), np.linspace(0.5, -1.5, d)),
+    "damping": lambda d: (-np.eye(d), np.linspace(0.25, 0.75, d)),
+    "rotation": lambda d: (-0.4 * np.eye(d) + 1.3 * (np.eye(d, k=1) - np.eye(d, k=-1)) + 0.2 * np.eye(d, k=2),
+                           np.linspace(-0.3, 0.6, d)),
+}
+
+
+def _as_explicit(field):
+    """The affine ``field`` as an ExplicitField, stepped by the RK4 stepper."""
+    a, b = field.matrix, field.offset
+    return ExplicitField(func=lambda x, t: x @ a.T + b, lip=field.lip, autonomous=True)
+
+
+@pytest.mark.parametrize("case", sorted(_AFFINE_CASES))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_affine_maps_are_the_rk4_stepper(case, dim):
+    # RK4's map for an affine field is the matrix polynomial of the
+    # augmented matrix, composed over the steps of each interval: 7 steps of
+    # 0.05 and a short last one of 0.02, 4 equal steps, one step of 0.05,
+    # and, over a node 1e-16 past the one before, no step at all
+    field = AffineField(*_AFFINE_CASES[case](dim))
+    explicit = _as_explicit(field)
+    x0 = np.linspace(-1.0, 2.0, 5 * dim).reshape(5, dim)
+    times, steps = transport._stage_schedule(np.array([0.0, 0.37, 0.57, 0.62, 0.62 + 1e-16]), 0.05)
+    assert [len(interval) for interval in steps] == [8, 4, 1, 0]
+    maps = transport._affine_maps(field.augmented(dim), steps)
+    for interval, m in zip(steps[:3], maps):
+        want = _advect_segment(lambda x, k: explicit(x, times[k]), x0, interval)
+        got = transport._affine_map(m, x0)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (case, dim, len(interval))
+    assert maps[3] is None
+
+
+def test_affine_field_is_x_a_transposed_plus_b():
+    a, b = _AFFINE_CASES["rotation"](3)
+    field = AffineField(matrix=a, offset=b)
+    x = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    np.testing.assert_allclose(field(x, 0.3), x @ a.T + b, rtol=1e-15, atol=1e-15)
+    assert field.autonomous and field.lip == pytest.approx(np.linalg.norm(a, 2), rel=1e-15)
+    # a number is that multiple of the identity, or that offset in every coordinate
+    for number, full in ((AffineField(-2.0, 0.5), AffineField(-2.0 * np.eye(3), np.full(3, 0.5))),
+                         (AffineField(0.0, [1.0]), AffineField(np.zeros((3, 3)), np.ones(3)))):
+        np.testing.assert_array_equal(number.augmented(3), full.augmented(3))
+        assert number.lip == full.lip
+    with pytest.raises(ValueError, match="must be square"):
+        AffineField(matrix=np.ones((2, 3)))
+
+
 def test_rk4_step_writes_to_no_velocity_and_no_input():
     # a velocity may return read-only views of shared arrays: the stepper
     # writes into neither them nor the points it was given
@@ -518,15 +570,16 @@ def test_solvers_reject_steps_beyond_the_lipschitz_scale():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the flow is computed with numpy's warnings off
 def test_solvers_raise_overflow_when_the_flow_leaves_the_float_range():
-    # x' = 50 x carries 1e300 past the float range by s = 0.4
-    grow = ExplicitField(func=lambda x, t: 50.0 * x, lip=50.0, autonomous=True)
+    # x' = 50 x carries 1e300 past the float range by s = 0.4, stepped or
+    # by the composed affine maps
     cfg = _cfg(times=(1.0,), q_h=8)
     mu0 = _dirac(1e300)
-    for solve in (lambda: solve_linear(B, grow, mu0, cfg),
-                  lambda: solve_with_source(B, grow, mu0, _dirac(1.0), cfg),
-                  lambda: solve_linear_mc(B, grow, mu0, cfg, n_paths=10, seed=1)):
-        with pytest.raises(OverflowError, match="not finite"):
-            solve()
+    for grow in (ExplicitField(func=lambda x, t: 50.0 * x, lip=50.0, autonomous=True), AffineField(matrix=50.0)):
+        for solve in (lambda: solve_linear(B, grow, mu0, cfg),
+                      lambda: solve_with_source(B, grow, mu0, _dirac(1.0), cfg),
+                      lambda: solve_linear_mc(B, grow, mu0, cfg, n_paths=10, seed=1)):
+            with pytest.raises(OverflowError, match="not finite"):
+                solve()
 
 
 # ---------------------------------------------------------------------------
@@ -724,22 +777,25 @@ def test_linear_damping_at_the_defaults_matches_erfcx():
 
 def test_path_csv_does_not_depend_on_blas_threads(tmp_path):
     # the Stieltjes sums and eigh run in BLAS/LAPACK's process, whose thread
-    # count must not reach the rule's nodes or weights
+    # count must not reach the rule's nodes or weights, nor the composed
+    # affine maps' application to the particles
     src = os.path.dirname(os.path.dirname(os.path.abspath(fractrans.__file__)))
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({
-        "problem": "linear", "beta": 0.5, "times": [0.5, 1.0], "velocity": {"kind": "damping"},
-        "initial": {"kind": "uniform-grid", "low": [-1.0, -1.0], "high": [1.0, 1.0], "n": 4},
-    }))
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-m", "fractrans.cli", "solve", "--config", str(config),
-                        "--out", str(out)], env=env, check=True, capture_output=True)
-        outputs.append((out / "path.csv").read_bytes())
-    assert outputs[0] == outputs[1]
-    assert outputs[0].count(b"\n") == 1 + 16 * (1 + 2 * SolverConfig.q_h)
+    rotation = {"kind": "affine", "matrix": [[-1.0, 0.5], [-0.5, -1.0]], "offset": [0.25, -0.1]}
+    for velocity in ({"kind": "damping"}, rotation):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "problem": "linear", "beta": 0.5, "times": [0.5, 1.0], "velocity": velocity,
+            "initial": {"kind": "uniform-grid", "low": [-1.0, -1.0], "high": [1.0, 1.0], "n": 4},
+        }))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / velocity["kind"] / threads
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "fractrans.cli", "solve", "--config", str(config),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            outputs.append((out / "path.csv").read_bytes())
+        assert outputs[0] == outputs[1], velocity
+        assert outputs[0].count(b"\n") == 1 + 16 * (1 + 2 * SolverConfig.q_h)
 
 
 # ---------------------------------------------------------------------------
@@ -1192,6 +1248,36 @@ def test_autonomous_field_is_called_once_per_rk4_stage(monkeypatch, autonomous):
         assert calls["func"] == q_g * (calls["stages"] - zero) + zero + 2 * 2
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_affine_field_solves_match_the_stepped_solves(beta):
+    beta = FracOrder(beta)
+    affine = AffineField(matrix=[[-1.0, 0.5], [-0.5, -1.0]], offset=[0.25, -0.1])
+    explicit = ExplicitField(func=_rotate_damp, lip=affine.lip, autonomous=True)
+    cfg = _cfg(times=(0.5, 1.0), q_h=16, q_g=16, ode_step=0.05)
+    mu0, source = _square_2d(), EmpiricalMeasure.dirac([0.5, 0.5], 0.3)
+    for solve in (lambda v: solve_linear(beta, v, mu0, cfg),
+                  lambda v: solve_with_source(beta, v, mu0, source, cfg),
+                  lambda v: solve_linear_mc(beta, v, mu0, cfg, n_paths=50, seed=2)):
+        got, want = solve(affine), solve(explicit)
+        _assert_paths_close(got, want, 1e-13)
+        assert got.diagnostics.get("rk4_steps") == want.diagnostics.get("rk4_steps")
+
+
+def test_affine_field_solves_take_no_rk4_stage(monkeypatch):
+    # an affine field's intervals are advanced by composed maps: the
+    # stepper runs only for the other fields
+    calls = []
+    advect = transport._advect_segment
+    monkeypatch.setattr(transport, "_advect_segment", lambda *args: calls.append(1) or advect(*args))
+    cfg = _cfg(times=(0.5, 1.0), q_h=8, q_g=8, ode_step=0.05)
+    for field, stepped in ((AffineField(-1.0), False), (DAMP, True)):
+        calls.clear()
+        solve_linear(B, field, _dirac(1.0), cfg)
+        solve_with_source(B, field, _dirac(1.0), _dirac(0.5), cfg)
+        solve_linear_mc(B, field, _dirac(1.0), cfg, n_paths=20)
+        assert bool(calls) == stepped
+
+
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
@@ -1202,6 +1288,10 @@ def test_solver_config_validation():
         SolverConfig(times=())
     with pytest.raises(ValueError):
         SolverConfig(times=(1.0, 0.5))
+    # a repeated time would run the whole flow before the path grid refused it
+    for times in ((0.5, 0.5), (0.5, 1.0, 1.0), (0.5, math.nan), (0.5, math.inf), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            SolverConfig(times=times)
     with pytest.raises(ValueError):
         SolverConfig(times=(1.0,), t_ext=0.5)
     with pytest.raises(ValueError):
