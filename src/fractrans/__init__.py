@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 #: each public name and the module that defines it
 _PUBLIC = {
     "FracOrder": "subordinator",
-    "QuadratureRule": "specfun",
+    "QuadratureRule": "rules",
     "EmpiricalMeasure": "measures",
     "MeasurePath": "measures",
     "RngSpec": "subordinator",

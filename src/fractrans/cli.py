@@ -13,10 +13,14 @@ seed used.  Every command runs on numpy alone.
 
 Each command compiles only the modules it runs.  ``import fractrans.cli``,
 ``--version``, ``--help`` and ``sample`` load ``cli``, ``errors``,
-``atomic`` and ``subordinator``; ``kernels`` adds ``specfun``; only
-``solve`` and ``verify`` load ``measures`` and ``transport``.  The module
-``__getattr__`` binds the names ``solve`` reads from those two on first
-use, so that ``perfbench/tracer.py`` can still wrap ``cli.solve_linear``,
+``atomic`` and ``subordinator``; ``kernels`` adds ``rules`` and
+``specfun``.  A ``linear`` or ``source`` solve adds ``measures``, ``rules``
+and ``transport``, and a ``nonlinear`` solve adds ``picard`` and
+``specfun`` to those.  ``verify`` loads ``distances``, ``measures``,
+``rules``, ``specfun`` and ``transport``.  The
+module ``__getattr__`` binds the names ``solve`` reads from each of
+those modules on first use (``_SOLVE_NAMES``), so that
+``perfbench/tracer.py`` can still wrap ``cli.solve_linear``,
 ``cli.path_to_csv`` and their siblings by name.  ``main`` freezes the
 objects made at start-up out of the garbage collector, so no collection
 walks them, the ones at exit included, and ``solve`` freezes once more
@@ -30,6 +34,7 @@ import argparse
 import csv
 import dataclasses
 import gc
+import importlib
 import json
 import math
 import numbers
@@ -135,37 +140,42 @@ _VELOCITIES = {
     "repulsion": {},
 }
 
-#: the names ``solve`` reads from ``measures`` and ``transport``; they and the two key tables made from ``SolverConfig``
-#: are bound by ``_bind_solve_names`` on first use
-_FROM_MEASURES = ("EmpiricalMeasure", "moment", "path_from_csv", "path_to_csv", "total_mass",
-                  "write_manifest")
-_FROM_TRANSPORT = ("AffineField", "InteractionField", "SolverConfig", "attraction_field",
-                   "repulsion_field", "solve_linear", "solve_nonlinear", "solve_with_source")
+#: the names ``solve`` reads from each module it loads, bound here by ``_bind`` on first use
+_SOLVE_NAMES = {
+    "measures": ("EmpiricalMeasure", "moment", "path_from_csv", "path_to_csv", "total_mass", "write_manifest"),
+    # the two private names are the key tables made here from SolverConfig
+    "transport": ("AffineField", "SolverConfig", "solve_linear", "solve_with_source", "_SOLVER",
+                  "_NONLINEAR_ONLY"),
+    "picard": ("attraction_field", "repulsion_field", "solve_nonlinear"),
+}
+
+#: the velocity kinds of the nonlinear problem, whose fields ``picard`` builds
+_INTERACTIONS = ("attraction", "repulsion")
 
 
-def _bind_solve_names():
-    """Import ``measures`` and ``transport`` and bind here every name of
-    ``_FROM_MEASURES``, ``_FROM_TRANSPORT``, ``_SOLVER`` and
-    ``_NONLINEAR_ONLY``; a name already bound (a wrapper set on this
+def _bind(*modules):
+    """Import each of ``modules`` and bind here the names of it that
+    ``_SOLVE_NAMES`` lists; a name already bound (a wrapper set on this
     module) is kept."""
-    from . import measures, transport
-
-    fields = dataclasses.fields(transport.SolverConfig)
-    names = {name: getattr(measures, name) for name in _FROM_MEASURES}
-    names.update((name, getattr(transport, name)) for name in _FROM_TRANSPORT)
-    # every SolverConfig field but ``times`` (a top-level key), typed as its default
-    names["_SOLVER"] = {f.name: _Key({int: "integer", float: "number"}[type(f.default)], f.default)
-                        for f in fields if f.name != "times"}
-    # the solver keys that only the nonlinear problem reads
-    names["_NONLINEAR_ONLY"] = [f.name for f in fields if f.metadata.get("nonlinear")]
-    for name, value in names.items():
-        globals().setdefault(name, value)
+    for module in modules:
+        mod = importlib.import_module(f".{module}", __package__)
+        names = {name: getattr(mod, name) for name in _SOLVE_NAMES[module] if not name.startswith("_")}
+        if module == "transport":
+            fields = dataclasses.fields(mod.SolverConfig)
+            # every SolverConfig field but ``times`` (a top-level key), typed as its default
+            names["_SOLVER"] = {f.name: _Key({int: "integer", float: "number"}[type(f.default)], f.default)
+                                for f in fields if f.name != "times"}
+            # the solver keys that only the nonlinear problem reads
+            names["_NONLINEAR_ONLY"] = [f.name for f in fields if f.metadata.get("nonlinear")]
+        for name, value in names.items():
+            globals().setdefault(name, value)
 
 
 def __getattr__(name):
-    if name not in _FROM_MEASURES + _FROM_TRANSPORT + ("_SOLVER", "_NONLINEAR_ONLY"):
+    module = next((m for m, names in _SOLVE_NAMES.items() if name in names), None)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_solve_names()
+    _bind(module)
     return globals()[name]
 
 
@@ -315,16 +325,18 @@ def cmd_sample(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_solve(cfg: dict, out_dir: str) -> int:
-    _bind_solve_names()
-    gc.freeze()  # measures, specfun and transport, loaded just now, live until exit too
     problem, times = cfg["problem"], cfg["times"]
     if problem not in ("linear", "nonlinear", "source"):
         raise ConfigError(f"unknown problem {problem!r}")
+    _bind("measures", "transport", *(["picard"] if problem == "nonlinear" else []))
+    gc.freeze()  # the modules loaded just now live until exit too
     if (cfg["source"] is None) == (problem == "source"):
         raise ConfigError("a 'source' block is needed by the source problem and read by no other")
     beta = FracOrder(cfg["beta"])
     mu0 = _parse_measure(cfg["initial"], "initial")
     velocity = _read_kind(cfg["velocity"], _VELOCITIES, "velocity")
+    if (problem == "nonlinear") != (velocity["kind"] in _INTERACTIONS):
+        raise ConfigError(f"velocity kind {velocity['kind']!r} does not fit the {problem} problem")
     nu = None if cfg["source"] is None else _parse_measure(cfg["source"], "source")
     # a velocity matrix or vector (but a broadcast scalar) or a source of
     # another dimension than the initial measure's would fail mid-solve
@@ -334,8 +346,6 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         if dim != mu0.dim:
             raise ConfigError(f"{where} has dimension {dim} but initial has dimension {mu0.dim}")
     field = _parse_velocity(velocity)
-    if (problem == "nonlinear") != isinstance(field, InteractionField):
-        raise ConfigError(f"velocity kind {velocity['kind']!r} does not fit the {problem} problem")
     solver = _read(cfg["solver"], _SOLVER, "solver")
     if problem != "nonlinear":
         unread = [k for k in _NONLINEAR_ONLY if k in cfg["solver"]]

@@ -15,13 +15,9 @@ from scipy.special import gamma
 
 from fractrans.caputo import TimeSeries, caputo_l1, weak_residual
 from fractrans.cli import main as cli_main
-from fractrans.measures import (
-    EmpiricalMeasure,
-    bl_distance,
-    expectation,
-    moment,
-    w1_distance_1d,
-)
+from fractrans.distances import bl_distance, w1_distance_1d
+from fractrans.measures import EmpiricalMeasure, expectation, moment
+from fractrans.picard import attraction_field, solve_nonlinear
 from fractrans.specfun import (
     FracOrder,
     h_quadrature,
@@ -35,14 +31,7 @@ from fractrans.subordinator import (
     sample_inverse,
     solve_psi_fode,
 )
-from fractrans.transport import (
-    ExplicitField,
-    SolverConfig,
-    attraction_field,
-    solve_linear,
-    solve_linear_mc,
-    solve_nonlinear,
-)
+from fractrans.transport import ExplicitField, SolverConfig, solve_linear, solve_linear_mc
 
 
 def _report(num, label, ok):

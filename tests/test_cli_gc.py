@@ -3,8 +3,9 @@
 Everything a command makes before ``main`` runs lives until exit, so
 ``main`` moves it to the collector's permanent generation
 (``gc.freeze``) and no collection, the ones at shutdown included, walks
-it.  ``solve`` loads ``measures``, ``specfun`` and ``transport`` after
-that, and freezes once more.  Library users import the package and keep
+it.  ``solve`` loads ``measures``, ``rules`` and ``transport`` (and
+``picard`` and ``specfun`` for the nonlinear problem) after that, and
+freezes once more.  Library users import the package and keep
 their collector as they set it.  Each test runs in a fresh interpreter,
 whose freeze count starts at 0.
 """

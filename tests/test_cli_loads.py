@@ -3,9 +3,11 @@
 ``import fractrans`` loads no submodule: the package resolves its public
 names on first access.  ``import fractrans.cli``, ``--version``,
 ``--help`` and ``sample`` load ``cli``, ``errors``, ``atomic`` and
-``subordinator``; ``kernels`` adds ``specfun``; only ``solve`` and
-``verify`` load ``measures`` and ``transport``.  ``cli`` binds the names
-it reads from those two on first use, through its module ``__getattr__``.
+``subordinator``; ``kernels`` adds ``rules`` and ``specfun``; only
+``solve`` and ``verify`` load ``measures`` and ``transport``, and only a
+``nonlinear`` solve loads ``picard``, which a ``linear`` or ``source``
+solve does not need, and with it ``specfun``.  ``cli`` binds the names it
+reads from those modules on first use, through its module ``__getattr__``.
 The names stay attributes of ``cli``: ``perfbench/tracer.py`` wraps
 ``cli.solve_linear``, ``cli.path_to_csv`` and their siblings before a
 run, and ``cmd_solve`` must call those wrappers.  The tests that watch
@@ -20,7 +22,7 @@ import sys
 import pytest
 
 import fractrans
-from fractrans import cli, specfun, subordinator, transport
+from fractrans import cli, picard, rules, specfun, subordinator, transport
 from fractrans.cli import EXIT_OK, main
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(fractrans.__file__)))
@@ -103,25 +105,28 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "f
 """
 
 _START = ["fractrans", "fractrans.atomic", "fractrans.cli", "fractrans.errors", "fractrans.subordinator"]
-_SOLVE = ["fractrans.measures", "fractrans.specfun", "fractrans.transport"]
+_SOLVE = ["fractrans.measures", "fractrans.rules", "fractrans.transport"]
 #: the benchmark's clock-sample config
 _SAMPLE = {"beta": 0.5, "times": [0.5, 1.0], "gammas": [1.0, 2.0], "lambdas": [-1.0], "n": 20000,
            "dtau": 1e-3}
 
 
-#: (step, its config, the fractrans modules loaded after it)
+#: (label, step, its config, the fractrans modules loaded after it)
 _STEPS = [
-    ("import fractrans", None, ["fractrans"]),
-    ("import fractrans.cli", None, _START),
-    ("--version", None, _START),
-    ("--help", None, _START),
-    ("sample", _SAMPLE, _START),
-    ("kernels", {}, sorted(_START + ["fractrans.specfun"])),
-    ("solve", _LINEAR, sorted(_START + _SOLVE)),
+    ("import fractrans", "import fractrans", None, ["fractrans"]),
+    ("import fractrans.cli", "import fractrans.cli", None, _START),
+    ("--version", "--version", None, _START),
+    ("--help", "--help", None, _START),
+    ("sample", "sample", _SAMPLE, _START),
+    ("kernels", "kernels", {}, sorted(_START + ["fractrans.rules", "fractrans.specfun"])),
+    ("solve", "solve", _LINEAR, sorted(_START + _SOLVE)),
+    ("solve source", "solve", _RUNS["source"], sorted(_START + _SOLVE)),
+    ("solve nonlinear", "solve", _RUNS["nonlinear"],
+     sorted(_START + _SOLVE + ["fractrans.picard", "fractrans.specfun"])),
 ]
 
 
-@pytest.mark.parametrize("step, cfg, expected", _STEPS, ids=[step for step, _, _ in _STEPS])
+@pytest.mark.parametrize("step, cfg, expected", [row[1:] for row in _STEPS], ids=[row[0] for row in _STEPS])
 def test_fresh_process_loads_exactly(tmp_path, step, cfg, expected):
     proc = _run(_FRESH, str(tmp_path), step, json.dumps(cfg))
     assert proc.returncode == 0, proc.stderr
@@ -133,7 +138,7 @@ import json
 import fractrans
 names = dir(fractrans)
 public = {name: getattr(fractrans, name) for name in fractrans.__all__}
-import fractrans.errors, fractrans.measures, fractrans.specfun, fractrans.subordinator
+import fractrans.errors, fractrans.measures, fractrans.rules, fractrans.specfun, fractrans.subordinator
 same = [public[name] is getattr(getattr(fractrans, module), name)
         for name, module in fractrans._PUBLIC.items()]
 try:
@@ -180,6 +185,37 @@ for problem, cfg in json.loads(sys.argv[2]).items():
     assert cli.main(["solve", "--config", f"{out}/{problem}.json", "--out", f"{out}/{problem}"]) == 0
 print(json.dumps(calls))
 """
+
+
+def test_moved_names_are_the_same_objects():
+    # the rules and the interaction solver moved out of specfun and
+    # transport; both still give the one object under the old name
+    for name in ("h_quadrature", "g_quadrature"):
+        assert getattr(specfun, name) is getattr(rules, name) is getattr(transport, name)
+    assert specfun.QuadratureRule is rules.QuadratureRule is fractrans.QuadratureRule
+    for name in picard.__all__:
+        assert getattr(transport, name) is getattr(picard, name)
+
+
+_MISMATCH = """
+import json, sys
+from fractrans.cli import main
+
+out = sys.argv[1]
+with open(f"{out}/cfg.json", "w") as handle:
+    json.dump(json.loads(sys.argv[2]), handle)
+code = main(["solve", "--config", f"{out}/cfg.json", "--out", out])
+print(json.dumps([code, "fractrans.picard" in sys.modules]))
+"""
+
+
+def test_linear_problem_with_an_interaction_velocity_exits_2_without_picard(tmp_path):
+    # the velocity kind alone tells that the problem does not fit, before
+    # any field is built, so the interaction solver is never loaded
+    proc = _run(_MISMATCH, str(tmp_path), json.dumps({**_LINEAR, "velocity": {"kind": "repulsion"}}))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [2, False]
+    assert proc.stderr == "configuration error: velocity kind 'repulsion' does not fit the linear problem\n"
 
 
 def test_solve_calls_the_wrappers_set_on_cli(tmp_path):

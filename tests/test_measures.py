@@ -14,22 +14,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fractrans
+from fractrans.distances import bl_distance, w1_distance_1d
 from fractrans.errors import MassMismatchError
 from fractrans.measures import (
     EmpiricalMeasure,
     MeasurePath,
-    bl_distance,
     expectation,
     moment,
     path_from_csv,
     path_to_csv,
     push_forward,
     total_mass,
-    w1_distance_1d,
     write_manifest,
 )
+from fractrans.picard import _coupling_bound
 from fractrans.specfun import FracOrder
-from fractrans.transport import ExplicitField, SolverConfig, _coupling_bound, solve_linear
+from fractrans.transport import ExplicitField, SolverConfig, solve_linear
 
 
 def _ensemble(draw_points, draw_weights):

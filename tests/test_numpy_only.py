@@ -97,7 +97,8 @@ class HideScipy:
 
 sys.meta_path.insert(0, HideScipy())
 import fractrans.cli
-from fractrans.measures import EmpiricalMeasure, bl_distance
+from fractrans.distances import bl_distance
+from fractrans.measures import EmpiricalMeasure
 
 code = fractrans.cli.main(["verify", "--out", sys.argv[1]])
 bl = bl_distance(EmpiricalMeasure.dirac([0.0]), EmpiricalMeasure.dirac([1.0]))

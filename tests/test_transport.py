@@ -17,39 +17,37 @@ import numpy as np
 import pytest
 
 import fractrans
+from fractrans import picard, transport
+from fractrans.distances import bl_distance
 from fractrans.errors import PicardConvergenceError
 from fractrans.measures import (
     EmpiricalMeasure,
     MeasurePath,
-    bl_distance,
     expectation,
     moment,
     total_mass,
 )
-from fractrans.specfun import (
-    FracOrder,
-    _kanter_rule,
-    h_quadrature,
-    inverse_moment_coeff,
-    mittag_leffler,
+from fractrans.picard import (
+    InteractionField,
+    _path_average,
+    _segment_masses,
+    attraction_field,
+    freezing_tail_probability,
+    repulsion_field,
+    solve_nonlinear,
 )
-from fractrans import transport
+from fractrans.rules import _kanter_rule, h_quadrature
+from fractrans.specfun import FracOrder, inverse_moment_coeff, mittag_leffler
 from fractrans.subordinator import RngSpec, sample_inverse
 from fractrans.transport import (
     AffineField,
     ExplicitField,
-    InteractionField,
     SolverConfig,
     _advect_segment,
     _field_average,
     _GRule,
-    _path_average,
-    attraction_field,
-    freezing_tail_probability,
-    repulsion_field,
     solve_linear,
     solve_linear_mc,
-    solve_nonlinear,
     solve_with_source,
 )
 
@@ -77,7 +75,7 @@ def _sweep_schedule(beta, cfg):
     """(times, steps) of the RK4 stages that every Picard sweep of a solve
     walks, for a 1-Lipschitz interaction field and mu0 of mass at most 1:
     the schedule ``_sweep_map`` lays out."""
-    grid = transport._grid_with_extension(cfg)
+    grid = picard._grid_with_extension(cfg)
     h_rules = transport._h_rules(beta, grid[1:], cfg)
     return transport._flow_schedule(transport._flow_nodes(h_rules), h_rules, cfg.ode_step, 1.0)
 
@@ -85,9 +83,9 @@ def _sweep_schedule(beta, cfg):
 def _fine_level(field, mu0, cfg, beta=B):
     """The fine sweep map of a nonlinear solve and the constant path mu0
     that a Picard level without a coarse start begins from."""
-    grid = transport._grid_with_extension(cfg)
+    grid = picard._grid_with_extension(cfg)
     h_rules = transport._h_rules(beta, grid[1:], cfg)
-    sweep = transport._sweep_map(field, mu0, transport._GRule(beta, cfg), h_rules, grid, cfg)
+    sweep = picard._sweep_map(field, mu0, transport._GRule(beta, cfg), h_rules, grid, cfg)
     return sweep, MeasurePath(times=grid, measures=[mu0] * grid.size)
 
 
@@ -151,7 +149,7 @@ def test_path_lookup_field_matches_measure_by_measure_average(field):
     # the Picard stage's field on the raw path average equals the field
     # induced by the path average built measure by measure, bit for bit
     cfg = _cfg(times=(0.1, 0.2), q_g=32, t_ext=1.0)
-    grid = transport._grid_with_extension(cfg)
+    grid = picard._grid_with_extension(cfg)
     rng = np.random.default_rng(5)
     sizes = rng.integers(1, 6, size=grid.size)
     sizes[2] = 0
@@ -188,7 +186,7 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
     beta = FracOrder(beta)
     cfg = _cfg(times=(0.25, 0.5), q_h=8, q_g=16, ode_step=0.05, t_ext=1.3)
     g_rule = _GRule(beta, cfg)
-    grid = transport._grid_with_extension(cfg)
+    grid = picard._grid_with_extension(cfg)
     times, _ = _sweep_schedule(beta, cfg)
     # the first stage a third of the way along the flow
     k = int(np.searchsorted(times, times[-1] / 3.0))
@@ -198,7 +196,7 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
         # next two g-nodes, so that the measures it hits are not one run
         gap = r[2] + np.array([1.0, 2.0]) / 3.0 * (r[3] - r[2])
         grid = np.unique(np.concatenate([grid, [r[1]], gap]))
-    rows, index = g_rule.segment_masses(grid, times)
+    rows, index = _segment_masses(g_rule, grid, times)
     table = rows[index]
     assert table.shape == (len(times), grid.size)
     for row, s in zip(table, times):
@@ -225,7 +223,7 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
     for q_g, n_rows in ((8, 1), (28, 2)):
         half = _GRule(FracOrder(0.5), _cfg(q_g=q_g))
         for grid in (np.array([0.0, 1e300]), np.array([0.0])):
-            rows, index = half.segment_masses(grid, times)
+            rows, index = _segment_masses(half, grid, times)
             for row, s in zip(rows[index], times):
                 np.testing.assert_array_equal(row, _rule_masses(grid, *half(s)))
             assert len(rows) == n_rows and np.all(np.any(rows[1:] != rows[:-1], axis=1))
@@ -523,7 +521,7 @@ def test_weighted_steps_keep_a_time_dependent_flow(monkeypatch):
         return solve_linear(B, v, mu0, _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=ode_step))
 
     def distance(p, q):
-        return max(transport._coupling_bound(a, b) for a, b in zip(p.measures, q.measures))
+        return max(picard._coupling_bound(a, b) for a, b in zip(p.measures, q.measures))
 
     weighted, fine = solve(0.01), solve(0.00125)
     assert distance(weighted, fine) <= 1e-8
@@ -880,7 +878,7 @@ def test_segment_masses_are_computed_once_per_level(monkeypatch):
     # whatever the sweep count, while the kernel still runs at each RK4
     # stage of each sweep; a solve builds one map per level
     counts = {"search": 0, "kernel": 0}
-    search = transport._GRule.segment_masses
+    search = picard._segment_masses
 
     def counting_search(*args):
         counts["search"] += 1
@@ -892,13 +890,13 @@ def test_segment_masses_are_computed_once_per_level(monkeypatch):
         counts["kernel"] += 1
         return repel.kernel(z)
 
-    monkeypatch.setattr(transport._GRule, "segment_masses", counting_search)
+    monkeypatch.setattr(picard, "_segment_masses", counting_search)
     field = InteractionField(kernel=kernel, bound=repel.bound, lip=repel.lip)
     for picard_tol, sweeps in ((1e-2, 4), (0.1, 3)):
         counts.update(search=0, kernel=0)
         cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=picard_tol, t_ext=1.0)
         sweep, start = _fine_level(field, _two_diracs(0.5), cfg)
-        _, log = transport._picard(sweep, start, cfg)
+        _, log = picard._picard(sweep, start, cfg)
         assert len(log) == sweeps
         steps = sum(map(len, _sweep_schedule(B, cfg)[1]))
         assert sweep.rk4_steps == steps
@@ -912,19 +910,19 @@ def test_each_sweep_builds_each_distinct_path_average_once(monkeypatch):
     # the stages come in nondecreasing order and share few distinct rows of
     # segment masses, so a sweep builds each row's path average once
     calls = {"average": 0}
-    path_average = transport._path_average
+    path_average = picard._path_average
 
     def counting_average(*args):
         calls["average"] += 1
         return path_average(*args)
 
-    monkeypatch.setattr(transport, "_path_average", counting_average)
+    monkeypatch.setattr(picard, "_path_average", counting_average)
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-2, t_ext=1.0)
     sweep, start = _fine_level(repulsion_field(), _two_diracs(0.5), cfg)
-    _, log = transport._picard(sweep, start, cfg)
-    grid = transport._grid_with_extension(cfg)
+    _, log = picard._picard(sweep, start, cfg)
+    grid = picard._grid_with_extension(cfg)
     times, _ = _sweep_schedule(B, cfg)
-    rows, _ = _GRule(B, cfg).segment_masses(grid, times)
+    rows, _ = _segment_masses(_GRule(B, cfg), grid, times)
     assert 1 < len(rows) < len(times) // 10
     assert len(log) > 1
     assert calls["average"] == len(rows) * len(log)
@@ -936,7 +934,7 @@ def _plain_picard(field, mu0, cfg):
     sweep, x = _fine_level(field, mu0, cfg)
     for n in range(1, cfg.picard_max_iters + 1):
         image = sweep(x)
-        bound = max(transport._coupling_bound(a, b) for a, b in zip(x.measures, image.measures))
+        bound = max(picard._coupling_bound(a, b) for a, b in zip(x.measures, image.measures))
         if bound < cfg.picard_tol:
             return image, n
         x = image
@@ -949,7 +947,7 @@ def test_anderson_driver_beats_plain_picard():
     # of the fixed point, read off a plain solve at picard_tol 1e-8
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-3)
     mu0 = _two_diracs(0.5)
-    image, log = transport._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
+    image, log = picard._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
     _, plain_sweeps = _plain_picard(repulsion_field(), mu0, cfg)
     ref, _ = _plain_picard(repulsion_field(), mu0, dataclasses.replace(cfg, picard_tol=1e-8))
     assert len(log) < plain_sweeps
@@ -963,15 +961,15 @@ def test_anderson_driver_falls_back_to_the_plain_step(monkeypatch):
     # plain one (no weight asked for), mixing resumes once the bound falls,
     # and the level still converges
     calls = []
-    weight = transport._mixing_weight
+    weight = picard._mixing_weight
 
     def first_one_harmful(*args):
         calls.append(args)
         return -3.0 if len(calls) == 1 else weight(*args)
 
-    monkeypatch.setattr(transport, "_mixing_weight", first_one_harmful)
+    monkeypatch.setattr(picard, "_mixing_weight", first_one_harmful)
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-3)
-    image, log = transport._picard(*_fine_level(repulsion_field(), _two_diracs(0.5), cfg), cfg)
+    image, log = picard._picard(*_fine_level(repulsion_field(), _two_diracs(0.5), cfg), cfg)
     bounds = [entry["coupling_bound"] for entry in log]
     assert bounds[2] > bounds[1] and bounds[-1] < cfg.picard_tol
     assert len(calls) == sum(b < a for a, b in zip(bounds[:-2], bounds[1:-1]))
@@ -990,11 +988,11 @@ def test_two_level_solve_reaches_the_fine_fixed_point(t_ext):
     cfg = SolverConfig(times=(0.5,), q_h=16, q_g=8, picard_tol=1e-8, t_ext=t_ext)
     mu0 = _benchmark_grid()
     path = solve_nonlinear(B, repulsion_field(), mu0, cfg)
-    image, log = transport._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
+    image, log = picard._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
     assert path.diagnostics["coarse_sweeps"] > 1 and path.diagnostics["sweeps"] < len(log)
     assert path.diagnostics["picard_log"][-1]["coupling_bound"] < cfg.picard_tol
     k = int(np.searchsorted(image.times, 0.5))
-    assert transport._coupling_bound(path.measures[-1], image.measures[k]) < 1e-6
+    assert picard._coupling_bound(path.measures[-1], image.measures[k]) < 1e-6
     assert total_mass(path.measures[-1]) == pytest.approx(1.0, rel=1e-13)
 
 
@@ -1003,16 +1001,16 @@ def test_coarse_level_that_does_not_converge_still_lets_the_solve_converge(monke
     # nothing: the fine level starts from its last image and converges.  A
     # coarse image whose bound is not finite is dropped, and the fine level
     # then runs from mu0 exactly as fine-only Picard does
-    picard = transport._picard
+    run_picard = picard._picard
     cfg = SolverConfig(times=(0.5,), q_h=16, q_g=8)
     mu0 = _benchmark_grid()
 
     def coarse_stops_early(sweep, start, config):
         if sweep.rk4_steps < 238:  # the coarse map
-            return picard(sweep, start, dataclasses.replace(config, picard_max_iters=1))
-        return picard(sweep, start, config)
+            return run_picard(sweep, start, dataclasses.replace(config, picard_max_iters=1))
+        return run_picard(sweep, start, config)
 
-    monkeypatch.setattr(transport, "_picard", coarse_stops_early)
+    monkeypatch.setattr(picard, "_picard", coarse_stops_early)
     path = solve_nonlinear(B, repulsion_field(), mu0, cfg)
     assert path.diagnostics["coarse_sweeps"] == 1
     assert path.diagnostics["picard_log"][-1]["coupling_bound"] < cfg.picard_tol
@@ -1020,11 +1018,11 @@ def test_coarse_level_that_does_not_converge_still_lets_the_solve_converge(monke
     def coarse_blows_up(sweep, start, config):
         if sweep.rk4_steps < 238:
             return start, [{"sweep": 1, "coupling_bound": math.nan, "wall_time": 0.0}]
-        return picard(sweep, start, config)
+        return run_picard(sweep, start, config)
 
-    monkeypatch.setattr(transport, "_picard", coarse_blows_up)
+    monkeypatch.setattr(picard, "_picard", coarse_blows_up)
     path = solve_nonlinear(B, repulsion_field(), mu0, cfg)
-    image, log = picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
+    image, log = run_picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
     assert [e["coupling_bound"] for e in path.diagnostics["picard_log"]] == [e["coupling_bound"] for e in log]
     assert np.array_equal(path.measures[-1].points, image.measures[-1].points)
 
@@ -1055,10 +1053,10 @@ def test_picard_estimates_need_a_contracting_plain_pair():
     def log(*bounds):
         return [{"sweep": n, "coupling_bound": b, "wall_time": 0.0} for n, b in enumerate(bounds, 1)]
 
-    assert transport._contraction_estimate(log(0.2, 0.05, 1e-3), log(1e-4)) == 0.25
-    assert transport._contraction_estimate(log(1e-5), log(0.4, 0.1)) == 0.25
-    assert transport._contraction_estimate([], log(0.1, 0.2)) is None
-    assert transport._contraction_estimate(log(1e-5), log(1e-5)) is None
+    assert picard._contraction_estimate(log(0.2, 0.05, 1e-3), log(1e-4)) == 0.25
+    assert picard._contraction_estimate(log(1e-5), log(0.4, 0.1)) == 0.25
+    assert picard._contraction_estimate([], log(0.1, 0.2)) is None
+    assert picard._contraction_estimate(log(1e-5), log(1e-5)) is None
     kernel = InteractionField(kernel=lambda z: np.zeros_like(z), bound=0.0, lip=0.0)
     path = solve_nonlinear(B, kernel, _two_diracs(), _cfg(times=(1.0,), q_h=8, q_g=8))
     assert path.diagnostics["contraction_estimate"] is None
@@ -1068,9 +1066,9 @@ def test_picard_estimates_need_a_contracting_plain_pair():
 def test_mixing_weight_with_no_residual_change_is_none():
     r = np.array([[0.5], [-1.0]])
     w = np.array([[0.25], [0.75]])
-    assert transport._mixing_weight(np.zeros_like(r), r, w) is None
+    assert picard._mixing_weight(np.zeros_like(r), r, w) is None
     # gamma = <dr, r>_w / <dr, dr>_w with per-coordinate weights
-    assert transport._mixing_weight(2.0 * r, r, w) == 0.5
+    assert picard._mixing_weight(2.0 * r, r, w) == 0.5
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1078,8 +1076,8 @@ def test_mixing_weight_that_overflows_is_none():
     # residuals past about 1e154 overflow <dr, dr>_w; the plain step is taken
     w = np.array([[0.5], [0.5]])
     r = np.array([[1e307], [-1e307]])
-    assert transport._mixing_weight(2.0 * r, r, w) is None
-    assert transport._mixing_weight(np.array([[1e-3], [0.0]]), r, w) is None
+    assert picard._mixing_weight(2.0 * r, r, w) is None
+    assert picard._mixing_weight(np.array([[1e-3], [0.0]]), r, w) is None
 
 
 @pytest.mark.parametrize("beta", [B, FracOrder(1.0)])
@@ -1093,7 +1091,7 @@ def test_mixing_weight_that_overflows_is_none():
     ids=["zero-kernel", "one-dirac", "empty"],
 )
 def test_fixed_initial_measure_stops_at_sweep_one(beta, kernel, mu0, monkeypatch):
-    monkeypatch.setattr(transport, "_mixing_weight", lambda *args: pytest.fail("mixed"))
+    monkeypatch.setattr(picard, "_mixing_weight", lambda *args: pytest.fail("mixed"))
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, picard_tol=1e-12, t_ext=1.0)
     path = solve_nonlinear(beta, kernel, mu0, cfg)
     assert path.diagnostics["sweeps"] == 1
@@ -1276,6 +1274,23 @@ def test_affine_field_solves_take_no_rk4_stage(monkeypatch):
         solve_with_source(B, field, _dirac(1.0), _dirac(0.5), cfg)
         solve_linear_mc(B, field, _dirac(1.0), cfg, n_paths=20)
         assert bool(calls) == stepped
+
+
+def test_picard_sweeps_step_through_the_transport_stepper(monkeypatch):
+    # the sweep map looks the stepper up on ``transport`` at each interval,
+    # so a wrapper set there (as the benchmark tracer sets one) sees every
+    # RK4 step of the coarse and the fine sweeps
+    steps = []
+    advect = transport._advect_segment
+
+    def counting(vel, points, interval):
+        steps.extend(interval)
+        return advect(vel, points, interval)
+
+    monkeypatch.setattr(transport, "_advect_segment", counting)
+    path = solve_nonlinear(B, repulsion_field(), _two_diracs(0.5), _cfg(times=(0.5,), q_h=8, q_g=8))
+    d = path.diagnostics
+    assert len(steps) == d["sweeps"] * d["rk4_steps"] + d["coarse_sweeps"] * d["coarse_rk4_steps"] > 0
 
 
 # ---------------------------------------------------------------------------
