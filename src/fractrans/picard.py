@@ -12,7 +12,7 @@ the iterate: the field is linear in the measure, so this is its
 g-average.  The path average weights each recorded measure by a segment
 mass, the g-weight whose real time looks it up; the stage times and the
 lookup grid are the same in every sweep, so the masses are tabulated once
-per sweep map, one row per run of stages that look up the same masses
+per sweep map, every stage's row with equal neighbours merged
 (``_segment_masses``), and a sweep builds each row's path average once.
 
 The fixed point is found by Anderson-mixed Picard iteration
@@ -129,49 +129,32 @@ def repulsion_field() -> InteractionField:
 def _segment_masses(g_rule, grid: np.ndarray, stage_times: list):
     """(rows, index) of the ``transport._GRule`` ``g_rule``: row index[k] of
     ``rows`` holds, for each grid time t_j, the summed weights of the nodes
-    of the rule at s = stage_times[k] (Python floats, nondecreasing) that
-    look up t_j, piecewise constant (right-continuous, frozen at the end).
+    of the rule at s = stage_times[k] (Python floats, nondecreasing, >= 0)
+    that look up t_j, piecewise constant (right-continuous, frozen at the
+    end).
 
-    ``rows`` keeps each row once per run of equal stages: no two
-    consecutive rows are equal and ``index`` is a nondecreasing intp
-    array.  A lookup r moves only where it reaches a grid time after the
-    first, and r = node * s^(1/beta) never decreases in s, so a row can
-    start only at the first stage, at the first stage past s = 0 (where
-    the point rule ends) and where some node reaches some t_j.  One
-    bincount builds the rows at those stages, and a row equal to the one
-    before it is merged into it (the point rule at s = 0 and the rule
-    just past it may give the same masses): there are at most
-    q_g * (grid.size - 1) + 2 rows, whatever the number of stages.
-
-    The scale s^(1/beta) is the Python-float power of ``_GRule.__call__``,
-    and a bincount adds each bin's weights in node order, so every row is
-    bitwise the bincount of the rule at s on its own.
+    One bincount over the (stages x q_g) lookups builds every stage's row,
+    adding each bin's weights in node order, and a row equal to the one
+    before it is merged into it: no two consecutive rows are equal and
+    ``index`` is a nondecreasing intp array.  The point rule at s = 0 is
+    the row of lookups 0 * node = s with weights (1, 0, ..., 0): the
+    normalized g-weights need not sum to exactly 1.0.  The scale
+    s^(1/beta) is the Python-float power of ``_GRule.__call__``, so every
+    row is bitwise the bincount of the rule at s on its own.
     """
     s = np.array(stage_times, dtype=float)
-    # the first n_point stages use the point rule (s, 1)
-    n_point = s.size if g_rule.nodes is None else int(np.searchsorted(s, 0.0, side="right"))
-    starts = [[0], np.searchsorted(s[:n_point], grid[1:])]
-    if n_point < s.size:
-        scale = np.array([x ** g_rule.power for x in stage_times[n_point:]])
-        starts += [[n_point]] + [n_point + np.searchsorted(node * scale, grid[1:]) for node in g_rule.nodes]
-    # marked in a mask, not sorted: the first int sort in a process pages
-    # in about 64 KiB of numpy code that nothing else in a solve runs
-    start = np.zeros(s.size + 1, dtype=bool)
-    start[np.concatenate(starts)] = True
-    starts = np.flatnonzero(start[:-1])
-    point, rule = starts[starts < n_point], starts[starts >= n_point] - n_point
-    masses = np.zeros((starts.size, grid.size))
-    masses[np.arange(point.size), np.maximum(np.searchsorted(grid, s[point], side="right") - 1, 0)] = 1.0
-    if rule.size:
-        cell = np.searchsorted(grid, np.multiply.outer(scale[rule], g_rule.nodes), side="right") - 1
-        np.maximum(cell, 0, out=cell)
-        cell += grid.size * np.arange(rule.size)[:, None]
-        weights = np.broadcast_to(g_rule.weights, cell.shape).ravel()
-        counts = np.bincount(cell.ravel(), weights, minlength=rule.size * grid.size)
-        masses[point.size :] = counts.reshape(rule.size, grid.size)
-    new = np.ones(starts.size, dtype=bool)
+    scale = np.array([x ** g_rule.power for x in stage_times])
+    cell = np.searchsorted(grid, np.multiply.outer(scale, g_rule.nodes), side="right") - 1
+    np.maximum(cell, 0, out=cell)
+    cell += grid.size * np.arange(s.size)[:, None]
+    point = np.zeros(g_rule.weights.size)
+    point[0] = 1.0
+    weights = np.where(s[:, None] > 0.0, g_rule.weights, point)
+    masses = np.bincount(cell.ravel(), weights.ravel(), minlength=s.size * grid.size)
+    masses = masses.reshape(s.size, grid.size)
+    new = np.ones(s.size, dtype=bool)
     new[1:] = np.any(masses[1:] != masses[:-1], axis=1)
-    return masses[new], np.repeat(np.cumsum(new) - 1, np.diff(starts, append=s.size))
+    return masses[new], np.cumsum(new) - 1
 
 
 def _path_average(path: MeasurePath, m: np.ndarray):
@@ -246,9 +229,8 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
     Every sweep walks the same RK4 stages (``_flow_schedule``, whose step
     bound is the one that ``_check_step`` guards, v.lip * max(mass, 1)) and
     looks up the same grid, so the segment masses of each stage's g-rule are
-    tabulated here, once, one row per run of stages with equal masses
-    (``_segment_masses``, which starts a row only where a lookup
-    crosses a grid time).  Each RK4 stage evaluates the field on the raw
+    tabulated here, once, every stage's row with equal neighbours merged
+    (``_segment_masses``).  Each RK4 stage evaluates the field on the raw
     arrays of its row's path average (``_path_average``, the hit measures
     of the iterate concatenated), with one kernel call.  The stages come in
     nondecreasing order, so a one-slot cache builds each distinct path

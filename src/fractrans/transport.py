@@ -209,19 +209,20 @@ class SolverConfig:
 
 class _GRule:
     """The g_beta(., s) rule as a map s -> (real times r_q, weights summing
-    to 1): the unit rule with nodes scaled by s^(1/beta).  At s <= 0, and at
-    every s when beta = 1 (``nodes`` is None), the rule is the single node
-    (s, 1).  ``picard._segment_masses`` tabulates the Picard lookups of it."""
+    to 1): the unit rule with nodes scaled by s^(1/beta).  At beta = 1 the
+    unit rule is the one node 1 with weight 1, so the rule is (s, 1), and
+    at s <= 0 it is the single node (s, 1) for every beta.
+    ``picard._segment_masses`` tabulates the Picard lookups of it."""
 
     def __init__(self, beta: FracOrder, config: SolverConfig):
-        self.nodes = None
+        self.nodes, self.weights, self.power = np.ones(1), np.ones(1), 1.0
         if not beta.is_classical:
             unit = g_quadrature(beta, 1.0, config.q_g, max(config.eps_tail, 1e-8))
             self.nodes, self.weights = unit.nodes, unit.weights / unit.weights.sum()
             self.power = 1.0 / beta.beta
 
     def __call__(self, s):
-        if self.nodes is None or s <= 0.0:
+        if s <= 0.0:
             return np.array([s]), np.ones(1)
         return self.nodes * s ** self.power, self.weights
 
@@ -434,12 +435,12 @@ def _flow_advance(beta: FracOrder, v, mu0: EmpiricalMeasure, config: SolverConfi
     return lambda x, j: _advect_segment(vel, x, steps[j])
 
 
-def _check_flow(*positions):
-    """OverflowError unless every one of the advected ``positions`` at the
-    end of a flow sweep is finite.  An RK4 step adds x to its increment, so
-    a position that is not finite stays so to the end of the sweep, and
-    this one check covers every node of it."""
-    if not all(np.isfinite(x).all() for x in positions):
+def _check_flow(points):
+    """OverflowError unless every advected position in ``points``, at the end
+    of a flow sweep, is finite.  An RK4 step adds x to its increment, so a
+    position that is not finite stays so to the end of the sweep, and this
+    one check covers every node of it."""
+    if not np.isfinite(points).all():
         raise OverflowError("an advected position is not finite: the flow left the float range")
 
 
@@ -451,37 +452,32 @@ def _average_push_forwards(advance, mu0, nu, h_rules, nodes) -> list:
     for the source measure ``nu`` (None for no source).  One flow sweep over
     the flow ``nodes`` (which hold every h-node), where ``advance(points, j)``
     moves raw positions across interval j = [nodes[j], nodes[j + 1]] (see
-    ``_flow_advance``), covers every term: at each node nu is injected,
-    weighted by the width of the following interval (rectangle rule), and
-    advected with the initial ensemble.
+    ``_flow_advance``), covers every term.  It carries one particle block,
+    (points, weights): mu0's particles first, then one cohort of nu's per
+    flow node, appended as it is injected, weighted by the width of the
+    following interval (rectangle rule).
 
-    With no source the particles come in index order: output particle
-    (q, i), at position q * mu0.size + i, is mu0 particle i pushed to h-node
-    q, with weight w_q * w_i.  Two calls on the same mu0 and h-rules thus
-    give index-aligned ensembles, which ``picard._coupling_bound`` pairs.
+    The particles come in index order: output particle (q, i), at position
+    q * mu0.size + i with no source, is particle i of the block at h-node q,
+    with weight w_q * w_i.  Two calls on the same mu0 and h-rules thus give
+    index-aligned ensembles, which ``picard._coupling_bound`` pairs.
     """
-    x = mu0.points.astype(float)
-    src_pts = np.zeros((0, mu0.dim))
-    src_wts = np.zeros(0)
-    at_node = [(x, src_pts, src_wts)]
+    points, weights = mu0.points.astype(float), mu0.weights
+    at_node = [(points, weights)]
     with np.errstate(over="ignore", invalid="ignore"):  # _check_flow raises instead
         for j, (s_a, s_b) in enumerate(zip(nodes[:-1].tolist(), nodes[1:].tolist())):
             if nu is not None and nu.size:
-                src_pts = np.concatenate([src_pts, nu.points])
-                src_wts = np.concatenate([src_wts, (s_b - s_a) * nu.weights])
-            moved = advance(np.concatenate([x, src_pts]), j)
-            x, src_pts = moved[: x.shape[0]], moved[x.shape[0] :]
-            at_node.append((x, src_pts, src_wts))
-    _check_flow(x, src_pts)
+                points = np.concatenate([points, nu.points])
+                weights = np.concatenate([weights, (s_b - s_a) * nu.weights])
+            points = advance(points, j)
+            at_node.append((points, weights))
+    _check_flow(points)
 
     measures = []
-    for h_nodes, weights in h_rules:
-        pts, wts = [], []
-        for j, w_q in zip(np.searchsorted(nodes, h_nodes).tolist(), weights):
-            base, d_pts, d_wts = at_node[j]
-            pts += [base, d_pts]
-            wts += [w_q * mu0.weights, w_q * d_wts]
-        measures.append(EmpiricalMeasure(points=np.concatenate(pts), weights=np.concatenate(wts)))
+    for h_nodes, h_weights in h_rules:
+        blocks = [at_node[j] for j in np.searchsorted(nodes, h_nodes).tolist()]
+        measures.append(EmpiricalMeasure(points=np.concatenate([p for p, _ in blocks]),
+                                         weights=np.concatenate([w_q * w for w_q, (_, w) in zip(h_weights, blocks)])))
     return measures
 
 

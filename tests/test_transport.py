@@ -180,8 +180,8 @@ def test_path_lookup_field_matches_measure_by_measure_average(field):
 
 @pytest.mark.parametrize("beta", [0.5, 0.7, 1.0])
 def test_segment_mass_rows_equal_per_rule_masses(beta):
-    # rows started where a lookup crosses a grid time, one bincount for all,
-    # give at every stage the masses that looking up its g-rule on its own
+    # one bincount over every stage's lookups, equal neighbours merged,
+    # gives at every stage the masses that looking up its g-rule on its own
     # gives, bit for bit
     beta = FracOrder(beta)
     cfg = _cfg(times=(0.25, 0.5), q_h=8, q_g=16, ode_step=0.05, t_ext=1.3)
