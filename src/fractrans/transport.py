@@ -165,7 +165,8 @@ class SolverConfig:
     h-rule (see ``rules.h_quadrature``); ``eps_tail`` sets the tails:
     the rule the h-rule is planned on cuts W where e^(-W) =
     0.05 min(eps_tail, 1e-12), and the composite g-rule's tail target is
-    0.05 max(eps_tail, 1e-8).
+    0.05 max(eps_tail, 1e-8), so any value in [1e-12, 1e-8], the default
+    among them, changes neither rule.
     ``ode_step`` is the RK4 step where the full h-weight is fed; later
     intervals take min(ode_step * W^(-1/5), 1/Lip), W the h-weight they
     still feed and Lip the constant of the step guard (see
@@ -447,30 +448,36 @@ def _check_flow(points):
 def _average_push_forwards(advance, mu0, nu, h_rules, nodes) -> list:
     """One measure per h-rule: sum_q w_q (Phi_{s_q} # mu0 + Duhamel_{s_q}),
 
-        Duhamel_s = sum over flow nodes r < s of dr * Phi_{r -> s} # nu,
+        Duhamel_s = integral over r in [0, s] of Phi_{r -> s} # nu dr,
 
-    for the source measure ``nu`` (None for no source).  One flow sweep over
-    the flow ``nodes`` (which hold every h-node), where ``advance(points, j)``
-    moves raw positions across interval j = [nodes[j], nodes[j + 1]] (see
-    ``_flow_advance``), covers every term.  It carries one particle block,
-    (points, weights): mu0's particles first, then one cohort of nu's per
-    flow node, appended as it is injected, weighted by the width of the
-    following interval (rectangle rule).
+    for the source measure ``nu`` (None for no source), by the trapezoid
+    rule on the flow ``nodes`` (which hold every h-node).  One flow sweep,
+    where ``advance(points, j)`` moves raw positions across interval
+    j = [nodes[j], nodes[j + 1]] (see ``_flow_advance``), covers every term.
+    It carries one particle block, (points, weights): mu0's particles first,
+    then one cohort of nu's per flow node, appended as it is injected.  The
+    cohort of node j weighs (dr_left + dr_right) / 2, the widths of the
+    intervals on either side, once advected, and dr_left / 2 as read at
+    node j itself, so the source mass at a node n_k is n_k * mass(nu).
 
     The particles come in index order: output particle (q, i), at position
     q * mu0.size + i with no source, is particle i of the block at h-node q,
     with weight w_q * w_i.  Two calls on the same mu0 and h-rules thus give
     index-aligned ensembles, which ``picard._coupling_bound`` pairs.
     """
+    widths = np.diff(nodes).tolist()
     points, weights = mu0.points.astype(float), mu0.weights
-    at_node = [(points, weights)]
+    at_node = []
     with np.errstate(over="ignore", invalid="ignore"):  # _check_flow raises instead
-        for j, (s_a, s_b) in enumerate(zip(nodes[:-1].tolist(), nodes[1:].tolist())):
+        for j, (left, right) in enumerate(zip([0.0] + widths, widths + [0.0])):
+            if j:
+                points = advance(points, j - 1)
             if nu is not None and nu.size:
                 points = np.concatenate([points, nu.points])
-                weights = np.concatenate([weights, (s_b - s_a) * nu.weights])
-            points = advance(points, j)
-            at_node.append((points, weights))
+                at_node.append((points, np.concatenate([weights, 0.5 * left * nu.weights])))
+                weights = np.concatenate([weights, 0.5 * (left + right) * nu.weights])
+            else:
+                at_node.append((points, weights))
     _check_flow(points)
 
     measures = []
@@ -569,9 +576,9 @@ def solve_with_source(
     no source), constant in time, by the double average
 
         mu_t = integral of (Phi_s # mu0 + Duhamel_s) h_beta(s, t) ds,
-        Duhamel_s = sum over flow nodes r < s of dr * Phi_{r -> s} # nu.
+        Duhamel_s = integral over r in [0, s] of Phi_{r -> s} # nu dr.
 
-    The inner integral uses the rectangle rule on the flow node grid; nu's
+    The inner integral uses the trapezoid rule on the flow node grid; nu's
     particles are injected at each node and advected together with the
     initial ensemble, so one flow sweep covers every term.  Mass grows by
     the accumulated source mass under the double average (reported in the
@@ -590,7 +597,7 @@ def solve_with_source(
     if nu is not None and nu.size and np.any(nu.weights <= 0.0):
         raise ValueError("the source measure must be nonnegative")
     # at beta = 1 the h-nodes are the output times alone, too coarse for the
-    # Duhamel rectangle rule, so the flow also steps through the ode_step grid
+    # Duhamel trapezoid rule, so the flow also steps through the ode_step grid
     fine = np.arange(0.0, config.times[-1] + 1e-12, config.ode_step) if beta.is_classical else ()
     _check_step(config.ode_step, v.lip)
     h_rules = _h_rules(beta, config.times, config)

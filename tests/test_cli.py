@@ -634,7 +634,7 @@ def test_verify_report_and_exit_code(tmp_path, monkeypatch, code, failing):
     out = tmp_path / "o"
     assert main(["verify", "--config", _write_config(tmp_path, "v.json", {}), "--out", str(out)]) == code
     report = json.loads((out / "verify.json").read_text())
-    assert len(report["checks"]) == 13
+    assert len(report["checks"]) == 14
     assert [c["name"] for c in report["checks"] if not c["pass"]] == failing
     assert report["all_pass"] == (not failing)
 

@@ -114,7 +114,7 @@ def test_verify_without_scipy_runs_every_check(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0 and result["bl"] == pytest.approx(2.0 / 3.0, abs=1e-15)
     checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
-    assert len(checks) == 13 and all(c["pass"] for c in checks)
+    assert len(checks) == 14 and all(c["pass"] for c in checks)
 
 
 def test_pyproject_requires_numpy_alone():

@@ -1121,6 +1121,25 @@ def test_freezing_tail_probability_half_order_closed_form():
     np.testing.assert_allclose(freezing_tail_probability(B, s, 1.0), exact, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("field", [repulsion_field(), attraction_field()], ids=["repulsion", "attraction"])
+def test_particle_refinement_stays_within_the_clock_averaged_gronwall_bound(field):
+    # the stability estimate d_BL(mu_t, nu_t) <= C d_BL(mu_0, nu_0) on a
+    # refinement in N: uniform grids of 16 and 64 particles of unit mass on
+    # [-1, 1], t = 1/2.  C is fixed in advance, never from a run: both
+    # kernels are 1-Lipschitz, so the classical W1 distance grows by at most
+    # e^(2s) by internal time s (Canizo, Carrillo & Rosado, M3AS 21 (2011)),
+    # E[e^(2 E_t)] = E_beta(2 t^beta) averaged over the clock; d_BL <= W1 at
+    # t, and W1 <= 2 d_BL for unit masses on [-1, 1]
+    cfg = SolverConfig(times=(0.5,), q_h=16, q_g=8)
+    bound = 2.0 * mittag_leffler(B, 2.0 * 0.5**0.5)
+    grids = [EmpiricalMeasure(points=np.linspace(-1.0, 1.0, n)[:, None], weights=np.full(n, 1.0 / n))
+             for n in (16, 64)]
+    coarse, fine = (solve_nonlinear(B, field, mu0, cfg).measures[-1] for mu0 in grids)
+    d_0 = bl_distance(*grids)
+    assert d_0 > 0.0
+    assert bl_distance(coarse, fine) <= bound * d_0
+
+
 # ---------------------------------------------------------------------------
 # Source term
 # ---------------------------------------------------------------------------
@@ -1153,6 +1172,32 @@ def test_source_mass_growth_classical():
     path = solve_with_source(beta1, ZERO, _dirac(), nu, cfg)
     assert total_mass(path.measures[1]) == pytest.approx(1.5, rel=1e-10)
     assert total_mass(path.measures[2]) == pytest.approx(2.0, rel=1e-10)
+
+
+def test_source_mean_vector_converges_at_second_order_in_the_node_spacing():
+    # damping field, 10 x 10 grid on [-1, 1]^2, unit Dirac source at
+    # x_s = (1/2, 1/2), beta 1/2: the unnormalized mean vector is
+    # x_s + (M_0 - x_s) E_beta(-t^beta).  The source integral on the flow
+    # nodes is a trapezoid rule, so its error is small at q_h 24 and falls
+    # faster than the node spacing from q_h 24 to 48; a rectangle rule
+    # misses by 2.4e-2 and 1.35e-2 (bounds fixed before the first run)
+    axis = np.linspace(-1.0, 1.0, 10)
+    points = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    mu0 = EmpiricalMeasure(points=points, weights=np.full(100, 0.01))
+    x_s = np.array([0.5, 0.5])
+    m_0 = mu0.weights @ mu0.points
+
+    def mean_error(q_h):
+        path = solve_with_source(B, AffineField(matrix=-1.0), mu0, EmpiricalMeasure.dirac(x_s),
+                                 SolverConfig(times=(0.5, 1.0), q_h=q_h))
+        return max(
+            np.abs(mu.weights @ mu.points - (x_s + (m_0 - x_s) * mittag_leffler(B, -(t**0.5)))).max()
+            for t, mu in zip(path.times[1:], path.measures[1:])
+        )
+
+    coarse, fine = mean_error(24), mean_error(48)
+    assert coarse <= 2.5e-3
+    assert coarse >= 2.5 * fine
 
 
 def test_source_rejects_negative():
