@@ -1174,13 +1174,13 @@ def test_source_mass_growth_classical():
     assert total_mass(path.measures[2]) == pytest.approx(2.0, rel=1e-10)
 
 
-def test_source_mean_vector_converges_at_second_order_in_the_node_spacing():
+def test_source_mean_vector_error_falls_faster_than_the_node_spacing():
     # damping field, 10 x 10 grid on [-1, 1]^2, unit Dirac source at
     # x_s = (1/2, 1/2), beta 1/2: the unnormalized mean vector is
     # x_s + (M_0 - x_s) E_beta(-t^beta).  The source integral on the flow
     # nodes is a trapezoid rule, so its error is small at q_h 24 and falls
-    # faster than the node spacing from q_h 24 to 48; a rectangle rule
-    # misses by 2.4e-2 and 1.35e-2 (bounds fixed before the first run)
+    # faster than the node spacing from q_h 24 to 48, where a rectangle rule
+    # would miss by 2.4e-2 and 1.35e-2 (bounds fixed before the first run)
     axis = np.linspace(-1.0, 1.0, 10)
     points = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
     mu0 = EmpiricalMeasure(points=points, weights=np.full(100, 0.01))
