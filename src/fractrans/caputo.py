@@ -8,7 +8,6 @@ weak-formulation residual used to validate solver output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +20,12 @@ __all__ = ["TimeSeries", "caputo_l1", "rl_integral", "weak_residual"]
 _GRID_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class TimeSeries:
     """Values sampled on a uniform grid 0 = t_0 < ... < t_M."""
 
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).ravel()
-        values = np.asarray(self.values, dtype=float).ravel()
+    def __init__(self, grid, values):
+        grid = np.asarray(grid, dtype=float).ravel()
+        values = np.asarray(values, dtype=float).ravel()
         if grid.size != values.size:
             raise ValueError("grid and values must have equal length")
         if grid.size < 2:
@@ -45,8 +40,7 @@ class TimeSeries:
         values = values.copy()
         grid.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        self.grid, self.values = grid, values
 
     @property
     def dt(self) -> float:

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import gc
 import importlib
+import inspect
 import json
 import math
 import numbers
@@ -62,13 +62,11 @@ class ConfigError(ValueError):
 _REQUIRED = object()  # the default of a key that must be given
 
 
-@dataclasses.dataclass(frozen=True)
 class _Key:
     """A config key: its type (in ``_TYPES``), default and least value."""
 
-    type: str
-    default: object = _REQUIRED
-    least: int | None = None
+    def __init__(self, type: str, default=_REQUIRED, least: int | None = None):
+        self.type, self.default, self.least = type, default, least
 
 
 #: each type's description, its JSON class (bool is never a number) and its conversion
@@ -161,12 +159,13 @@ def _bind(*modules):
         mod = importlib.import_module(f".{module}", __package__)
         names = {name: getattr(mod, name) for name in _SOLVE_NAMES[module] if not name.startswith("_")}
         if module == "transport":
-            fields = dataclasses.fields(mod.SolverConfig)
-            # every SolverConfig field but ``times`` (a top-level key), typed as its default
-            names["_SOLVER"] = {f.name: _Key({int: "integer", float: "number"}[type(f.default)], f.default)
-                                for f in fields if f.name != "times"}
+            # every SolverConfig knob: its keyword arguments but ``times`` (a
+            # top-level key), each typed as its default, the class attribute
+            knobs = inspect.signature(mod.SolverConfig).parameters.values()
+            names["_SOLVER"] = {p.name: _Key({int: "integer", float: "number"}[type(p.default)], p.default)
+                                for p in knobs if p.name != "times"}
             # the solver keys that only the nonlinear problem reads
-            names["_NONLINEAR_ONLY"] = [f.name for f in fields if f.metadata.get("nonlinear")]
+            names["_NONLINEAR_ONLY"] = list(mod.SolverConfig.NONLINEAR_ONLY)
         for name, value in names.items():
             globals().setdefault(name, value)
 

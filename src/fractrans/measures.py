@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class EmpiricalMeasure:
     """Finite positive measure sum_i w_i delta_{x_i} on R^d.
 
@@ -39,12 +37,9 @@ class EmpiricalMeasure:
     after construction.
     """
 
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).ravel()
+    def __init__(self, points, weights):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        weights = np.asarray(weights, dtype=float).ravel()
         if points.size == 0:
             points = points.reshape(0, points.shape[-1] if points.ndim == 2 else 1)
         if points.shape[0] != weights.shape[0]:
@@ -59,8 +54,7 @@ class EmpiricalMeasure:
         weights = weights.copy()
         points.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
+        self.points, self.weights = points, weights
 
     @property
     def dim(self) -> int:
@@ -106,27 +100,23 @@ def push_forward(mu: EmpiricalMeasure, mapping) -> EmpiricalMeasure:
     return EmpiricalMeasure(points=new_points, weights=mu.weights)
 
 
-@dataclass
 class MeasurePath:
     """Time-indexed family of measures on a common grid starting at 0."""
 
-    times: np.ndarray
-    measures: list
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).ravel()
+    def __init__(self, times, measures: list, diagnostics: dict | None = None):
+        times = np.asarray(times, dtype=float).ravel()
         if times.size == 0 or times[0] != 0.0:
             raise ValueError("path grid must start at t = 0")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("path grid must be strictly increasing")
-        if len(self.measures) != times.size:
+        if len(measures) != times.size:
             raise ValueError("one measure per grid point required")
-        dims = {m.dim for m in self.measures}
+        dims = {m.dim for m in measures}
         if len(dims) > 1:
             raise ValueError(f"measures have mixed dimensions {sorted(dims)}")
         times.setflags(write=False)
-        self.times = times
+        self.times, self.measures = times, measures
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     @property
     def dim(self) -> int:

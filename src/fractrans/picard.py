@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +65,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class InteractionField:
     """Interaction field v[mu](x) = sum_j w_j K(x - y_j).
 
@@ -75,9 +73,8 @@ class InteractionField:
     arguments.
     """
 
-    kernel: object
-    bound: float
-    lip: float
+    def __init__(self, kernel, bound: float, lip: float):
+        self.kernel, self.bound, self.lip = kernel, bound, lip
 
     def field(self, x, points, weights) -> np.ndarray:
         """v[mu](x) for mu = sum_j weights_j delta_{points_j}, given as raw
@@ -403,7 +400,7 @@ def solve_nonlinear(
     start = MeasurePath(times=grid, measures=[mu0] * grid.size)
     fine = _sweep_map(v, mu0, g_rule, h_rules, grid, config)
     coarse_step = min(_COARSE_FACTOR * config.ode_step, 1.0 / lip if lip > 0.0 else math.inf)
-    coarse = _sweep_map(v, mu0, g_rule, h_rules, grid, replace(config, ode_step=coarse_step))
+    coarse = _sweep_map(v, mu0, g_rule, h_rules, grid, config.replace(ode_step=coarse_step))
     coarse_log = []
     if coarse.rk4_steps <= _COARSE_MAX_SHARE * fine.rk4_steps:
         image, coarse_log = _picard(coarse, start, config)

@@ -20,7 +20,6 @@ field is autonomous (every explicit CLI velocity) builds no g-rule, so a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = ["QuadratureRule", "h_quadrature", "g_quadrature"]
 TOL_NORM = 1e-8
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights for an integral against h_beta or g_beta, as built
     by ``h_quadrature`` or ``g_quadrature``.
@@ -44,30 +42,25 @@ class QuadratureRule:
     whose weights sum to 1.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    tail_mass: float
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, nodes, weights, tail_mass: float):
+        nodes = np.asarray(nodes, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("quadrature nodes must be strictly increasing")
         if np.any(weights < 0):
             raise ValueError("quadrature weights must be nonnegative")
-        if self.tail_mass < 0:
+        if tail_mass < 0:
             raise ValueError("tail mass must be nonnegative")
-        total = float(weights.sum()) + self.tail_mass
+        total = float(weights.sum()) + tail_mass
         if not (1.0 - TOL_NORM <= total <= 1.0 + TOL_NORM):
             raise ValueError(
                 f"weights + tail mass = {total!r} outside normalization tolerance"
             )
+        self.nodes, self.weights, self.tail_mass = nodes, weights, tail_mass
 
     def integrate(self, f) -> float:
         """Fixed-order weighted sum of f over the nodes."""

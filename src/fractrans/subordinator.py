@@ -20,7 +20,6 @@ it is called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +38,14 @@ __all__ = [
 _FODE_STABILITY = 0.5
 
 
-@dataclass(frozen=True)
 class FracOrder:
     """Fractional order beta in (0, 1]; beta = 1 is the classical regime."""
 
-    beta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"fractional order must lie in (0, 1], got {self.beta}")
+    def __init__(self, beta: float):
+        # a bool is an int, and True would read as classical transport
+        if isinstance(beta, bool) or not (0.0 < beta <= 1.0):
+            raise ValueError(f"fractional order must lie in (0, 1], got {beta}")
+        self.beta = beta
 
     @property
     def is_classical(self) -> bool:
@@ -77,12 +75,11 @@ def _log_kanter_clock(b: float, u, log_w):
     return (1.0 - b) * (log_w - _log_zolotarev_a(u, b))
 
 
-@dataclass(frozen=True)
 class RngSpec:
     """Reproducible stream label: (seed, stream_id) fixes all draws."""
 
-    seed: int
-    stream_id: int = 0
+    def __init__(self, seed: int, stream_id: int = 0):
+        self.seed, self.stream_id = seed, stream_id
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.stream_id])

@@ -48,7 +48,6 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,7 +88,6 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExplicitField:
     """Time-dependent field v(x, t): (N, d) positions -> (N, d) velocities.
 
@@ -104,9 +102,8 @@ class ExplicitField:
     does not show there gives wrong answers, without any warning.
     """
 
-    func: object
-    lip: float
-    autonomous: bool = False
+    def __init__(self, func, lip: float, autonomous: bool = False):
+        self.func, self.lip, self.autonomous = func, lip, autonomous
 
     def __call__(self, x, t):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -153,7 +150,6 @@ class AffineField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SolverConfig:
     """Numerical knobs shared by all solvers.
 
@@ -171,36 +167,49 @@ class SolverConfig:
     intervals take min(ode_step * W^(-1/5), 1/Lip), W the h-weight they
     still feed and Lip the constant of the step guard (see
     ``_flow_schedule``), and the coarse Picard level steps
-    min(16 ode_step, 1/Lip).  The knobs that only the nonlinear solver
-    reads carry ``metadata={"nonlinear": True}``.
+    min(16 ode_step, 1/Lip).  The knobs are the keyword arguments after
+    ``times``, and their defaults are the class attributes of the same
+    names; ``NONLINEAR_ONLY`` names the knobs that only the nonlinear
+    solver reads.  ``replace`` returns a validated copy with some knobs
+    changed.
     """
 
-    times: tuple
-    q_h: int = 24
-    q_g: int = 32
-    eps_tail: float = 1e-10
-    ode_step: float = 1e-2
-    picard_tol: float = field(default=1e-3, metadata={"nonlinear": True})
-    picard_max_iters: int = field(default=30, metadata={"nonlinear": True})
-    t_ext: float = field(default=0.0, metadata={"nonlinear": True})
+    q_h = 24
+    q_g = 32
+    eps_tail = 1e-10
+    ode_step = 1e-2
+    picard_tol = 1e-3
+    picard_max_iters = 30
+    t_ext = 0.0
+    NONLINEAR_ONLY = ("picard_tol", "picard_max_iters", "t_ext")
 
-    def __post_init__(self):
-        counts = (self.q_h, self.q_g, self.picard_max_iters)
-        if not all(isinstance(n, (int, np.integer)) for n in counts):
+    # each default is the class attribute above, read when the body runs
+    def __init__(self, times, q_h: int = q_h, q_g: int = q_g, eps_tail: float = eps_tail,
+                 ode_step: float = ode_step, picard_tol: float = picard_tol,
+                 picard_max_iters: int = picard_max_iters, t_ext: float = t_ext):
+        # a bool is an int: True would be one Picard sweep
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in (q_h, q_g, picard_max_iters)):
             raise ValueError("q_h, q_g and picard_max_iters must be integers")
-        reals = (self.eps_tail, self.ode_step, self.picard_tol, self.t_ext)
         if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-                   for x in reals):
+                   for x in (eps_tail, ode_step, picard_tol, t_ext)):
             raise ValueError("eps_tail, ode_step, picard_tol and t_ext must be real numbers and finite")
-        times = tuple(float(t) for t in self.times)
+        times = tuple(float(t) for t in times)
         # 0 < t_1 < ... < t_n < inf, which no NaN meets
         if not times or not all(a < b for a, b in zip((0.0,) + times, times + (math.inf,))):
             raise ValueError(f"output times must be positive and strictly increasing, got {list(times)}")
-        object.__setattr__(self, "times", times)
-        if self.t_ext and self.t_ext < times[-1]:
+        if t_ext and t_ext < times[-1]:
             raise ValueError("t_ext must reach at least the last output time")
-        if self.ode_step <= 0.0 or self.picard_tol <= 0.0 or self.picard_max_iters < 1:
+        if ode_step <= 0.0 or picard_tol <= 0.0 or picard_max_iters < 1:
             raise ValueError("ode_step, picard_tol, picard_max_iters must be positive")
+        self.times = times
+        self.q_h, self.q_g, self.eps_tail, self.ode_step = q_h, q_g, eps_tail, ode_step
+        self.picard_tol, self.picard_max_iters, self.t_ext = picard_tol, picard_max_iters, t_ext
+
+    def replace(self, **changes) -> SolverConfig:
+        """A copy with the knobs in ``changes`` set, validated as a new
+        config; TypeError for a name that is not a knob."""
+        return SolverConfig(**{**vars(self), **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +288,22 @@ def _check_step(ode_step: float, lip: float):
         )
 
 
+#: the most RK4 steps one flow sweep may take.  Laying out one step keeps
+#: about 160 bytes and takes about 0.8 us (numpy 2.4, Python 3.11, 2-vCPU
+#: VM), so a sweep of 10^7 steps holds some 1.6 GB and spends 8 s before
+#: its first field call, of four per step; the benchmark's solves take
+#: under 500 steps.  A count past it comes from an ``ode_step`` too small
+#: for any run to finish, whose schedule would fill memory without end.
+_MAX_RK4_STEPS = 10**7
+
+
+def _check_step_count(n_steps: float):
+    """Reject a flow sweep of more than ``_MAX_RK4_STEPS`` RK4 steps."""
+    if n_steps > _MAX_RK4_STEPS:
+        raise ValueError(f"ode_step too small: the flow would take {n_steps:.3g} RK4 steps, "
+                         f"more than {_MAX_RK4_STEPS:.0e}")
+
+
 def _stage_schedule(nodes: np.ndarray, max_step):
     """RK4 stages of one flow sweep through the sorted flow ``nodes``, in
     steps of at most ``max_step`` (a number, or one per interval), the last
@@ -289,8 +314,13 @@ def _stage_schedule(nodes: np.ndarray, max_step):
     times[k], times[k + 1] and times[k + 2].  A step ends at the float its
     successor starts from, so only an interval's first stage can be new.
     The solvers on h-rules size the steps with ``_flow_schedule``; the Monte
-    Carlo grid, whose every point a clock may read, steps at ``ode_step``."""
-    caps = np.broadcast_to(max_step, nodes[:-1].shape).tolist()
+    Carlo grid, whose every point a clock may read, steps at ``ode_step``.
+    ValueError, before any stage is laid out, if the steps would number
+    more than ``_MAX_RK4_STEPS``."""
+    caps = np.broadcast_to(max_step, nodes[:-1].shape)
+    with np.errstate(over="ignore"):  # an overflowing count is inf, and rejected
+        _check_step_count(np.ceil(np.diff(nodes) / caps).sum())
+    caps = caps.tolist()
     times, steps = [], []
     for s_a, s_b, cap in zip(nodes[:-1].tolist(), nodes[1:].tolist(), caps):
         if not times or times[-1] != s_a:
@@ -538,6 +568,7 @@ def solve_linear_mc(
     e_1 = sample_inverse(beta, 1.0, rng, size=n_paths)
     clocks = np.outer(e_1, np.asarray(config.times) ** beta.beta)
     s_max = float(clocks.max())
+    _check_step_count(s_max / config.ode_step)  # before the grid is allocated
     n_steps = max(int(math.ceil(s_max / config.ode_step)), 1)
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
     times, steps = _stage_schedule(s_grid, config.ode_step)
@@ -597,7 +628,10 @@ def solve_with_source(
     if nu is not None and nu.size and np.any(nu.weights <= 0.0):
         raise ValueError("the source measure must be nonnegative")
     # at beta = 1 the h-nodes are the output times alone, too coarse for the
-    # Duhamel trapezoid rule, so the flow also steps through the ode_step grid
+    # Duhamel trapezoid rule, so the flow also steps through the ode_step
+    # grid, whose size is checked before it is allocated
+    if beta.is_classical:
+        _check_step_count(config.times[-1] / config.ode_step)
     fine = np.arange(0.0, config.times[-1] + 1e-12, config.ode_step) if beta.is_classical else ()
     _check_step(config.ode_step, v.lip)
     h_rules = _h_rules(beta, config.times, config)

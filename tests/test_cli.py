@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line interface."""
 
-import dataclasses
 import json
 import math
 import os
@@ -683,8 +682,22 @@ def test_picard_keys_rejected_where_not_read(tmp_path, capsys, problem, extra, k
     assert not out.exists()
 
 
+def test_solver_table_is_the_solver_config_knobs(monkeypatch):
+    # the solver keys, their defaults and their JSON types come from
+    # SolverConfig, bound afresh here, so a new knob is a new key without a
+    # second table
+    monkeypatch.delitem(vars(cli), "_SOLVER")
+    monkeypatch.delitem(vars(cli), "_NONLINEAR_ONLY", raising=False)
+    defaults = vars(SolverConfig(times=(1.0,)))
+    del defaults["times"]
+    assert {name: key.default for name, key in cli._SOLVER.items()} == defaults
+    assert {name: key.type for name, key in cli._SOLVER.items()} == {
+        name: "integer" if isinstance(value, int) else "number" for name, value in defaults.items()}
+    assert cli._NONLINEAR_ONLY == list(SolverConfig.NONLINEAR_ONLY)
+
+
 def test_manifest_lists_the_solver_keys_the_problem_reads(tmp_path):
-    picard = {f.name for f in dataclasses.fields(SolverConfig) if f.metadata.get("nonlinear")}
+    picard = set(SolverConfig.NONLINEAR_ONLY)
     assert picard and picard < set(_SOLVER)
     for problem, extra, velocity in (
         ("linear", {}, {"kind": "damping"}),

@@ -6,7 +6,9 @@ names on first access.  ``import fractrans.cli``, ``--version``,
 ``subordinator``; ``kernels`` adds ``rules`` and ``specfun``; only
 ``solve`` and ``verify`` load ``measures`` and ``transport``, and only a
 ``nonlinear`` solve loads ``picard``, which a ``linear`` or ``source``
-solve does not need, and with it ``specfun``.  ``cli`` binds the names it
+solve does not need, and with it ``specfun``.  No command imports
+``dataclasses``: the package's records are plain classes, so none is
+built at start-up.  ``cli`` binds the names it
 reads from those modules on first use, through its module ``__getattr__``.
 The names stay attributes of ``cli``: ``perfbench/tracer.py`` wraps
 ``cli.solve_linear``, ``cli.path_to_csv`` and their siblings before a
@@ -100,8 +102,10 @@ if step in ("--version", "--help"):
 elif not step.startswith("import"):
     with open(f"{out}/cfg.json", "w") as handle:
         json.dump(json.loads(sys.argv[3]), handle)
-    assert main([step, "--config", f"{out}/cfg.json", "--out", out]) == 0
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "fractrans")))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([step, "--config", f"{out}/cfg.json", "--out", out]) == 0
+print(json.dumps([sorted(name for name in sys.modules if name.split(".")[0] == "fractrans"),
+                  "dataclasses" in sys.modules]))
 """
 
 _START = ["fractrans", "fractrans.atomic", "fractrans.cli", "fractrans.errors", "fractrans.subordinator"]
@@ -123,6 +127,8 @@ _STEPS = [
     ("solve source", "solve", _RUNS["source"], sorted(_START + _SOLVE)),
     ("solve nonlinear", "solve", _RUNS["nonlinear"],
      sorted(_START + _SOLVE + ["fractrans.picard", "fractrans.specfun"])),
+    ("verify", "verify", {},
+     sorted(_START + _SOLVE + ["fractrans.distances", "fractrans.specfun", "fractrans.verify"])),
 ]
 
 
@@ -130,7 +136,9 @@ _STEPS = [
 def test_fresh_process_loads_exactly(tmp_path, step, cfg, expected):
     proc = _run(_FRESH, str(tmp_path), step, json.dumps(cfg))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == expected
+    modules, dataclasses_loaded = json.loads(proc.stdout)
+    assert modules == expected
+    assert not dataclasses_loaded
 
 
 _LAZY_PACKAGE = """

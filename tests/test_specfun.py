@@ -45,6 +45,10 @@ def test_frac_order_validates_range():
         FracOrder(1.5)
     with pytest.raises(ValueError):
         FracOrder(-0.3)
+    # a bool is an int, and True would read as classical transport
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="fractional order"):
+            FracOrder(flag)
 
 
 def test_frac_order_classical_flag():

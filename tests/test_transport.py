@@ -6,10 +6,11 @@ the mean position is the Mittag-Leffler function of -t^b; the symmetric
 two-Dirac aggregation contracts the spread by the same factor.
 """
 
-import dataclasses
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import fractrans
-from fractrans import picard, transport
+from fractrans import cli, picard, transport
 from fractrans.distances import bl_distance
 from fractrans.errors import PicardConvergenceError
 from fractrans.measures import (
@@ -553,7 +554,7 @@ def test_mislabelled_autonomous_field_is_rejected():
                 solve(beta, decay, _dirac())
         # unmarked, the field is averaged; with no initial particle there is
         # nothing to check
-        solve(B, dataclasses.replace(decay, autonomous=False), _dirac())
+        solve(B, ExplicitField(func=decay.func, lip=decay.lip, autonomous=False), _dirac())
         solve(B, decay, empty)
 
 
@@ -564,6 +565,66 @@ def test_solvers_reject_steps_beyond_the_lipschitz_scale():
         solve_linear(B, DAMP, _dirac(), cfg)
     with pytest.raises(ValueError, match="too large for Lipschitz constant"):
         solve_linear_mc(B, DAMP, _dirac(), cfg, n_paths=10)
+
+
+class _Overran(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Raise _Overran in a block still running after ``seconds``: a flow
+    schedule with no step budget would lay out stages, and fill memory,
+    without end."""
+
+    def overran(signum, frame):
+        raise _Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("beta", [B, FracOrder(1.0)])
+def test_solvers_reject_a_step_too_small_for_any_run(beta):
+    # 1e-300 passes the Lipschitz guard and would take ~1e300 RK4 steps;
+    # every solver refuses it before laying out a stage, the Picard solve
+    # on both its coarse and its fine schedule
+    cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=1e-300)
+    solves = [
+        lambda: solve_linear(beta, DAMP, _dirac(), cfg),
+        lambda: solve_with_source(beta, DAMP, _dirac(), _dirac(0.5), cfg),
+        lambda: solve_linear(beta, AffineField(matrix=-1.0), _dirac(), cfg),
+        lambda: solve_linear_mc(beta, DAMP, _dirac(), cfg, n_paths=10),
+        lambda: solve_nonlinear(beta, repulsion_field(), _two_diracs(), cfg),
+    ]
+    grid = np.array([0.0, 0.5])
+    h_rules = transport._h_rules(beta, (0.5,), cfg)
+    for level_step in (cfg.ode_step, picard._COARSE_FACTOR * cfg.ode_step):  # fine, coarse
+        solves.append(lambda step=level_step: picard._sweep_map(
+            repulsion_field(), _two_diracs(), _GRule(beta, cfg), h_rules, grid, cfg.replace(ode_step=step)))
+    with _within(1.0):
+        for solve in solves:
+            with pytest.raises(ValueError, match="ode_step too small"):
+                solve()
+
+
+def test_cli_exits_2_on_a_step_too_small_for_any_run(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "problem": "linear", "beta": 0.5, "times": [0.5], "velocity": {"kind": "damping"},
+        "initial": {"kind": "dirac", "point": [1.0]}, "solver": {"ode_step": 1e-300},
+    }))
+    out = tmp_path / "o"
+    with _within(1.0):
+        assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ode_step too small") and len(err.splitlines()) == 1
+    assert not any(out.glob("*"))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the flow is computed with numpy's warnings off
@@ -949,7 +1010,7 @@ def test_anderson_driver_beats_plain_picard():
     mu0 = _two_diracs(0.5)
     image, log = picard._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
     _, plain_sweeps = _plain_picard(repulsion_field(), mu0, cfg)
-    ref, _ = _plain_picard(repulsion_field(), mu0, dataclasses.replace(cfg, picard_tol=1e-8))
+    ref, _ = _plain_picard(repulsion_field(), mu0, cfg.replace(picard_tol=1e-8))
     assert len(log) < plain_sweeps
     for k in (1, 2):
         assert moment(image.measures[-1], k) == pytest.approx(moment(ref.measures[-1], k), abs=1e-3)
@@ -1007,7 +1068,7 @@ def test_coarse_level_that_does_not_converge_still_lets_the_solve_converge(monke
 
     def coarse_stops_early(sweep, start, config):
         if sweep.rk4_steps < 238:  # the coarse map
-            return run_picard(sweep, start, dataclasses.replace(config, picard_max_iters=1))
+            return run_picard(sweep, start, config.replace(picard_max_iters=1))
         return run_picard(sweep, start, config)
 
     monkeypatch.setattr(picard, "_picard", coarse_stops_early)
@@ -1373,3 +1434,33 @@ def test_solver_config_rejects_non_finite_reals(knob, value):
     # the CLI rejects NaN and Infinity in its config; the Python API must too
     with pytest.raises(ValueError, match="finite"):
         SolverConfig(times=(1.0,), **{knob: value})
+
+
+@pytest.mark.parametrize("knob", ["q_h", "q_g", "picard_max_iters"])
+@pytest.mark.parametrize("value", [True, False])
+def test_solver_config_rejects_a_bool_count(knob, value):
+    # a bool is an int: picard_max_iters=True would run one Picard sweep
+    with pytest.raises(ValueError, match="must be integers"):
+        SolverConfig(times=(1.0,), **{knob: value})
+    # numpy integers are counts
+    SolverConfig(times=(1.0,), **{knob: np.int64(8)})
+
+
+def test_solver_config_replace_validates_the_copy():
+    cfg = SolverConfig(times=(0.5, 1.0), q_h=8, picard_tol=1e-4)
+    copy = cfg.replace(ode_step=0.05, q_g=8)
+    assert vars(copy) == {**vars(cfg), "ode_step": 0.05, "q_g": 8}
+    assert cfg.ode_step == SolverConfig.ode_step and cfg.q_g == SolverConfig.q_g
+    with pytest.raises(ValueError, match="must be positive"):
+        cfg.replace(ode_step=-1.0)
+    with pytest.raises(ValueError, match="t_ext must reach"):
+        cfg.replace(t_ext=0.5)
+    with pytest.raises(TypeError, match="no_such_knob"):
+        cfg.replace(no_such_knob=1)
+
+
+def test_solver_config_defaults_are_its_class_attributes():
+    config = vars(SolverConfig(times=(1.0,)))
+    assert config.pop("times") == (1.0,)
+    assert config == {name: getattr(SolverConfig, name) for name in config}
+    assert set(SolverConfig.NONLINEAR_ONLY) == {"picard_tol", "picard_max_iters", "t_ext"}
