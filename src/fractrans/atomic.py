@@ -12,13 +12,15 @@ import tempfile
 
 
 def atomic_write(path: str, writer):
-    """Write via a temp file in the same directory, then rename.
+    """Write via a temp file in the same directory, made if it is missing,
+    then rename.
 
     ``mkstemp`` creates the temp file with mode 0600 and the rename keeps
     it, so the file is given the mode a plain ``open()`` would create it
     with: 0666 minus the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

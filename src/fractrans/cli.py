@@ -7,9 +7,9 @@ codes: 0 success, 1 verification failure, 2 configuration error, 3
 solver non-convergence, 4 numerical failure (a quadrature tail mass that
 cannot be met, a floating-point overflow, or an output that is not
 finite, which no file is written for).  Every output file is
-written through a temp-file rename, so no partial file survives a
-failure, and each solve emits a manifest recording every tolerance and
-seed used.  Every command runs on numpy alone.
+written through a temp-file rename, and ``--out`` made with the first,
+so a failure leaves no partial file or empty directory; each solve
+emits a manifest recording every tolerance and seed used.  Every command runs on numpy alone.
 
 Each command compiles only the modules it runs.  ``import fractrans.cli``,
 ``--version``, ``--help`` and ``sample`` load ``cli``, ``errors``,
@@ -298,7 +298,6 @@ def cmd_kernels(cfg: dict, out_dir: str) -> int:
             for z in cfg["z_grid"]:
                 writer.writerow([beta.beta, z, repr(mittag_leffler(beta, z))])
 
-    os.makedirs(out_dir, exist_ok=True)
     atomic_write(os.path.join(out_dir, "kernels.csv"), write_kernels)
     atomic_write(os.path.join(out_dir, "mittag_leffler.csv"), write_ml)
     return EXIT_OK
@@ -318,7 +317,6 @@ def cmd_sample(cfg: dict, out_dir: str) -> int:
     _check_finite("a Monte Carlo estimate or standard error",
                   [rec[k] for rec in records for k in ("estimate", "stderr")])
 
-    os.makedirs(out_dir, exist_ok=True)
     _write_jsonl(os.path.join(out_dir, "samples.jsonl"), records)
     return EXIT_OK
 
@@ -354,7 +352,6 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         solver = {k: v for k, v in solver.items() if k not in _NONLINEAR_ONLY}
     solver_cfg = SolverConfig(times=tuple(times), **solver)
 
-    os.makedirs(out_dir, exist_ok=True)
     if problem == "linear":
         path = solve_linear(beta, field, mu0, solver_cfg)
     elif problem == "nonlinear":
@@ -398,7 +395,6 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     from .verify import run_checks
 
     report = run_checks()
-    os.makedirs(out_dir, exist_ok=True)
     write_manifest(os.path.join(out_dir, "verify.json"), report)
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"

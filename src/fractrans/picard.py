@@ -7,13 +7,11 @@ field v[mu](x) = sum_j w_j K(x - y_j) the flow Phi depends on the
 solution itself, so the same formula is read as a sweep map F from an
 iterate path to its image (``_sweep_map``).  F's velocity at internal
 time s is the interaction field of the path average
-sum_q w_q mu_{r_q}, the g-rule of s (``transport._GRule``) looking up
-the iterate: the field is linear in the measure, so this is its
-g-average.  The path average weights each recorded measure by a segment
-mass, the g-weight whose real time looks it up; the stage times and the
-lookup grid are the same in every sweep, so the masses are tabulated once
-per sweep map, every stage's row with equal neighbours merged
-(``_segment_masses``), and a sweep builds each row's path average once.
+sum_q w_q mu_{r_q}, the g-rule of s (``transport._GRule.lookups``)
+looking up the iterate: the field is linear in the measure, so this is
+its g-average.  The path average weights each recorded measure by a
+segment mass, the g-weight whose real time looks it up
+(``_segment_masses``).
 
 The fixed point is found by Anderson-mixed Picard iteration
 (``_picard``), first on a coarse RK4 schedule and then on the fine one,
@@ -21,12 +19,12 @@ and the iteration stops on a certified upper bound of the
 bounded-Lipschitz distance between an iterate and its image of the fine
 map, from pairing their particles by index (``_coupling_bound``).
 
-The stage schedule, the RK4 stepper and the push-forward mixture are the
-linear solver's.  ``_advect_segment`` is called through the ``transport``
-module, so that a wrapper set on ``transport._advect_segment`` sees the
-Picard sweeps too.  The only special function read here is the stable
-survival function of the freezing term; the g-rule comes through
-``transport`` and ``rules``.
+The stage schedule, the RK4 stepper, the node walk and the h-rule
+mixture are the linear solver's.  ``_advect_segment`` is called through
+the ``transport`` module, so that a wrapper set on
+``transport._advect_segment`` sees the Picard sweeps too.  The only
+special function read here is the stable survival function of the
+freezing term; the g-rule comes through ``transport`` and ``rules``.
 """
 
 from __future__ import annotations
@@ -43,12 +41,13 @@ from .specfun import _stable_sf
 from .subordinator import FracOrder
 from .transport import (
     SolverConfig,
-    _average_push_forwards,
     _check_step,
     _flow_nodes,
     _flow_schedule,
     _GRule,
+    _h_mixture,
     _h_rules,
+    _node_walk,
 )
 
 __all__ = [
@@ -127,31 +126,26 @@ def _segment_masses(g_rule, grid: np.ndarray, stage_times: list):
     """(rows, index) of the ``transport._GRule`` ``g_rule``: row index[k] of
     ``rows`` holds, for each grid time t_j, the summed weights of the nodes
     of the rule at s = stage_times[k] (Python floats, nondecreasing, >= 0)
-    that look up t_j, piecewise constant (right-continuous, frozen at the
-    end).
+    that look up t_j (``_GRule.lookups``), piecewise constant
+    (right-continuous, frozen at the end).
 
-    One bincount over the (stages x q_g) lookups builds every stage's row,
-    adding each bin's weights in node order, and a row equal to the one
-    before it is merged into it: no two consecutive rows are equal and
-    ``index`` is a nondecreasing intp array.  The point rule at s = 0 is
-    the row of lookups 0 * node = s with weights (1, 0, ..., 0): the
-    normalized g-weights need not sum to exactly 1.0.  The scale
-    s^(1/beta) is the Python-float power of ``_GRule.__call__``, so every
-    row is bitwise the bincount of the rule at s on its own.
+    A stage whose lookup cells and weights equal the stage before's shares
+    its row, so one bincount over the other stages' lookups, adding each
+    bin's weights in node order, builds the rows: each is bitwise the
+    bincount of its rule on its own.  A row equal to the one before it is
+    merged into it too (the point rule at s = 0 and a rule whose nodes all
+    look up t_0 give one row if the g-weights sum to exactly 1.0), so no
+    two consecutive rows are equal and ``index`` is a nondecreasing intp
+    array.
     """
-    s = np.array(stage_times, dtype=float)
-    scale = np.array([x ** g_rule.power for x in stage_times])
-    cell = np.searchsorted(grid, np.multiply.outer(scale, g_rule.nodes), side="right") - 1
-    np.maximum(cell, 0, out=cell)
-    cell += grid.size * np.arange(s.size)[:, None]
-    point = np.zeros(g_rule.weights.size)
-    point[0] = 1.0
-    weights = np.where(s[:, None] > 0.0, g_rule.weights, point)
-    masses = np.bincount(cell.ravel(), weights.ravel(), minlength=s.size * grid.size)
-    masses = masses.reshape(s.size, grid.size)
-    new = np.ones(s.size, dtype=bool)
-    new[1:] = np.any(masses[1:] != masses[:-1], axis=1)
-    return masses[new], np.cumsum(new) - 1
+    times, weights = g_rule.lookups(stage_times)
+    cell = np.maximum(np.searchsorted(grid, times, side="right") - 1, 0)
+    new = np.append(True, np.any((cell[1:] != cell[:-1]) | (weights[1:] != weights[:-1]), axis=1))
+    cell = cell[new] + grid.size * np.arange(np.count_nonzero(new))[:, None]
+    masses = np.bincount(cell.ravel(), weights[new].ravel(), minlength=cell.shape[0] * grid.size)
+    masses = masses.reshape(-1, grid.size)
+    distinct = np.append(True, np.any(masses[1:] != masses[:-1], axis=1))
+    return masses[distinct], (np.cumsum(distinct) - 1)[np.cumsum(new) - 1]
 
 
 def _path_average(path: MeasurePath, m: np.ndarray):
@@ -225,8 +219,7 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
 
     Every sweep walks the same RK4 stages (``_flow_schedule``, whose step
     bound is the one that ``_check_step`` guards, v.lip * max(mass, 1)) and
-    looks up the same grid, so the segment masses of each stage's g-rule are
-    tabulated here, once, every stage's row with equal neighbours merged
+    looks up the same grid, so the segment masses are tabulated here, once
     (``_segment_masses``).  Each RK4 stage evaluates the field on the raw
     arrays of its row's path average (``_path_average``, the hit measures
     of the iterate concatenated), with one kernel call.  The stages come in
@@ -252,7 +245,7 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
             return v.field(x, *cached[1])
 
         advance = lambda x, j: transport._advect_segment(vel, x, steps[j])
-        measures = _average_push_forwards(advance, mu0, None, h_rules, nodes)
+        measures = _h_mixture(_node_walk(advance, mu0, None, nodes), h_rules, nodes)
         return MeasurePath(times=grid, measures=[mu0] + measures)
 
     sweep.rk4_steps = sum(map(len, steps))

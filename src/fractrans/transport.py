@@ -15,16 +15,16 @@ interaction problem finds a fixed point of the same formula by Picard
 iteration; it lives in ``picard``, which a linear or source solve never
 imports, and its public names still resolve here on first access.
 
-Every solver is built from three shared pieces: one g-rule map
-s -> (real times, weights), whose consumers are the field average
-sum_q w_q v(x, r_q) here and the path average of a Picard iterate; one
-RK4 stepper, which walks a stage schedule laid out once per
-solve and passes each velocity call its stage index, except for an affine
+Every solver is built from four shared pieces: one table of g-rule
+lookups, a row of real times and weights per stage time
+(``_GRule.lookups``), read by the field average sum_q w_q v(x, r_q)
+here and by the path average of a Picard iterate; one RK4 stepper, which
+walks a stage schedule laid out once per solve, except for an affine
 field, whose RK4 steps across a flow interval compose to one affine map
-(RK4's own discrete map, not an exact exponential); and one routine that
+(RK4's own discrete map, not an exact exponential); one node walk, which
 advects mu0 (plus a source measure, constant in time and injected
-unchanged at every flow node) over the union of the h-rule nodes and
-mixes the node push-forwards.  A step matters only through the
+unchanged at every flow node) through the flow nodes; and one mixture of
+the push-forwards at the h-rule nodes.  A step matters only through the
 push-forwards at the h-nodes past it, so ``ode_step`` is the RK4 step
 where the full h-weight is fed, and later intervals take
 min(ode_step * W^(-1/5), 1/Lip), W the h-weight they still feed
@@ -218,11 +218,8 @@ class SolverConfig:
 
 
 class _GRule:
-    """The g_beta(., s) rule as a map s -> (real times r_q, weights summing
-    to 1): the unit rule with nodes scaled by s^(1/beta).  At beta = 1 the
-    unit rule is the one node 1 with weight 1, so the rule is (s, 1), and
-    at s <= 0 it is the single node (s, 1) for every beta.
-    ``picard._segment_masses`` tabulates the Picard lookups of it."""
+    """The g_beta(., s) rules of a solve: the unit rule, nodes scaled by
+    s^(1/beta) and weights summing to 1; at beta = 1 the one node 1."""
 
     def __init__(self, beta: FracOrder, config: SolverConfig):
         self.nodes, self.weights, self.power = np.ones(1), np.ones(1), 1.0
@@ -231,10 +228,14 @@ class _GRule:
             self.nodes, self.weights = unit.nodes, unit.weights / unit.weights.sum()
             self.power = 1.0 / beta.beta
 
-    def __call__(self, s):
-        if s <= 0.0:
-            return np.array([s]), np.ones(1)
-        return self.nodes * s ** self.power, self.weights
+    def lookups(self, stage_times):
+        """(times, weights), (stages, nodes) arrays whose row k is the rule at
+        s = stage_times[k]: real times node * s^(1/beta), the power taken of
+        the Python float s, and the weights; at s <= 0 the point rule, every
+        time s and weights (1, 0, ..., 0)."""
+        s = np.array(stage_times, dtype=float)[:, None]
+        scaled = np.multiply.outer([max(x, 0.0) ** self.power for x in stage_times], self.nodes)
+        return np.where(s > 0.0, scaled, s), np.where(s > 0.0, self.weights, np.eye(1, self.nodes.size))
 
 
 def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
@@ -248,10 +249,12 @@ def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
 
 
 def _field_average(v: ExplicitField, x, times, weights) -> np.ndarray:
-    """Field average sum_q w_q v(x, r_q) of an explicit field."""
+    """Field average sum_q w_q v(x, r_q) of an explicit field over a row of
+    ``_GRule.lookups``; a zero weight makes no field call."""
     out = np.zeros_like(np.atleast_2d(x), dtype=float)
     for r_q, w_q in zip(times, weights):
-        out += w_q * v(x, float(r_q))
+        if w_q:
+            out += w_q * v(x, float(r_q))
     return out
 
 
@@ -291,8 +294,9 @@ def _check_step(ode_step: float, lip: float):
 #: the most RK4 steps one flow sweep may take.  Laying out one step keeps
 #: about 160 bytes and takes about 0.8 us (numpy 2.4, Python 3.11, 2-vCPU
 #: VM), so a sweep of 10^7 steps holds some 1.6 GB and spends 8 s before
-#: its first field call, of four per step; the benchmark's solves take
-#: under 500 steps.  A count past it comes from an ``ode_step`` too small
+#: its first field call, of four per step (a time-dependent explicit
+#: field's g-rule lookups add 32 q_g bytes a step); the benchmark's solves
+#: take under 500 steps.  A count past it comes from an ``ode_step`` too small
 #: for any run to finish, whose schedule would fill memory without end.
 _MAX_RK4_STEPS = 10**7
 
@@ -461,8 +465,8 @@ def _flow_advance(beta: FracOrder, v, mu0: EmpiricalMeasure, config: SolverConfi
     if v.autonomous:
         vel = lambda x, k: v(x, times[k])
     else:
-        g_rule = _GRule(beta, config)
-        vel = lambda x, k: _field_average(v, x, *g_rule(times[k]))
+        g_times, g_weights = _GRule(beta, config).lookups(times)
+        vel = lambda x, k: _field_average(v, x, g_times[k], g_weights[k])
     return lambda x, j: _advect_segment(vel, x, steps[j])
 
 
@@ -475,26 +479,18 @@ def _check_flow(points):
         raise OverflowError("an advected position is not finite: the flow left the float range")
 
 
-def _average_push_forwards(advance, mu0, nu, h_rules, nodes) -> list:
-    """One measure per h-rule: sum_q w_q (Phi_{s_q} # mu0 + Duhamel_{s_q}),
-
-        Duhamel_s = integral over r in [0, s] of Phi_{r -> s} # nu dr,
-
-    for the source measure ``nu`` (None for no source), by the trapezoid
-    rule on the flow ``nodes`` (which hold every h-node).  One flow sweep,
-    where ``advance(points, j)`` moves raw positions across interval
-    j = [nodes[j], nodes[j + 1]] (see ``_flow_advance``), covers every term.
-    It carries one particle block, (points, weights): mu0's particles first,
-    then one cohort of nu's per flow node, appended as it is injected.  The
+def _node_walk(advance, mu0, nu, nodes) -> list:
+    """The flow sweep of every solver: the particle block (points, weights)
+    at each of the flow ``nodes``, where ``advance(points, j)`` moves raw
+    positions across interval j = [nodes[j], nodes[j + 1]] (see
+    ``_flow_advance``), and one ``_check_flow`` covers every node.  The
+    block holds mu0's particles first, then one cohort of the source
+    measure ``nu``'s (None for no source) per node, appended as it is
+    injected: the trapezoid rule for
+    Duhamel_s = integral over r in [0, s] of Phi_{r -> s} # nu dr.  The
     cohort of node j weighs (dr_left + dr_right) / 2, the widths of the
     intervals on either side, once advected, and dr_left / 2 as read at
-    node j itself, so the source mass at a node n_k is n_k * mass(nu).
-
-    The particles come in index order: output particle (q, i), at position
-    q * mu0.size + i with no source, is particle i of the block at h-node q,
-    with weight w_q * w_i.  Two calls on the same mu0 and h-rules thus give
-    index-aligned ensembles, which ``picard._coupling_bound`` pairs.
-    """
+    node j itself, so the source mass at a node n_k is n_k * mass(nu)."""
     widths = np.diff(nodes).tolist()
     points, weights = mu0.points.astype(float), mu0.weights
     at_node = []
@@ -509,7 +505,16 @@ def _average_push_forwards(advance, mu0, nu, h_rules, nodes) -> list:
             else:
                 at_node.append((points, weights))
     _check_flow(points)
+    return at_node
 
+
+def _h_mixture(at_node, h_rules, nodes) -> list:
+    """One measure per h-rule, sum_q w_q (Phi_{s_q} # mu0 + Duhamel_{s_q}),
+    from the ``_node_walk`` blocks at the flow ``nodes`` (every h-node among
+    them).  Output particle (q, i), at position q * mu0.size + i with no
+    source, is particle i of the block at h-node q, with weight w_q * w_i,
+    so two calls on the same mu0 and h-rules give index-aligned ensembles,
+    which ``picard._coupling_bound`` pairs."""
     measures = []
     for h_nodes, h_weights in h_rules:
         blocks = [at_node[j] for j in np.searchsorted(nodes, h_nodes).tolist()]
@@ -573,13 +578,7 @@ def solve_linear_mc(
     s_grid = np.linspace(0.0, s_max, n_steps + 1)
     times, steps = _stage_schedule(s_grid, config.ode_step)
     advance = _flow_advance(beta, v, mu0, config, times, steps)
-
-    flow = [mu0.points.astype(float)]
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_flow raises instead
-        for j in range(len(steps)):
-            flow.append(advance(flow[-1], j))
-    _check_flow(flow[-1])
-    flow = np.array(flow)
+    flow = np.array([points for points, _ in _node_walk(advance, mu0, None, s_grid)])
     wts = np.tile(mu0.weights / n_paths, n_paths)
     measures = [mu0]
     for c in clocks.T:
@@ -641,7 +640,7 @@ def solve_with_source(
         nodes = _flow_nodes(h_rules, start[start < nodes[-1]])
     times, steps = _flow_schedule(nodes, h_rules, config.ode_step, v.lip)
     advance = _flow_advance(beta, v, mu0, config, times, steps)
-    measures = _average_push_forwards(advance, mu0, nu, h_rules, nodes)
+    measures = _h_mixture(_node_walk(advance, mu0, nu, nodes), h_rules, nodes)
     grid = np.concatenate([[0.0], np.asarray(config.times)])
     out = MeasurePath(times=grid, measures=[mu0] + measures)
     out.diagnostics["source_mass"] = [total_mass(m) - total_mass(mu0) for m in measures]

@@ -212,11 +212,27 @@ def test_solve_nonconvergence_exit_code(tmp_path):
         "solver": {"q_h": 8, "q_g": 8, "picard_tol": 1e-16,
                    "picard_max_iters": 2, "t_ext": 1.0},
     })
-    out = tmp_path / "out"
+    out = tmp_path / "new" / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_NO_CONVERGENCE
+    # the output directory is made for the log, the one file written
+    assert os.listdir(out) == ["picard.jsonl"]
     lines = (out / "picard.jsonl").read_text().splitlines()
     assert len(lines) == 2
     assert sorted(json.loads(lines[-1])) == ["coupling_bound", "sweep", "wall_time"]
+
+
+@pytest.mark.parametrize("overrides, code, message", [
+    ({"solver": {"ode_step": 1e-300}}, EXIT_CONFIG, "configuration error: ode_step too small"),
+    # e^{50 s} at the h-nodes of t = 1 carries the Dirac past the float range
+    ({"times": [1.0], "velocity": {"kind": "affine", "matrix": [[50.0]]}, "solver": {}}, EXIT_NUMERICAL,
+     "numerical error: first_moment is not finite"),
+], ids=["exit-2", "exit-4"])
+def test_failed_solve_leaves_no_output_directory(tmp_path, capsys, overrides, code, message):
+    cfg = _linear_config(tmp_path, **overrides)
+    out = tmp_path / "new" / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "new").exists()
 
 
 def test_unreachable_tail_mass_exit_4(tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, gamma
 
+from fractrans import rules
 from fractrans.errors import TailMassError
 from fractrans.specfun import (
     FracOrder,
@@ -358,6 +359,12 @@ def test_rule_argument_validation():
         h_quadrature(FracOrder(0.5), 1.0, 1, 1e-6)
     with pytest.raises(ValueError):
         h_quadrature(FracOrder(0.5), 1.0, 64, 0.5)
+    # checked before anything is allocated: 10^5 nodes would ask for arrays
+    # of tens of GB, and even 1,024 Gauss h-nodes take seconds to plan
+    for rule in (h_quadrature, g_quadrature):
+        for q in (rules._MAX_RULE_NODES + 1, 10**5, 10**30):
+            with pytest.raises(ValueError, match=f"a rule has 2 to 512 nodes, not {q}"):
+                rule(FracOrder(0.5), 1.0, q, 1e-10)
 
 
 def test_unreachable_tail_target_signals():

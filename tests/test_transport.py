@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,15 +102,43 @@ def _uniform_schedule(nodes, h_rules, ode_step, lip):
 
 
 def test_field_average_constant_field_passes_through():
-    v = _field_average(ONES, np.array([[0.3]]), *_GRule(B, _cfg(q_g=32))(1.0))
+    times, weights = _GRule(B, _cfg(q_g=32)).lookups([1.0])
+    v = _field_average(ONES, np.array([[0.3]]), times[0], weights[0])
     assert v[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_field_average_exponential_decay_oracle():
     # v(x, s) = e^{-s} u: the g-average is the Laplace transform e^{-t^b}
     field = ExplicitField(func=lambda x, s: np.exp(-s) * np.ones_like(x), lip=0.0)
-    v = _field_average(field, np.array([[0.0]]), *_GRule(B, _cfg(q_g=96))(1.0))
+    times, weights = _GRule(B, _cfg(q_g=96)).lookups([1.0])
+    v = _field_average(field, np.array([[0.0]]), times[0], weights[0])
     assert v[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-4)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.7, 1.0])
+def test_g_rule_lookups_scale_the_unit_rule_with_a_point_rule_at_zero(beta):
+    # row k is the unit rule scaled by the Python-float power s^(1/beta),
+    # bit for bit, whatever the other rows; at s = 0 it is the point rule,
+    # whose field average makes one field call
+    g_rule = _GRule(FracOrder(beta), _cfg(q_g=16))
+    stages = [0.0, 0.3, 1.0, 2.5]
+    times, weights = g_rule.lookups(stages)
+    assert times.shape == weights.shape == (len(stages), g_rule.nodes.size)
+    for k, s in enumerate(stages[1:], start=1):
+        np.testing.assert_array_equal(times[k], g_rule.nodes * s ** (1.0 / beta))
+        np.testing.assert_array_equal(weights[k], g_rule.weights)
+        alone = g_rule.lookups([s])
+        np.testing.assert_array_equal(alone[0][0], times[k])
+        np.testing.assert_array_equal(alone[1][0], weights[k])
+    assert np.all(times[0] == 0.0) and weights[0, 0] == 1.0 and np.all(weights[0, 1:] == 0.0)
+    if beta == 1.0:
+        np.testing.assert_array_equal(times[1:, 0], stages[1:])
+        assert np.all(weights == 1.0)
+    calls = []
+    field = ExplicitField(func=lambda x, t: calls.append(t) or x + t, lip=1.0)
+    x = np.array([[0.25]])
+    np.testing.assert_array_equal(_field_average(field, x, times[0], weights[0]), x)
+    assert calls == [0.0]
 
 
 def _rule_masses(grid, nodes, weights):
@@ -120,7 +149,7 @@ def _rule_masses(grid, nodes, weights):
 
 
 def test_path_average_induced_field_cases():
-    nodes, weights = _GRule(B, _cfg(q_g=32))(1.0)
+    (nodes,), (weights,) = _GRule(B, _cfg(q_g=32)).lookups([1.0])
 
     def _average(path, nodes, weights):
         return EmpiricalMeasure(*_path_average(path, _rule_masses(path.times, nodes, weights)))
@@ -159,7 +188,7 @@ def test_path_lookup_field_matches_measure_by_measure_average(field):
         for n in sizes
     ]
     path = MeasurePath(times=grid, measures=measures)
-    nodes, weights = _GRule(B, cfg)(0.5)
+    (nodes,), (weights,) = _GRule(B, cfg).lookups([0.5])
     # one more node exactly on a recorded time, which hits that measure
     nodes, weights = np.append(nodes, grid[4]), np.append(weights, 0.25)
     # right-continuous lookup, frozen at the end: node r hits the last
@@ -191,7 +220,7 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
     times, _ = _sweep_schedule(beta, cfg)
     # the first stage a third of the way along the flow
     k = int(np.searchsorted(times, times[-1] / 3.0))
-    r = np.sort(g_rule(times[k])[0])
+    r = np.sort(g_rule.lookups(times)[0][k])
     if r.size > 1:
         # a grid time exactly on a g-node of stage k, and two between its
         # next two g-nodes, so that the measures it hits are not one run
@@ -201,7 +230,8 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
     table = rows[index]
     assert table.shape == (len(times), grid.size)
     for row, s in zip(table, times):
-        np.testing.assert_array_equal(row, _rule_masses(grid, *g_rule(s)))
+        (nodes,), (weights,) = g_rule.lookups([s])
+        np.testing.assert_array_equal(row, _rule_masses(grid, nodes, weights))
     # each row is kept once per run of equal stages, and a g-node's lookup
     # index never decreases in s
     assert np.all(np.any(rows[1:] != rows[:-1], axis=1))
@@ -226,8 +256,26 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
         for grid in (np.array([0.0, 1e300]), np.array([0.0])):
             rows, index = _segment_masses(half, grid, times)
             for row, s in zip(rows[index], times):
-                np.testing.assert_array_equal(row, _rule_masses(grid, *half(s)))
+                (nodes,), (weights,) = half.lookups([s])
+                np.testing.assert_array_equal(row, _rule_masses(grid, nodes, weights))
             assert len(rows) == n_rows and np.all(np.any(rows[1:] != rows[:-1], axis=1))
+
+
+def test_segment_masses_hold_no_stage_by_grid_table():
+    # 6,403 stages look up 401 grid times, which merge into 331 rows: a
+    # stages x grid float table would take 20.5 MB, the rows take 1.1 MB
+    cfg = _cfg(times=(0.01,), q_h=8, q_g=8, t_ext=4.0)
+    grid = picard._grid_with_extension(cfg)
+    times, _ = _sweep_schedule(B, cfg)
+    g_rule = _GRule(B, cfg)
+    tracemalloc.start()
+    try:
+        rows, index = _segment_masses(g_rule, grid, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(times) * grid.size * 8 > 20e6 and len(index) == len(times)
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("field", [repulsion_field(), attraction_field()], ids=["repulsion", "attraction"])
@@ -625,6 +673,26 @@ def test_cli_exits_2_on_a_step_too_small_for_any_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ode_step too small") and len(err.splitlines()) == 1
     assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("problem, velocity, solver", [
+    # a q_h 4096 planning rule has 16 (4096/8)^2 nodes, and its Stieltjes
+    # recurrence runs 4096 steps over them: over 20 s before the budget
+    ("linear", "damping", {"q_h": 4096}),
+    ("nonlinear", "repulsion", {"q_h": 8, "q_g": 4096}),
+], ids=["q_h", "q_g"])
+def test_cli_exits_2_at_once_on_a_rule_past_the_budget(tmp_path, capsys, problem, velocity, solver):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "problem": problem, "beta": 0.5, "times": [0.5], "velocity": {"kind": velocity},
+        "initial": {"kind": "dirac", "point": [1.0]}, "solver": solver,
+    }))
+    out = tmp_path / "o"
+    with _within(1.0):
+        assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: a rule has 2 to 512 nodes") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the flow is computed with numpy's warnings off
