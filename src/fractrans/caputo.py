@@ -1,8 +1,11 @@
 """Discrete fractional calculus on uniform scalar time grids.
 
 Implements the L1 scheme for the Caputo derivative of order beta, the
-product-trapezoid rule for the Riemann-Liouville integral, and the
-weak-formulation residual used to validate solver output.
+product-trapezoid rule for the Riemann-Liouville integral, the
+weak-formulation residual used to validate solver output, and an L1 solve
+of the fractional ODE that the clock's exponential functional satisfies,
+a grid oracle for the Monte Carlo estimators.  No command loads this
+module.
 """
 
 from __future__ import annotations
@@ -12,12 +15,16 @@ import math
 import numpy as np
 
 from .measures import MeasurePath, expectation
-from .specfun import FracOrder
+from .specfun import FracOrder, mittag_leffler
 
-__all__ = ["TimeSeries", "caputo_l1", "rl_integral", "weak_residual"]
+__all__ = ["TimeSeries", "caputo_l1", "rl_integral", "weak_residual", "solve_psi_fode"]
 
 #: relative slack allowed on grid uniformity
 _GRID_TOL = 1e-9
+
+#: reject the implicit L1 step when lambda * dt^beta * Gamma(2-beta)
+#: exceeds this fraction of 1 (the diagonal would lose dominance)
+_FODE_STABILITY = 0.5
 
 
 class TimeSeries:
@@ -58,6 +65,39 @@ def l1_weights(beta: float, m: int) -> np.ndarray:
     b = (k + 1.0) ** (1.0 - beta) - k ** (1.0 - beta)
     b[0] = 1.0  # 0**0 evaluates to 1 and would cancel the k=0 weight at beta=1
     return b
+
+
+def solve_psi_fode(beta: FracOrder, lam: float, t_max: float, dt: float):
+    """Grid solution of the linear fractional ODE for the exponential
+    functional's derivative process:
+
+        D^beta Psi(t) = lam * E_beta(lam t^beta) + lam * Psi(t),
+        Psi(0) = 0,
+
+    whose solution equals E[lam E_t exp(lam E_t)].  Uses the L1 scheme
+    with the lam*Psi term treated implicitly; returns (grid, values).
+    """
+    if lam <= 0.0:
+        raise ValueError("requires lam > 0")
+    if dt <= 0.0 or t_max <= dt:
+        raise ValueError("requires 0 < dt < t_max")
+    b = beta.beta
+    amp = lam * dt**b * math.gamma(2.0 - b)
+    if amp >= _FODE_STABILITY:
+        raise ValueError(
+            f"step rejected: lam*dt^beta*Gamma(2-beta) = {amp:.3g} >= {_FODE_STABILITY}"
+        )
+    m = int(round(t_max / dt))
+    grid = dt * np.arange(m + 1, dtype=float)
+    w = l1_weights(b, m)
+    a = dt ** (-b) / math.gamma(2.0 - b)
+    psi = np.zeros(m + 1)
+    for n in range(1, m + 1):
+        rhs = lam * mittag_leffler(beta, lam * grid[n] ** b)
+        # history: sum_{k>=1} b_k (psi_{n-k} - psi_{n-k-1})
+        hist = float(np.dot(w[1:n], psi[n - 1 : 0 : -1] - psi[n - 2 :: -1])) if n > 1 else 0.0
+        psi[n] = (a * (psi[n - 1] - hist) + rhs) / (a - lam)
+    return grid, psi
 
 
 def caputo_l1(series: TimeSeries, beta: FracOrder) -> TimeSeries:

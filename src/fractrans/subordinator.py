@@ -5,21 +5,23 @@ Chambers-Mallows-Stuck transformation.  The inverse process (the random
 internal clock) is drawn exactly from its marginal law: E_t has the law
 of (t / D_1)^beta, because P(E_t <= s) = P(s^(1/beta) D_1 >= t), so one
 stable draw gives one clock with no time stepping and no O(dtau) bias.
-Statistical identities (moments, exponential functional, the associated
-fractional ODE) are exposed as estimators with standard errors so callers
-can make 3-sigma assertions.
+Statistical identities (moments, exponential functional) are exposed as
+estimators with standard errors so callers can make 3-sigma assertions.
+
+The uniforms behind every draw come from the standard library's Mersenne
+Twister (``random.Random``), which ``import numpy`` has already loaded,
+so no command imports ``numpy.random``.
 
 This module also defines the fractional order ``FracOrder`` and Kanter's
 map ``_log_kanter_clock``, which ``specfun`` imports to plan the solvers'
-Gauss h-rule.  It imports nothing from ``specfun`` at load time, so
-``fractrans sample`` compiles neither ``specfun.py`` nor ``measures.py``;
-only ``solve_psi_fode`` reads ``specfun.mittag_leffler``, imported where
-it is called.
+Gauss h-rule.  It imports nothing from ``specfun``, so ``fractrans
+sample`` compiles neither ``specfun.py`` nor ``measures.py``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -30,12 +32,10 @@ __all__ = [
     "sample_inverse",
     "mc_exponential_functional",
     "mc_moment",
-    "solve_psi_fode",
 ]
 
-#: reject the implicit L1 step when lambda * dt^beta * Gamma(2-beta)
-#: exceeds this fraction of 1 (the diagonal would lose dominance)
-_FODE_STABILITY = 0.5
+#: the largest double below 1: (2^53 - 1/2) 2^-53 rounds up to 1.0
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 class FracOrder:
@@ -76,16 +76,28 @@ def _log_kanter_clock(b: float, u, log_w):
 
 
 class RngSpec:
-    """Reproducible stream label: (seed, stream_id) fixes all draws."""
+    """Reproducible stream label: (seed, stream_id) fixes all draws.
+
+    The stream is ``random.Random(f"{seed}:{stream_id}")``; both labels
+    must be non-negative integers."""
 
     def __init__(self, seed: int, stream_id: int = 0):
+        if seed < 0 or stream_id < 0:
+            raise ValueError(f"seed and stream id must be non-negative, got {seed} and {stream_id}")
         self.seed, self.stream_id = seed, stream_id
 
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng([self.seed, self.stream_id])
+    def uniforms(self, size: int) -> np.ndarray:
+        """``size`` doubles in the open interval (0, 1): the top 53 bits k
+        of each little-endian 64-bit word of the stream's bytes, as
+        (k + 1/2) 2^-53; the one k that rounds to 1 gives the largest
+        double below 1."""
+        data = random.Random(f"{self.seed}:{self.stream_id}").randbytes(8 * size)
+        out = (np.frombuffer(data, dtype="<u8") >> 11) + 0.5
+        out *= 2.0**-53
+        return np.minimum(out, _BELOW_ONE, out=out)
 
 
-def sample_stable_unit(beta: FracOrder, rng, size=None):
+def sample_stable_unit(beta: FracOrder, rng: RngSpec, size=None):
     """Draws of D_1, the unit-time one-sided stable variable.
 
     Kanter's representation: with U uniform on (0, pi) and W unit
@@ -95,15 +107,17 @@ def sample_stable_unit(beta: FracOrder, rng, size=None):
 
     has Laplace transform exp(-s^b).  It is drawn as E_1^(-1/b) from
     ``_log_kanter_clock``, the map that also plans the solvers'
-    Gauss h-rule.
+    Gauss h-rule.  One ``rng.uniforms(2n)`` call gives u and v, with
+    U = pi u and W = -log v.
     """
     b = beta.beta
     if not 0.0 < b < 1.0:
         raise ValueError("stable sampling requires 0 < beta < 1")
-    gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    u = gen.uniform(0.0, math.pi, size=size)
-    log_w = np.log(gen.exponential(size=size))
-    return np.exp(_log_kanter_clock(b, u, log_w) / -b)
+    n = 1 if size is None else int(size)
+    u, v = rng.uniforms(2 * n).reshape(2, n)
+    u *= math.pi
+    draws = np.exp(_log_kanter_clock(b, u, np.log(-np.log(v))) / -b)
+    return draws[0] if size is None else draws
 
 
 def mc_moment(beta: FracOrder, gammas, t: float, n: int, rng: RngSpec):
@@ -156,38 +170,3 @@ def mc_exponential_functional(beta: FracOrder, lam: float, t: float, n: int, rng
         vals = np.exp(lam * draws)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 
-
-def solve_psi_fode(beta: FracOrder, lam: float, t_max: float, dt: float):
-    """Grid solution of the linear fractional ODE for the exponential
-    functional's derivative process:
-
-        D^beta Psi(t) = lam * E_beta(lam t^beta) + lam * Psi(t),
-        Psi(0) = 0,
-
-    whose solution equals E[lam E_t exp(lam E_t)].  Uses the L1 scheme
-    with the lam*Psi term treated implicitly; returns (grid, values).
-    """
-    if lam <= 0.0:
-        raise ValueError("requires lam > 0")
-    if dt <= 0.0 or t_max <= dt:
-        raise ValueError("requires 0 < dt < t_max")
-    b = beta.beta
-    amp = lam * dt**b * math.gamma(2.0 - b)
-    if amp >= _FODE_STABILITY:
-        raise ValueError(
-            f"step rejected: lam*dt^beta*Gamma(2-beta) = {amp:.3g} >= {_FODE_STABILITY}"
-        )
-    from .caputo import l1_weights  # only here: no CLI command compiles caputo
-    from .specfun import mittag_leffler  # only here: ``sample`` does not compile specfun
-
-    m = int(round(t_max / dt))
-    grid = dt * np.arange(m + 1, dtype=float)
-    w = l1_weights(b, m)
-    a = dt ** (-b) / math.gamma(2.0 - b)
-    psi = np.zeros(m + 1)
-    for n in range(1, m + 1):
-        rhs = lam * mittag_leffler(beta, lam * grid[n] ** b)
-        # history: sum_{k>=1} b_k (psi_{n-k} - psi_{n-k-1})
-        hist = float(np.dot(w[1:n], psi[n - 1 : 0 : -1] - psi[n - 2 :: -1])) if n > 1 else 0.0
-        psi[n] = (a * (psi[n - 1] - hist) + rhs) / (a - lam)
-    return grid, psi

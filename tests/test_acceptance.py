@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from fractrans.caputo import TimeSeries, caputo_l1, weak_residual
+from fractrans.caputo import TimeSeries, caputo_l1, solve_psi_fode, weak_residual
 from fractrans.cli import main as cli_main
 from fractrans.distances import bl_distance, w1_distance_1d
 from fractrans.measures import EmpiricalMeasure, expectation, moment
@@ -29,7 +29,6 @@ from fractrans.subordinator import (
     RngSpec,
     mc_exponential_functional,
     sample_inverse,
-    solve_psi_fode,
 )
 from fractrans.transport import ExplicitField, SolverConfig, solve_linear, solve_linear_mc
 

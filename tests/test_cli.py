@@ -606,6 +606,14 @@ def test_sample_needs_two_draws(tmp_path):
     assert not out.exists()
 
 
+def test_sample_negative_seed_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": [1.0], "n": 100})
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
 def test_sample_times_must_be_a_list(tmp_path):
     cfg = _write_config(tmp_path, "s.json", {"beta": 0.5, "times": 5})
     assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -8,8 +8,10 @@ names on first access.  ``import fractrans.cli``, ``--version``,
 ``nonlinear`` solve loads ``picard``, which a ``linear`` or ``source``
 solve does not need, and with it ``specfun``.  No command imports
 ``dataclasses``: the package's records are plain classes, so none is
-built at start-up.  ``cli`` binds the names it
-reads from those modules on first use, through its module ``__getattr__``.
+built at start-up.  Nor does any command import ``numpy.random``: the
+clock draws its uniforms from the standard library's ``random``.
+``cli`` binds the names it reads from those modules on first use,
+through its module ``__getattr__``.
 The names stay attributes of ``cli``: ``perfbench/tracer.py`` wraps
 ``cli.solve_linear``, ``cli.path_to_csv`` and their siblings before a
 run, and ``cmd_solve`` must call those wrappers.  The tests that watch
@@ -105,7 +107,7 @@ elif not step.startswith("import"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([step, "--config", f"{out}/cfg.json", "--out", out]) == 0
 print(json.dumps([sorted(name for name in sys.modules if name.split(".")[0] == "fractrans"),
-                  "dataclasses" in sys.modules]))
+                  "dataclasses" in sys.modules, "numpy.random" in sys.modules]))
 """
 
 _START = ["fractrans", "fractrans.atomic", "fractrans.cli", "fractrans.errors", "fractrans.subordinator"]
@@ -136,9 +138,10 @@ _STEPS = [
 def test_fresh_process_loads_exactly(tmp_path, step, cfg, expected):
     proc = _run(_FRESH, str(tmp_path), step, json.dumps(cfg))
     assert proc.returncode == 0, proc.stderr
-    modules, dataclasses_loaded = json.loads(proc.stdout)
+    modules, dataclasses_loaded, numpy_random_loaded = json.loads(proc.stdout)
     assert modules == expected
     assert not dataclasses_loaded
+    assert not numpy_random_loaded
 
 
 _LAZY_PACKAGE = """

@@ -4,7 +4,8 @@ The special functions integrate on fixed Gauss-Legendre nodes and solve
 rule quantiles by a vectorized Newton iteration, and the bounded-Lipschitz
 distance is a dynamic program on the line, so no command loads scipy.
 Nor does any command load ``numpy.polynomial`` (Gauss-Legendre nodes come
-from ``eigh``) or ``fractrans.caputo`` (only ``solve_psi_fode`` reads it).
+from ``eigh``) or ``fractrans.caputo`` (the L1 scheme and
+``solve_psi_fode``, which only the tests read).
 The tests here run the commands in a subprocess, with scipy importable
 but unused, or hidden from the import system.
 """

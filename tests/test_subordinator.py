@@ -6,12 +6,15 @@ functional equals the Mittag-Leffler function.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 from scipy.stats import ks_2samp, kstest
 
+from fractrans import subordinator
+from fractrans.caputo import solve_psi_fode
 from fractrans.specfun import (
     FracOrder,
     inverse_moment_coeff,
@@ -24,7 +27,6 @@ from fractrans.subordinator import (
     mc_moment,
     sample_inverse,
     sample_stable_unit,
-    solve_psi_fode,
 )
 
 
@@ -34,6 +36,37 @@ def test_rng_spec_reproducible():
     np.testing.assert_array_equal(a, b)
     c = sample_stable_unit(FracOrder(0.5), RngSpec(42, stream_id=1), size=50)
     assert not np.array_equal(a, c)
+
+
+def test_uniform_stream_is_pinned():
+    # the stream of random.Random("0:0"): a changed generator or bit
+    # layout changes every estimate at a given seed
+    np.testing.assert_array_equal(
+        RngSpec(0, 0).uniforms(4),
+        [0.6752296445389978, 0.8806851759024603, 0.78664654506943, 0.25727142372546224],
+    )
+    u = RngSpec(3, 2).uniforms(100_000)
+    assert np.all((0.0 < u) & (u < 1.0))
+
+
+def test_uniforms_stay_inside_the_open_interval(monkeypatch):
+    # the extreme 64-bit words: all ones would round to 1.0, all zeros
+    # gives half the grid step
+    class Extremes:
+        def __init__(self, label):
+            pass
+
+        def randbytes(self, n):
+            return (b"\xff" * 8 + b"\x00" * 8)[:n]
+
+    monkeypatch.setattr(subordinator, "random", types.SimpleNamespace(Random=Extremes))
+    np.testing.assert_array_equal(RngSpec(0).uniforms(2), [1.0 - 2.0**-53, 2.0**-54])
+
+
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1)])
+def test_rng_spec_rejects_negative_labels(seed, stream_id):
+    with pytest.raises(ValueError, match="non-negative"):
+        RngSpec(seed, stream_id)
 
 
 def test_stable_positivity_and_laplace():
