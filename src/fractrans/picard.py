@@ -5,13 +5,13 @@ The linear solver (``transport``) evaluates mu_t = integral of
 Phi_s # mu_0 against h_beta(s, t) ds directly.  With an interaction
 field v[mu](x) = sum_j w_j K(x - y_j) the flow Phi depends on the
 solution itself, so the same formula is read as a sweep map F from an
-iterate path to its image (``_sweep_map``).  F's velocity at internal
-time s is the interaction field of the path average
-sum_q w_q mu_{r_q}, the g-rule of s (``transport._GRule.lookups``)
-looking up the iterate: the field is linear in the measure, so this is
-its g-average.  The path average weights each recorded measure by a
-segment mass, the g-weight whose real time looks it up
-(``_segment_masses``).
+iterate path on the lookup grid to its image (``_sweep_map``).  An
+iterate is mu0 plus one stack of the grid measures after it, all of one
+size (q_h * mu0.size in an image).  F's velocity at internal time s is the
+interaction field of the path average sum_q w_q mu_{r_q}, the g-rule of
+s (``transport._GRule.lookups``) looking up the iterate: the field is
+linear in the measure, so this is its g-average.  Each grid measure gets
+the summed g-weights whose real times look it up (``_segment_masses``).
 
 The fixed point is found by Anderson-mixed Picard iteration
 (``_picard``), first on a coarse RK4 schedule and then on the fine one,
@@ -20,7 +20,7 @@ bounded-Lipschitz distance between an iterate and its image of the fine
 map, from pairing their particles by index (``_coupling_bound``).
 
 The stage schedule, the RK4 stepper, the node walk and the h-rule
-mixture are the linear solver's.  ``_advect_segment`` is called through
+mixture's index order are the linear solver's.  ``_advect_segment`` is called through
 the ``transport`` module, so that a wrapper set on
 ``transport._advect_segment`` sees the Picard sweeps too.  The only
 special function read here is the stable survival function of the
@@ -45,7 +45,6 @@ from .transport import (
     _flow_nodes,
     _flow_schedule,
     _GRule,
-    _h_mixture,
     _h_rules,
     _node_walk,
 )
@@ -124,41 +123,37 @@ def repulsion_field() -> InteractionField:
 
 def _segment_masses(g_rule, grid: np.ndarray, stage_times: list):
     """(rows, index) of the ``transport._GRule`` ``g_rule``: row index[k] of
-    ``rows`` holds, for each grid time t_j, the summed weights of the nodes
-    of the rule at s = stage_times[k] (Python floats, nondecreasing, >= 0)
-    that look up t_j (``_GRule.lookups``), piecewise constant
-    (right-continuous, frozen at the end).
-
-    A stage whose lookup cells and weights equal the stage before's shares
-    its row, so one bincount over the other stages' lookups, adding each
-    bin's weights in node order, builds the rows: each is bitwise the
-    bincount of its rule on its own.  A row equal to the one before it is
-    merged into it too (the point rule at s = 0 and a rule whose nodes all
-    look up t_0 give one row if the g-weights sum to exactly 1.0), so no
-    two consecutive rows are equal and ``index`` is a nondecreasing intp
-    array.
+    ``rows`` is the rule at s = stage_times[k] (Python floats,
+    nondecreasing, >= 0) looked up on ``grid`` (``_GRule.lookups``,
+    right-continuous, frozen at the end) as (cells, weights): the grid index
+    and the weight of each node of nonzero weight, in node order, so at
+    most q_g entries.  ``_path_average`` sums a cell's weights in node
+    order (a bincount), bitwise the bincount of the rule on its own.  A
+    stage whose cells and weights equal the stage before's shares its row,
+    so ``index`` is a nondecreasing intp array.
     """
     times, weights = g_rule.lookups(stage_times)
-    cell = np.maximum(np.searchsorted(grid, times, side="right") - 1, 0)
-    new = np.append(True, np.any((cell[1:] != cell[:-1]) | (weights[1:] != weights[:-1]), axis=1))
-    cell = cell[new] + grid.size * np.arange(np.count_nonzero(new))[:, None]
-    masses = np.bincount(cell.ravel(), weights[new].ravel(), minlength=cell.shape[0] * grid.size)
-    masses = masses.reshape(-1, grid.size)
-    distinct = np.append(True, np.any(masses[1:] != masses[:-1], axis=1))
-    return masses[distinct], (np.cumsum(distinct) - 1)[np.cumsum(new) - 1]
+    cells = np.maximum(np.searchsorted(grid, times, side="right") - 1, 0)
+    new = np.append(True, np.any((cells[1:] != cells[:-1]) | (weights[1:] != weights[:-1]), axis=1))
+    rows = [(c[w > 0.0], w[w > 0.0]) for c, w in zip(cells[new], weights[new])]
+    return rows, np.cumsum(new) - 1
 
 
-def _path_average(path: MeasurePath, m: np.ndarray):
-    """Raw (points, weights) of the path average sum_j m[j] mu_j for
-    segment masses ``m`` on the path's grid (a row of
-    ``_segment_masses``): the atoms of the hit measures in path
-    order, atom i of measure j with weight m[j] w_i.  Atoms whose weight is
+def _path_average(mu0: EmpiricalMeasure, points: np.ndarray, weights: np.ndarray, cells, masses):
+    """Raw (points, weights) of the path average sum_j m_j mu_j of the
+    iterate mu0, ``points``, ``weights`` (the stack of the grid measures
+    after mu0) for a row (cells, masses) of ``_segment_masses``, m_j the
+    summed masses of the cells j: the atoms of the hit measures in grid
+    order, atom i of measure j with weight m_j w_i.  Atoms whose weight is
     0 (an underflowing product) are dropped."""
-    hit = np.flatnonzero(m)
-    points = np.concatenate([path.measures[j].points for j in hit])
-    weights = np.concatenate([m[j] * path.measures[j].weights for j in hit])
-    keep = weights > 0.0
-    return points[keep], weights[keep]
+    m = np.bincount(cells, masses)
+    hit = np.flatnonzero(m[1:])
+    pts = points[hit].reshape(-1, mu0.dim)
+    wts = (m[1:][hit, None] * weights[hit]).ravel()
+    if m[0]:
+        pts, wts = np.concatenate([mu0.points, pts]), np.concatenate([m[0] * mu0.weights, wts])
+    keep = wts > 0.0
+    return pts[keep], wts[keep]
 
 
 def freezing_tail_probability(beta: FracOrder, s: np.ndarray, horizon: float) -> np.ndarray:
@@ -174,10 +169,26 @@ def freezing_tail_probability(beta: FracOrder, s: np.ndarray, horizon: float) ->
 # ---------------------------------------------------------------------------
 
 
-def _paired_points(mu: EmpiricalMeasure, n: int) -> np.ndarray:
-    """Positions of mu in the pairing of ``_coupling_bound``: row k is
-    particle k mod mu.size, for k < n."""
-    return mu.points if mu.size == n else mu.points[np.arange(n) % mu.size]
+def _residual(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """f - x for position stacks x (G, P, d) and f (G, M, d), M a multiple
+    of P, pairing particle k of f with particle k mod P of x at each grid
+    time: the pairing of ``_coupling_bound``."""
+    with np.errstate(over="ignore"):  # _coupling_bounds caps the distances
+        if x.shape[1] == f.shape[1]:
+            return f - x
+        return (f.reshape(f.shape[0], -1, *x.shape[1:]) - x[:, None]).reshape(f.shape)
+
+
+def _coupling_bounds(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per grid time, sum_k w_k 2 r_k / (2 + r_k) over the atoms, for the
+    paired displacements ``r`` (G, M, d) of ``_residual`` and the (G, M)
+    weights ``w`` of the image: ``_coupling_bound`` of each pair."""
+    # past about 1e154 apart the squares overflow and r reads inf; capped
+    # at 1e300, such a pair's term is exactly 2, as 2r / (2 + r) is for
+    # every r >= 2^54, and no smaller r changes
+    with np.errstate(over="ignore"):
+        r = np.minimum(np.linalg.norm(r, axis=-1), 1e300)
+    return np.sum(w * (2.0 * r / (2.0 + r)), axis=-1)
 
 
 def _coupling_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -188,12 +199,7 @@ def _coupling_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     2r / (2 + r), which bounds d_BL by sum_k w_k 2 r_k / (2 + r_k) (Villani,
     Optimal Transport: Old and New, 2009, Ch. 6).  Exact for two Diracs.
     """
-    # past about 1e154 apart the squares overflow and r reads inf; capped
-    # at 1e300, such a pair's term is exactly 2, as 2r / (2 + r) is for
-    # every r >= 2^54, and no smaller r changes
-    with np.errstate(over="ignore"):
-        r = np.minimum(np.linalg.norm(nu.points - _paired_points(mu, nu.size), axis=1), 1e300)
-    return float(np.sum(nu.weights * (2.0 * r / (2.0 + r))))
+    return float(_coupling_bounds(_residual(mu.points[None], nu.points[None]), nu.weights[None])[0])
 
 
 def _grid_with_extension(config: SolverConfig) -> np.ndarray:
@@ -213,17 +219,19 @@ def _grid_with_extension(config: SolverConfig) -> np.ndarray:
 
 
 def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid, config: SolverConfig):
-    """The Picard sweep map F: an iterate path on ``grid`` -> the path of
-    mu0 pushed along the g-averaged interaction field that the iterate
-    induces, mu0 at time 0 and one push-forward mixture per h-rule.
+    """The Picard sweep map F: an iterate, the grid measures after mu0 as
+    (G - 1, P, d) positions and (G - 1, P) weights, -> the positions of mu0
+    pushed along the g-averaged interaction field that it induces, one
+    push-forward mixture per h-rule in ``_h_mixture``'s index order.  The
+    image weights are the same in every sweep: the map's ``weights``.
 
     Every sweep walks the same RK4 stages (``_flow_schedule``, whose step
     bound is the one that ``_check_step`` guards, v.lip * max(mass, 1)) and
     looks up the same grid, so the segment masses are tabulated here, once
     (``_segment_masses``).  Each RK4 stage evaluates the field on the raw
-    arrays of its row's path average (``_path_average``, the hit measures
-    of the iterate concatenated), with one kernel call.  The stages come in
-    nondecreasing order, so a one-slot cache builds each distinct path
+    arrays of its row's path average (``_path_average``, the hit blocks of
+    the iterate gathered), with one kernel call.  The stages come in
+    nondecreasing order, so a one-slot cache builds each row's path
     average once per sweep and holds one at a time.  The map's
     ``rk4_steps`` attribute holds the RK4 steps of one sweep.
     """
@@ -232,38 +240,32 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
     nodes = _flow_nodes(h_rules)
     times, steps = _flow_schedule(nodes, h_rules, config.ode_step, lip)
     rows, index = _segment_masses(g_rule, grid, times)
+    blocks = np.searchsorted(nodes, np.array([h_nodes for h_nodes, _ in h_rules]))
 
-    def sweep(path: MeasurePath) -> MeasurePath:
+    def sweep(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
         cached = [-1, None]  # row and path average of the last stage
 
         def vel(x, k):
             row = index[k]
             if row != cached[0]:
-                cached[:] = row, _path_average(path, rows[row])
+                cached[:] = row, _path_average(mu0, points, weights, *rows[row])
             # the field is linear in the measure: one kernel call on the
             # path average instead of one per g-node
             return v.field(x, *cached[1])
 
         advance = lambda x, j: transport._advect_segment(vel, x, steps[j])
-        measures = _h_mixture(_node_walk(advance, mu0, None, nodes), h_rules, nodes)
-        return MeasurePath(times=grid, measures=[mu0] + measures)
+        at_node = np.array([p for p, _ in _node_walk(advance, mu0, None, nodes)])
+        return at_node[blocks].reshape(len(h_rules), -1, mu0.dim)
 
+    sweep.weights = np.array([np.multiply.outer(h_weights, mu0.weights).ravel() for _, h_weights in h_rules])
     sweep.rk4_steps = sum(map(len, steps))
     return sweep
 
 
-def _moved(path: MeasurePath, points: np.ndarray) -> MeasurePath:
-    """``path`` with the particles of its measures after the first at the
-    stacked ``points``, in path order, and their weights kept."""
-    parts = np.split(points, np.cumsum([mu.size for mu in path.measures[1:-1]]))
-    moved = [EmpiricalMeasure(points=p, weights=mu.weights) for p, mu in zip(parts, path.measures[1:])]
-    return MeasurePath(times=path.times, measures=path.measures[:1] + moved)
-
-
 def _mixing_weight(dr: np.ndarray, r: np.ndarray, w: np.ndarray):
-    """Depth-1 Anderson weight <dr, r>_w / <dr, dr>_w for the (P, d)
+    """Depth-1 Anderson weight <dr, r>_w / <dr, dr>_w for the (..., d)
     residual difference ``dr`` and residual ``r``, each coordinate weighted
-    by its atom's weight ``w`` (P, 1); None when <dr, dr>_w is 0 or not
+    by its atom's weight ``w`` (..., 1); None when <dr, dr>_w is 0 or not
     finite, or the weight overflows.  np.sum, not a BLAS dot, so the
     weight does not depend on the thread count."""
     wdr = w * dr
@@ -273,20 +275,20 @@ def _mixing_weight(dr: np.ndarray, r: np.ndarray, w: np.ndarray):
     return gamma if math.isfinite(gamma) else None
 
 
-def _picard(sweep, start: MeasurePath, config: SolverConfig):
-    """Fixed point of the sweep map F from the iterate ``start``:
-    (F(X_k), log) for the first iterate X_k with
-    sup over the grid of ``_coupling_bound(X_k, F(X_k))`` below
-    ``picard_tol``, or for the last one after ``picard_max_iters`` sweeps;
-    the caller reads the last bound in the log to tell the two apart.  The
-    output is an image of F, a true push-forward mixture, so its mass is
-    exact whatever the mixing did.
+def _picard(sweep, start, config: SolverConfig):
+    """Fixed point of the sweep map F from the iterate ``start``, a
+    (points, weights) stack as F takes: (F(X_k), log) for the first X_k
+    whose ``_coupling_bounds`` against F(X_k), the largest over the grid,
+    is below ``picard_tol`` (mu0, in every iterate, adds a bound of 0), or
+    for the last one after ``picard_max_iters`` sweeps; the caller reads
+    the last bound in the log to tell the two apart.  The output is an
+    image of F, a true push-forward mixture, so its mass is exact whatever
+    the mixing did.
 
-    The iterates after ``start`` are stacked positions in the index order
-    of F's images, with F's fixed weights, and the residual
-    r_k = F(X_k) - X_k pairs ``start`` as ``_coupling_bound`` does.  The
-    next iterate is the depth-1 Anderson mix (Walker & Ni, SIAM J. Numer.
-    Anal. 49 (2011) 1715-1735)
+    The iterates after ``start`` hold F's weights, and the residual
+    r_k = F(X_k) - X_k pairs ``start`` as ``_coupling_bound`` does
+    (``_residual``).  The next iterate is the depth-1 Anderson mix (Walker &
+    Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735)
 
         X_{k+1} = F_k - gamma_k (F_k - F_{k-1}),
         gamma_k = <r_k - r_{k-1}, r_k>_w / <r_k - r_{k-1}, r_k - r_{k-1}>_w,
@@ -298,26 +300,23 @@ def _picard(sweep, start: MeasurePath, config: SolverConfig):
     with this sweep.  The log holds one dict per evaluation of F: sweep,
     coupling_bound, wall_time.
     """
-    x, log = start, []
-    f_prev = r_prev = None  # stacked image and residual of the last sweep
+    (x, w), log = start, []
+    f_prev = r_prev = None  # image and residual of the last sweep
     bound_prev = math.inf
     for n in range(1, config.picard_max_iters + 1):
         t0 = _time.perf_counter()
-        image = sweep(x)
-        bound = max(_coupling_bound(a, b) for a, b in zip(x.measures, image.measures))
+        f = sweep(x, w)
+        r = _residual(x, f)
+        bound = float(np.max(_coupling_bounds(r, sweep.weights)))
         log.append({"sweep": n, "coupling_bound": bound, "wall_time": _time.perf_counter() - t0})
         if bound < config.picard_tol:
             break
-        f = np.concatenate([mu.points for mu in image.measures[1:]])
-        paired = [_paired_points(a, b.size) for a, b in zip(x.measures[1:], image.measures[1:])]
-        r = f - np.concatenate(paired)
         gamma = None
         if r_prev is not None and bound < bound_prev:
-            w = np.concatenate([mu.weights for mu in image.measures[1:]])[:, None]
-            gamma = _mixing_weight(r - r_prev, r, w)
-        x = image if gamma is None else _moved(image, f - gamma * (f - f_prev))
+            gamma = _mixing_weight(r - r_prev, r, sweep.weights[..., None])
+        x, w = (f if gamma is None else f - gamma * (f - f_prev)), sweep.weights
         f_prev, r_prev, bound_prev = f, r, bound
-    return image, log
+    return (f, sweep.weights), log
 
 
 #: the coarse Picard level steps this many times ``ode_step`` (capped by
@@ -347,12 +346,11 @@ def solve_nonlinear(
 
     The sweep map F (``_sweep_map``) solves the auxiliary linear problem
     whose velocity is the g-averaged interaction field induced by an
-    iterate path.  Images of F are index-aligned (see
-    ``_average_push_forwards``), so ``_coupling_bound`` certifies an upper
-    bound on the d_BL between an iterate and its image in O(N), and the
-    driver (``_picard``) mixes the stacked positions of consecutive images
-    (depth-1 Anderson) and stops when the sup of that bound over the grid
-    drops below ``picard_tol``.
+    iterate path.  Images of F are index-aligned (``transport._h_mixture``
+    order), so ``_coupling_bounds`` certifies an upper bound on the d_BL
+    between an iterate and its image in O(N), and the driver (``_picard``)
+    mixes the positions of consecutive images (depth-1 Anderson) and stops
+    when the sup of that bound over the grid drops below ``picard_tol``.
 
     The fixed point is reached on two levels (nested iteration: Hackbusch,
     Multi-Grid Methods and Applications, 1985, Ch. 5).  The coarse level is
@@ -390,7 +388,8 @@ def solve_nonlinear(
     h_rules = _h_rules(beta, grid[1:], config)
     mass = total_mass(mu0)
     lip = v.lip * max(mass, 1.0)
-    start = MeasurePath(times=grid, measures=[mu0] * grid.size)
+    start = (np.broadcast_to(mu0.points, (grid.size - 1, mu0.size, mu0.dim)),
+             np.broadcast_to(mu0.weights, (grid.size - 1, mu0.size)))
     fine = _sweep_map(v, mu0, g_rule, h_rules, grid, config)
     coarse_step = min(_COARSE_FACTOR * config.ode_step, 1.0 / lip if lip > 0.0 else math.inf)
     coarse = _sweep_map(v, mu0, g_rule, h_rules, grid, config.replace(ode_step=coarse_step))
@@ -399,7 +398,7 @@ def solve_nonlinear(
         image, coarse_log = _picard(coarse, start, config)
         if math.isfinite(coarse_log[-1]["coupling_bound"]):
             start = image
-    current, log = _picard(fine, start, config)
+    (points, weights), log = _picard(fine, start, config)
     bound = log[-1]["coupling_bound"]
     if not bound < config.picard_tol:
         raise PicardConvergenceError(
@@ -409,10 +408,8 @@ def solve_nonlinear(
         )
 
     keep = [0] + [int(np.searchsorted(grid, t)) for t in config.times]
-    out = MeasurePath(
-        times=grid[keep],
-        measures=[current.measures[k] for k in keep],
-    )
+    measures = [mu0] + [EmpiricalMeasure(points=points[k - 1], weights=weights[k - 1]) for k in keep[1:]]
+    out = MeasurePath(times=grid[keep], measures=measures)
     freeze = max(
         float(np.sum(w * freezing_tail_probability(beta, s, horizon)))
         for s, w in (h_rules[k - 1] for k in keep[1:])

@@ -513,8 +513,8 @@ def _h_mixture(at_node, h_rules, nodes) -> list:
     from the ``_node_walk`` blocks at the flow ``nodes`` (every h-node among
     them).  Output particle (q, i), at position q * mu0.size + i with no
     source, is particle i of the block at h-node q, with weight w_q * w_i,
-    so two calls on the same mu0 and h-rules give index-aligned ensembles,
-    which ``picard._coupling_bound`` pairs."""
+    so two calls on the same mu0 and h-rules give index-aligned ensembles;
+    the Picard sweep stacks its measures in this order (``picard``)."""
     measures = []
     for h_nodes, h_weights in h_rules:
         blocks = [at_node[j] for j in np.searchsorted(nodes, h_nodes).tolist()]

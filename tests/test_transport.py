@@ -82,13 +82,26 @@ def _sweep_schedule(beta, cfg):
     return transport._flow_schedule(transport._flow_nodes(h_rules), h_rules, cfg.ode_step, 1.0)
 
 
+def _stack(measures):
+    """The (points, weights) stack of equal-size measures, as the Picard
+    driver holds the grid measures after mu0."""
+    return np.array([mu.points for mu in measures]), np.array([mu.weights for mu in measures])
+
+
 def _fine_level(field, mu0, cfg, beta=B):
-    """The fine sweep map of a nonlinear solve and the constant path mu0
-    that a Picard level without a coarse start begins from."""
+    """The fine sweep map of a nonlinear solve and the constant path mu0,
+    stacked, that a Picard level without a coarse start begins from."""
     grid = picard._grid_with_extension(cfg)
     h_rules = transport._h_rules(beta, grid[1:], cfg)
     sweep = picard._sweep_map(field, mu0, transport._GRule(beta, cfg), h_rules, grid, cfg)
-    return sweep, MeasurePath(times=grid, measures=[mu0] * grid.size)
+    return sweep, _stack([mu0] * (grid.size - 1))
+
+
+def _measure(iterate, j):
+    """Measure j of a stacked Picard iterate (points, weights): grid measure
+    j + 1, as mu0 is not stacked."""
+    points, weights = iterate
+    return EmpiricalMeasure(points=points[j], weights=weights[j])
 
 
 def _uniform_schedule(nodes, h_rules, ode_step, lip):
@@ -148,20 +161,29 @@ def _rule_masses(grid, nodes, weights):
     return np.bincount(hit, weights=weights, minlength=grid.size)
 
 
+def _rule_row(grid, nodes, weights):
+    """The ``_segment_masses`` row of one rule looked up on its own: the grid
+    index that each node of nonzero weight looks up, and its weight."""
+    cells = np.maximum(np.searchsorted(grid, nodes, side="right") - 1, 0)
+    return cells[weights > 0.0], weights[weights > 0.0]
+
+
+def _average(path, nodes, weights):
+    """Raw path average of one rule over ``path``, held as the Picard driver
+    holds an iterate: its first measure, then the others stacked."""
+    return _path_average(path.measures[0], *_stack(path.measures[1:]), *_rule_row(path.times, nodes, weights))
+
+
 def test_path_average_induced_field_cases():
     (nodes,), (weights,) = _GRule(B, _cfg(q_g=32)).lookups([1.0])
-
-    def _average(path, nodes, weights):
-        return EmpiricalMeasure(*_path_average(path, _rule_masses(path.times, nodes, weights)))
-
     mu = _two_diracs()
     path = MeasurePath(times=np.array([0.0, 1.0]), measures=[mu, mu])
     zero_kernel = InteractionField(kernel=lambda z: np.zeros_like(z), bound=0.0, lip=0.0)
-    v = zero_kernel.induced(_average(path, nodes, weights))(np.array([[0.7]]))
+    v = zero_kernel.induced(EmpiricalMeasure(*_average(path, nodes, weights)))(np.array([[0.7]]))
     assert np.all(v == 0.0)
     # symmetric pair with K(z) = -z induces v[mu](x) = -x (unit mass)
     attract = attraction_field()
-    v = attract.induced(_average(path, nodes, weights))(np.array([[0.7]]))
+    v = attract.induced(EmpiricalMeasure(*_average(path, nodes, weights)))(np.array([[0.7]]))
     assert v[0, 0] == pytest.approx(-0.7, abs=1e-10)
     # two different recorded measures, switching at r = 1 between g-nodes:
     # the field induced by the averaged path equals the average of the fields
@@ -170,22 +192,23 @@ def test_path_average_induced_field_cases():
     repel = repulsion_field()
     x = np.array([[0.7], [-0.2]])
     expected = sum(w_q * repel.induced(switch.at(r_q))(x) for r_q, w_q in zip(nodes, weights))
-    got = repel.induced(_average(switch, nodes, weights))(x)
+    got = repel.induced(EmpiricalMeasure(*_average(switch, nodes, weights)))(x)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("field", [repulsion_field(), attraction_field()], ids=["repulsion", "attraction"])
 def test_path_lookup_field_matches_measure_by_measure_average(field):
     # the Picard stage's field on the raw path average equals the field
-    # induced by the path average built measure by measure, bit for bit
+    # induced by the path average built measure by measure, bit for bit.
+    # mu0 has a size of its own and the grid measures after it share one
+    # (q_h times mu0's in a solve), so no stacked measure is ragged, and
+    # none is empty unless mu0 is
     cfg = _cfg(times=(0.1, 0.2), q_g=32, t_ext=1.0)
     grid = picard._grid_with_extension(cfg)
     rng = np.random.default_rng(5)
-    sizes = rng.integers(1, 6, size=grid.size)
-    sizes[2] = 0
     measures = [
         EmpiricalMeasure(points=rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 1.0, size=n))
-        for n in sizes
+        for n in [3] + [6] * (grid.size - 1)
     ]
     path = MeasurePath(times=grid, measures=measures)
     (nodes,), (weights,) = _GRule(B, cfg).lookups([0.5])
@@ -196,23 +219,36 @@ def test_path_lookup_field_matches_measure_by_measure_average(field):
     mass = [0.0] * grid.size
     for r_q, w_q in zip(nodes, weights):
         mass[max([k for k, t in enumerate(grid) if t <= r_q], default=0)] += w_q
-    assert grid.size >= 5 and mass[2] > 0.0
-    assert any(m == 0.0 and mu.size for m, mu in zip(mass, measures))
-    parts = [(mu, m) for mu, m in zip(measures, mass) if m > 0.0 and mu.size]
+    # the row hits mu0, several stacked measures, and skips some
+    assert grid.size >= 5 and mass[0] > 0.0 and mass[4] > 0.0
+    assert sum(m > 0.0 for m in mass[1:]) > 2 and any(m == 0.0 for m in mass)
+    parts = [(mu, m) for mu, m in zip(measures, mass) if m > 0.0]
     average = EmpiricalMeasure(
         points=np.concatenate([mu.points for mu, _ in parts]),
         weights=np.concatenate([m * mu.weights for mu, m in parts]),
     )
     x = rng.normal(size=(7, 2))
-    got = field.field(x, *_path_average(path, _rule_masses(grid, nodes, weights)))
+    got = field.field(x, *_average(path, nodes, weights))
     np.testing.assert_array_equal(got, field.induced(average)(x))
+
+
+def _row_masses(row, size):
+    """The segment masses of a ``_segment_masses`` row, read through
+    ``_path_average`` on a path of unit Diracs at 0, 1, ..., size - 1: the
+    weight of atom j is m_j times 1.0, bitwise m_j."""
+    mu0 = EmpiricalMeasure.dirac([0.0])
+    points, weights = np.arange(1.0, size)[:, None, None], np.ones((size - 1, 1))
+    at, mass = _path_average(mu0, points, weights, *row)
+    masses = np.zeros(size)
+    masses[at[:, 0].astype(int)] = mass
+    return masses
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.7, 1.0])
 def test_segment_mass_rows_equal_per_rule_masses(beta):
-    # one bincount over every stage's lookups, equal neighbours merged,
-    # gives at every stage the masses that looking up its g-rule on its own
-    # gives, bit for bit
+    # rows of lookup cells and weights, equal neighbours merged, give at
+    # every stage, once their cells are summed, the masses that looking up
+    # its g-rule on its own gives, bit for bit
     beta = FracOrder(beta)
     cfg = _cfg(times=(0.25, 0.5), q_h=8, q_g=16, ode_step=0.05, t_ext=1.3)
     g_rule = _GRule(beta, cfg)
@@ -227,14 +263,16 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
         gap = r[2] + np.array([1.0, 2.0]) / 3.0 * (r[3] - r[2])
         grid = np.unique(np.concatenate([grid, [r[1]], gap]))
     rows, index = _segment_masses(g_rule, grid, times)
-    table = rows[index]
-    assert table.shape == (len(times), grid.size)
+    assert len(index) == len(times)
+    table = np.array([_row_masses(row, grid.size) for row in rows])[index]
     for row, s in zip(table, times):
         (nodes,), (weights,) = g_rule.lookups([s])
         np.testing.assert_array_equal(row, _rule_masses(grid, nodes, weights))
-    # each row is kept once per run of equal stages, and a g-node's lookup
-    # index never decreases in s
-    assert np.all(np.any(rows[1:] != rows[:-1], axis=1))
+    # a row holds at most q_g entries, all of them nonzero; each row is kept
+    # once per run of equal stages, and a g-node's lookup index never
+    # decreases in s
+    assert all(cells.size == masses.size <= cfg.q_g and np.all(masses > 0.0) for cells, masses in rows)
+    assert not any(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) for a, b in zip(rows, rows[1:]))
     assert index[0] == 0 and np.all(np.diff(index) >= 0)
     assert len(rows) <= cfg.q_g * (grid.size - 1) + 1
     # stage 0 is s = 0, a point rule; later g-rules look up past t_ext,
@@ -247,23 +285,27 @@ def test_segment_mass_rows_equal_per_rule_masses(beta):
         assert table[k, a - 1] > 0.0 and table[k, a] == 0.0 and table[k, b] > 0.0
     # the point rule at s = 0 and the rules just past it, all of whose nodes
     # look up t_0: at beta 1/2 the normalized weights add up, in bincount
-    # order, to exactly 1.0 at q_g 8, so the two give one row, kept once, and
-    # to just below 1.0 at q_g 28, so they give two.  A grid of one time (a
-    # source path of one measure) has no grid time to cross.
+    # order, to exactly 1.0 at q_g 8 and to just below 1.0 at q_g 28, and
+    # either way the two are two rows, whose cells and weights differ.  A
+    # grid of one time (a source path of one measure) has no grid time to
+    # cross.
     times = [0.0, 0.025, 0.05]
-    for q_g, n_rows in ((8, 1), (28, 2)):
+    for q_g, total in ((8, 1.0), (28, np.nextafter(1.0, 0.0))):
         half = _GRule(FracOrder(0.5), _cfg(q_g=q_g))
         for grid in (np.array([0.0, 1e300]), np.array([0.0])):
             rows, index = _segment_masses(half, grid, times)
-            for row, s in zip(rows[index], times):
+            for row, s in zip(index, times):
                 (nodes,), (weights,) = half.lookups([s])
-                np.testing.assert_array_equal(row, _rule_masses(grid, nodes, weights))
-            assert len(rows) == n_rows and np.all(np.any(rows[1:] != rows[:-1], axis=1))
+                np.testing.assert_array_equal(_row_masses(rows[row], grid.size),
+                                              _rule_masses(grid, nodes, weights))
+            assert len(rows) == 2 and list(index) == [0, 1, 1]
+            assert _row_masses(rows[1], grid.size)[0] == total
 
 
 def test_segment_masses_hold_no_stage_by_grid_table():
-    # 6,403 stages look up 401 grid times, which merge into 331 rows: a
-    # stages x grid float table would take 20.5 MB, the rows take 1.1 MB
+    # 6,403 stages look up 401 grid times, in 331 rows of at most q_g
+    # entries (93 kB with the stage index): a stages x grid float table
+    # would take 20.5 MB
     cfg = _cfg(times=(0.01,), q_h=8, q_g=8, t_ext=4.0)
     grid = picard._grid_with_extension(cfg)
     times, _ = _sweep_schedule(B, cfg)
@@ -278,18 +320,39 @@ def test_segment_masses_hold_no_stage_by_grid_table():
     assert peak < 8e6
 
 
+def test_segment_mass_rows_stay_small_on_a_long_grid():
+    # times [0.003] with t_ext 4: 21,329 stages look up 1,334 grid times.
+    # Bounds fixed before the first run: the returned arrays under 0.5 MB
+    # (dense rows took 11.7 MB) and a tracemalloc peak under 10 MB (26.5 MB)
+    cfg = _cfg(times=(0.003,), q_h=8, q_g=8, t_ext=4.0)
+    grid = picard._grid_with_extension(cfg)
+    times, _ = _sweep_schedule(B, cfg)
+    g_rule = _GRule(B, cfg)
+    assert (len(times), grid.size) == (21_329, 1_334)
+    tracemalloc.start()
+    try:
+        rows, index = _segment_masses(g_rule, grid, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = index.nbytes + sum(cells.nbytes + masses.nbytes for cells, masses in rows)
+    assert held < 0.5e6
+    assert peak < 10e6
+
+
 @pytest.mark.parametrize("field", [repulsion_field(), attraction_field()], ids=["repulsion", "attraction"])
 def test_path_lookup_slices_and_masks_match_measure_by_measure_average(field):
     # rows whose hit measures form one run or leave gaps, and an atom whose
     # mass underflows to 0, which is dropped: each gives the average built
-    # measure by measure, bit for bit
+    # measure by measure, bit for bit.  The measures after mu0 share one
+    # size, as in a solve's stack, where no ragged or empty one can arise
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     rng = np.random.default_rng(8)
     measures = [
         EmpiricalMeasure(points=rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 1.0, size=n))
-        for n in (3, 4, 0, 2, 5)
+        for n in (3, 4, 4, 4, 4)
     ]
-    tiny = EmpiricalMeasure(points=rng.normal(size=(2, 2)), weights=np.array([1e-300, 0.5]))
+    tiny = EmpiricalMeasure(points=rng.normal(size=(4, 2)), weights=np.array([1e-300, 0.5, 0.25, 0.125]))
     run = (np.array([0.3, 0.6, 0.8]), np.array([0.5, 0.3, 0.2]))  # measures 1 to 3
     gaps = (np.array([0.1, 0.9]), np.array([0.5, 0.5]))  # measures 0 and 3
     underflow = (np.array([0.3, 0.8]), np.array([1.0, 1e-30]))  # 1e-30 * 1e-300 is 0
@@ -305,13 +368,13 @@ def test_path_lookup_slices_and_masks_match_measure_by_measure_average(field):
             parts = [(mu.points, m * mu.weights) for mu, m in zip(path_measures, mass)]
             pts = np.concatenate([p[a > 0.0] for p, a in parts])
             wts = np.concatenate([a[a > 0.0] for _, a in parts])
-            got_pts, got_wts = _path_average(path, _rule_masses(grid, nodes, weights))
+            got_pts, got_wts = _average(path, nodes, weights)
             np.testing.assert_array_equal(got_pts, pts)
             np.testing.assert_array_equal(got_wts, wts)
             expected = field.induced(EmpiricalMeasure(points=pts, weights=wts))(x)
             np.testing.assert_array_equal(field.field(x, got_pts, got_wts), expected)
     # measure 1 and the tiny measure but its underflowing atom
-    assert wts.size == 4 + 1
+    assert wts.size == 4 + 3
 
 
 def test_induced_field_takes_any_array_like_positions():
@@ -994,6 +1057,29 @@ def test_nonlinear_stopping_does_not_depend_on_seed():
         assert np.array_equal(mu.points, nu.points) and np.array_equal(mu.weights, nu.weights)
 
 
+def test_nonlinear_2d_attraction_answers_are_pinned():
+    # a 2-D attraction solve with a lookup horizon and three output times,
+    # pinned to a relative 1e-12 and its counts exactly; its lookup rows hit
+    # mu0 and several stacked grid measures.  These are the answers of the
+    # composite g-rule's lookup masses, which are off at q_g 8 (ROADMAP.md,
+    # defect 1): the change that makes them exact moves these numbers on
+    # purpose and re-pins them
+    cfg = SolverConfig(times=(0.25, 0.5, 1.0), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-6, t_ext=2.0)
+    path = solve_nonlinear(B, attraction_field(), _square_2d(), cfg)
+    m1 = [0.7469307166985835, 0.637434388912608, 0.525310974990505]
+    m2 = [0.698227480123748, 0.5501194660563535, 0.4191452980898954]
+    for mu, first, second in zip(path.measures[1:], m1, m2):
+        assert moment(mu, 1) == pytest.approx(first, rel=1e-12, abs=0.0)
+        assert moment(mu, 2) == pytest.approx(second, rel=1e-12, abs=0.0)
+        assert mu.size == 8 * 5
+    d = path.diagnostics
+    assert (d["sweeps"], d["coarse_sweeps"], d["rk4_steps"], d["coarse_rk4_steps"]) == (2, 2, 118, 56)
+    grid = picard._grid_with_extension(cfg)
+    rows, _ = _segment_masses(_GRule(B, cfg), grid, _sweep_schedule(B, cfg)[0])
+    assert any(0 in cells and np.unique(cells).size > 2 for cells, _ in rows)
+    assert len({int(c) for cells, _ in rows for c in cells}) > grid.size / 2
+
+
 def test_nonlinear_empty_initial_measure_converges_at_once():
     empty = EmpiricalMeasure(points=np.zeros((0, 1)), weights=np.zeros(0))
     path = solve_nonlinear(B, repulsion_field(), empty, _cfg(times=(0.5,), q_h=8, q_g=8))
@@ -1058,14 +1144,19 @@ def test_each_sweep_builds_each_distinct_path_average_once(monkeypatch):
 
 
 def _plain_picard(field, mu0, cfg):
-    """Plain Picard, X_{k+1} = F(X_k), on the solver's sweep map: the
-    images and the sweep count at the first bound below picard_tol."""
-    sweep, x = _fine_level(field, mu0, cfg)
-    for n in range(1, cfg.picard_max_iters + 1):
-        image = sweep(x)
-        bound = max(picard._coupling_bound(a, b) for a, b in zip(x.measures, image.measures))
-        if bound < cfg.picard_tol:
-            return image, n
+    """Plain Picard, X_{k+1} = F(X_k), on the solver's sweep map, with the
+    iterate held as a list of measures and the bound taken measure by
+    measure: a reference for the stacked driver.  The images and the bound
+    of every sweep, up to the first below picard_tol."""
+    sweep, _ = _fine_level(field, mu0, cfg)
+    grid = picard._grid_with_extension(cfg)
+    x, bounds = [mu0] * grid.size, []
+    for _ in range(cfg.picard_max_iters):
+        points = sweep(*_stack(x[1:]))
+        image = [mu0] + [EmpiricalMeasure(points=p, weights=w) for p, w in zip(points, sweep.weights)]
+        bounds.append(max(picard._coupling_bound(a, b) for a, b in zip(x, image)))
+        if bounds[-1] < cfg.picard_tol:
+            return MeasurePath(times=grid, measures=image), bounds
         x = image
     raise AssertionError("plain Picard did not converge")
 
@@ -1077,12 +1168,28 @@ def test_anderson_driver_beats_plain_picard():
     cfg = _cfg(times=(0.5,), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-3)
     mu0 = _two_diracs(0.5)
     image, log = picard._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
-    _, plain_sweeps = _plain_picard(repulsion_field(), mu0, cfg)
+    _, plain_bounds = _plain_picard(repulsion_field(), mu0, cfg)
     ref, _ = _plain_picard(repulsion_field(), mu0, cfg.replace(picard_tol=1e-8))
-    assert len(log) < plain_sweeps
+    assert len(log) < len(plain_bounds)
     for k in (1, 2):
-        assert moment(image.measures[-1], k) == pytest.approx(moment(ref.measures[-1], k), abs=1e-3)
-    assert total_mass(image.measures[-1]) == pytest.approx(1.0, rel=1e-13)
+        assert moment(_measure(image, -1), k) == pytest.approx(moment(ref.measures[-1], k), abs=1e-3)
+    assert total_mass(_measure(image, -1)) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_stacked_driver_without_mixing_is_the_list_of_measures_reference(monkeypatch):
+    # with every mixing weight refused, each step is the plain one: the
+    # bound of each sweep, one reduction over the stack, and the last image
+    # equal the measure-by-measure reference bit for bit, from a start that
+    # pairs mu0 with the q_h blocks of the first image
+    monkeypatch.setattr(picard, "_mixing_weight", lambda *args: None)
+    cfg = _cfg(times=(0.25, 0.5), q_h=8, q_g=8, ode_step=0.05, picard_tol=1e-6, t_ext=1.0)
+    mu0 = EmpiricalMeasure(points=_square_2d().points, weights=np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+    image, log = picard._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
+    ref, bounds = _plain_picard(repulsion_field(), mu0, cfg)
+    assert len(bounds) > 2 and [entry["coupling_bound"] for entry in log] == bounds
+    for j, mu in enumerate(ref.measures[1:]):
+        assert np.array_equal(_measure(image, j).points, mu.points)
+        assert np.array_equal(_measure(image, j).weights, mu.weights)
 
 
 def test_anderson_driver_falls_back_to_the_plain_step(monkeypatch):
@@ -1102,7 +1209,7 @@ def test_anderson_driver_falls_back_to_the_plain_step(monkeypatch):
     bounds = [entry["coupling_bound"] for entry in log]
     assert bounds[2] > bounds[1] and bounds[-1] < cfg.picard_tol
     assert len(calls) == sum(b < a for a, b in zip(bounds[:-2], bounds[1:-1]))
-    assert total_mass(image.measures[-1]) == pytest.approx(1.0, rel=1e-13)
+    assert total_mass(_measure(image, -1)) == pytest.approx(1.0, rel=1e-13)
 
 
 def _benchmark_grid():
@@ -1120,8 +1227,8 @@ def test_two_level_solve_reaches_the_fine_fixed_point(t_ext):
     image, log = picard._picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
     assert path.diagnostics["coarse_sweeps"] > 1 and path.diagnostics["sweeps"] < len(log)
     assert path.diagnostics["picard_log"][-1]["coupling_bound"] < cfg.picard_tol
-    k = int(np.searchsorted(image.times, 0.5))
-    assert picard._coupling_bound(path.measures[-1], image.measures[k]) < 1e-6
+    k = int(np.searchsorted(picard._grid_with_extension(cfg), 0.5))
+    assert picard._coupling_bound(path.measures[-1], _measure(image, k - 1)) < 1e-6
     assert total_mass(path.measures[-1]) == pytest.approx(1.0, rel=1e-13)
 
 
@@ -1153,7 +1260,7 @@ def test_coarse_level_that_does_not_converge_still_lets_the_solve_converge(monke
     path = solve_nonlinear(B, repulsion_field(), mu0, cfg)
     image, log = run_picard(*_fine_level(repulsion_field(), mu0, cfg), cfg)
     assert [e["coupling_bound"] for e in path.diagnostics["picard_log"]] == [e["coupling_bound"] for e in log]
-    assert np.array_equal(path.measures[-1].points, image.measures[-1].points)
+    assert np.array_equal(path.measures[-1].points, _measure(image, -1).points)
 
 
 @pytest.mark.parametrize("lip, coarse", [(1.0, True), (15.0, True), (20.0, False), (80.0, False)])
