@@ -227,9 +227,11 @@ def _parse_measure(block, where: str) -> EmpiricalMeasure:
         for lo, hi in zip(low, high):
             if not math.isfinite(hi - lo):  # np.linspace forms the span first
                 raise ConfigError(f"{where} uniform-grid span high - low = {hi!r} - {lo!r} overflows")
+        # n^d points, in Python ints; 2^24 > 10^7 caps the power's size
+        if spec["n"] ** min(len(low), 24) > 10**7:
+            raise ConfigError(f"{where} uniform-grid n = {spec['n']} on {len(low)} axes is more than 1e7 points")
         axes = [np.linspace(lo, hi, spec["n"]) for lo, hi in zip(low, high)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(low))
         return EmpiricalMeasure(points=pts, weights=np.full(pts.shape[0], spec["mass"] / pts.shape[0]))
     try:
         return path_from_csv(spec["path"]).measures[0]

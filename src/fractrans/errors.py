@@ -2,7 +2,7 @@
 
 
 class TailMassError(RuntimeError):
-    """Quadrature tail-mass target cannot be met within the horizon cap."""
+    """A g-rule's tail target is unreachable below the horizon cap, or a panel's mass is far from exact."""
 
 
 class MassMismatchError(ValueError):

@@ -240,7 +240,7 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
     nodes = _flow_nodes(h_rules)
     times, steps = _flow_schedule(nodes, h_rules, config.ode_step, lip)
     rows, index = _segment_masses(g_rule, grid, times)
-    blocks = np.searchsorted(nodes, np.array([h_nodes for h_nodes, _ in h_rules]))
+    blocks = np.searchsorted(nodes, h_rules[0])
 
     def sweep(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
         cached = [-1, None]  # row and path average of the last stage
@@ -255,9 +255,10 @@ def _sweep_map(v: InteractionField, mu0: EmpiricalMeasure, g_rule, h_rules, grid
 
         advance = lambda x, j: transport._advect_segment(vel, x, steps[j])
         at_node = np.array([p for p, _ in _node_walk(advance, mu0, None, nodes)])
-        return at_node[blocks].reshape(len(h_rules), -1, mu0.dim)
+        return at_node[blocks].reshape(len(blocks), -1, mu0.dim)
 
-    sweep.weights = np.array([np.multiply.outer(h_weights, mu0.weights).ravel() for _, h_weights in h_rules])
+    image = np.multiply.outer(h_rules[1], mu0.weights).ravel()
+    sweep.weights = np.broadcast_to(image, (len(blocks), image.size))
     sweep.rk4_steps = sum(map(len, steps))
     return sweep
 
@@ -410,10 +411,9 @@ def solve_nonlinear(
     keep = [0] + [int(np.searchsorted(grid, t)) for t in config.times]
     measures = [mu0] + [EmpiricalMeasure(points=points[k - 1], weights=weights[k - 1]) for k in keep[1:]]
     out = MeasurePath(times=grid[keep], measures=measures)
-    freeze = max(
-        float(np.sum(w * freezing_tail_probability(beta, s, horizon)))
-        for s, w in (h_rules[k - 1] for k in keep[1:])
-    )
+    h_nodes, h_weights = h_rules
+    freeze = max(float(np.sum(h_weights * freezing_tail_probability(beta, h_nodes[k - 1], horizon)))
+                 for k in keep[1:])
     rho = _contraction_estimate(coarse_log, log)
     out.diagnostics.update(
         {

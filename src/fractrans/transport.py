@@ -56,7 +56,7 @@ from .measures import (
     MeasurePath,
     total_mass,
 )
-from .rules import _sorted_unique, g_quadrature, h_quadrature
+from .rules import QuadratureRule, _sorted_unique, g_quadrature, h_quadrature
 from .subordinator import FracOrder, RngSpec, sample_inverse
 
 __all__ = [
@@ -238,14 +238,13 @@ class _GRule:
         return np.where(s > 0.0, scaled, s), np.where(s > 0.0, self.weights, np.eye(1, self.nodes.size))
 
 
-def _h_rules(beta: FracOrder, times, config: SolverConfig) -> list:
-    """(nodes, weights summing to 1) of the h_beta(., t) rule for each t:
-    the q_h-point Gauss rule of ``h_quadrature``, or at beta = 1 the point
-    mass at t, so classical transport needs no branch."""
-    if beta.is_classical:
-        return [(np.array([t]), np.ones(1)) for t in times]
-    rules = [h_quadrature(beta, t, config.q_h, config.eps_tail) for t in times]
-    return [(rule.nodes, rule.weights) for rule in rules]
+def _h_rules(beta: FracOrder, times, config: SolverConfig):
+    """(nodes, weights) of the h_beta(., t) rules of the increasing ``times``:
+    E_t has the law of t^beta E_1, so node row k is the unit rule's (at beta = 1
+    the point mass) scaled by the Python float times[k]^beta; rows share weights."""
+    unit = (QuadratureRule([1.0], [1.0], 0.0) if beta.is_classical
+            else h_quadrature(beta, 1.0, config.q_h, config.eps_tail))
+    return np.multiply.outer([float(t) ** beta.beta for t in times], unit.nodes), unit.weights
 
 
 def _field_average(v: ExplicitField, x, times, weights) -> np.ndarray:
@@ -343,8 +342,9 @@ def _stage_schedule(nodes: np.ndarray, max_step):
 def _flow_schedule(nodes: np.ndarray, h_rules, ode_step: float, lip: float):
     """``_stage_schedule`` of the flow ``nodes`` with each interval's step
     sized by the h-weight it still feeds: interval j takes steps of at most
-    min(ode_step * W_j^(-1/5), 1/lip), where W_j is the largest summed
-    weight, over ``h_rules``, of the h-nodes past nodes[j].
+    min(ode_step * W_j^(-1/5), 1/lip), where W_j is the h-weight past nodes[j]
+    in the last row of ``h_rules``, the largest over its rows of increasing
+    times (the weight past s grows with t).
 
     The flow only matters through the push-forwards at the h-nodes, and an
     RK4 step of length h errs by about h^5 at every node past it, so the
@@ -352,10 +352,9 @@ def _flow_schedule(nodes: np.ndarray, h_rules, ode_step: float, lip: float):
     ds / h) is least for h proportional to W^(-1/5).  Where the full weight
     is fed (W = 1, near s = 0) the step is ``ode_step`` itself; ``lip``, the
     Lipschitz constant that ``_check_step`` guards, bounds every step."""
-    fed = np.zeros(nodes.size - 1)
-    for h_nodes, weights in h_rules:
-        past = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
-        np.maximum(fed, past[np.searchsorted(h_nodes, nodes[:-1], side="right")], out=fed)
+    h_nodes, weights = h_rules
+    past = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
+    fed = past[np.searchsorted(h_nodes[-1], nodes[:-1], side="right")]
     with np.errstate(divide="ignore"):
         caps = ode_step * np.minimum(fed, 1.0) ** -0.2
     return _stage_schedule(nodes, np.minimum(caps, 1.0 / lip if lip > 0.0 else math.inf))
@@ -368,8 +367,8 @@ _GRADED_START = tuple(8.0 * 512.0 ** (-k / 53) for k in range(53, -1, -1))
 
 
 def _flow_nodes(h_rules, s_extra=()) -> np.ndarray:
-    """The flow nodes: 0, ``s_extra`` and the union of the h-nodes."""
-    return _sorted_unique(np.concatenate([[0.0], s_extra] + [nodes for nodes, _ in h_rules]))
+    """The flow nodes: 0, ``s_extra`` and every h-node of ``h_rules``."""
+    return _sorted_unique(np.concatenate([[0.0], s_extra, h_rules[0].ravel()]))
 
 
 def _advect_segment(vel, points, steps):
@@ -515,12 +514,11 @@ def _h_mixture(at_node, h_rules, nodes) -> list:
     source, is particle i of the block at h-node q, with weight w_q * w_i,
     so two calls on the same mu0 and h-rules give index-aligned ensembles;
     the Picard sweep stacks its measures in this order (``picard``)."""
-    measures = []
-    for h_nodes, h_weights in h_rules:
-        blocks = [at_node[j] for j in np.searchsorted(nodes, h_nodes).tolist()]
-        measures.append(EmpiricalMeasure(points=np.concatenate([p for p, _ in blocks]),
-                                         weights=np.concatenate([w_q * w for w_q, (_, w) in zip(h_weights, blocks)])))
-    return measures
+    h_nodes, h_weights = h_rules
+    rows = [[at_node[j] for j in row] for row in np.searchsorted(nodes, h_nodes).tolist()]
+    return [EmpiricalMeasure(points=np.concatenate([p for p, _ in blocks]),
+                             weights=np.concatenate([w_q * w for w_q, (_, w) in zip(h_weights, blocks)]))
+            for blocks in rows]
 
 
 # ---------------------------------------------------------------------------

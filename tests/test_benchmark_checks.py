@@ -8,9 +8,10 @@ directory, and asserts that the workload's own check passes, so a change
 that moves an answer fails here too.  ``perfbench/`` is only read: the
 module is loaded without writing its bytecode.
 
-The nonlinear check allows 5 picard_tol (5e-3) off its stored reference,
-which a change that moved the Picard iterate's layout could pass, so that
-workload's answers are also pinned here to their digits.
+The closed-form checks of the linear and source workloads allow 1e-8, and
+the nonlinear check 5 picard_tol (5e-3) off its stored reference, which a
+refactor that moved an answer by rounding could pass, so the answers of
+the three solve workloads are also pinned here to their digits.
 """
 
 import importlib.util
@@ -60,13 +61,26 @@ def test_workload_passes_its_answer_check(tmp_path, name, seed):
     assert ok, f"{message} {deviations}"
 
 
-def test_nonlinear_workload_answers_are_pinned(tmp_path):
-    # seed 0 of nonlinear-repulsion, pinned to a relative 1e-12 and its
-    # counts exactly.  These are the answers of the composite g-rule's
-    # lookup masses, which are off at q_g 8 (ROADMAP.md, defect 1): the
-    # change that makes them exact moves these numbers on purpose and
-    # re-pins them
-    command, config = workloads.WORKLOADS["nonlinear-repulsion"][0](0)
+#: seed 0 of each solve workload: first and second moments at every
+#: output time (0 first) and the RK4 steps of one flow sweep.  The
+#: nonlinear answers are those of the composite g-rule's lookup masses,
+#: which are off at q_g 8 (ROADMAP.md, defect 1): the change that makes
+#: them exact moves them on purpose and re-pins them
+_PINNED = {
+    "linear-2d": ([0.7333873910943316, 0.38367644209779317, 0.31358440341693383],
+                  [0.6122273934347886, 0.20583330009516634, 0.15636022921553827], 358),
+    "nonlinear-repulsion": ([0.5333333333333333, 0.7029055203377658],
+                            [0.37777777777777777, 0.6735181296227523], 238),
+    "source-2d": ([0.9243607181160578, 0.7861831963779854, 0.7587718368560424],
+                  [0.9702263992187575, 0.4605546925449847, 0.3989789498941526], 358),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_solve_workload_answers_are_pinned(tmp_path, name):
+    # the closed-form checks allow 1e-8 and the nonlinear one 5e-3, so
+    # each answer is pinned to a relative 1e-12 and its counts exactly
+    command, config = workloads.WORKLOADS[name][0](0)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -79,9 +93,12 @@ def test_nonlinear_workload_answers_are_pinned(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     outputs, diagnostics = manifest["outputs"], manifest["diagnostics"]
-    assert manifest["times"][-1] == 0.5
-    assert outputs["first_moment"][-1] == pytest.approx(0.7029055203377658, rel=1e-12, abs=0.0)
-    assert outputs["second_moment"][-1] == pytest.approx(0.6735181296227523, rel=1e-12, abs=0.0)
-    log = [json.loads(line) for line in (out / "picard.jsonl").read_text().splitlines()]
-    assert log[-1]["coupling_bound"] == pytest.approx(8.15961270982166e-05, rel=1e-12, abs=0.0)
-    assert (diagnostics["sweeps"], diagnostics["coarse_sweeps"], diagnostics["rk4_steps"]) == (1, 4, 238)
+    first, second, rk4_steps = _PINNED[name]
+    assert manifest["times"] == config["times"]
+    assert outputs["first_moment"] == pytest.approx(first, rel=1e-12, abs=0.0)
+    assert outputs["second_moment"] == pytest.approx(second, rel=1e-12, abs=0.0)
+    assert diagnostics["rk4_steps"] == rk4_steps
+    if name == "nonlinear-repulsion":
+        log = [json.loads(line) for line in (out / "picard.jsonl").read_text().splitlines()]
+        assert log[-1]["coupling_bound"] == pytest.approx(8.15961270982166e-05, rel=1e-12, abs=0.0)
+        assert (diagnostics["sweeps"], diagnostics["coarse_sweeps"]) == (1, 4)

@@ -579,6 +579,19 @@ def test_uniform_grid_span_past_the_float_range_exit_2(tmp_path, capsys):
     assert not (out / "path.csv").exists()
 
 
+@pytest.mark.parametrize("n, dim", [(10**6, 3), (10**7 + 1, 1), (2, 30)])
+def test_uniform_grid_past_the_point_limit_exit_2(tmp_path, capsys, n, dim):
+    # n^d past 10^7 points exits 2 before any array is made; 10^6 per axis
+    # in 3-D would otherwise end in a MemoryError traceback with exit 1
+    cfg = _linear_config(tmp_path, initial={"kind": "uniform-grid", "low": [0.0] * dim, "high": [1.0] * dim, "n": n})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert f"n = {n} " in err and "more than 1e7 points" in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # an np.arange step of 0 would warn
 @pytest.mark.parametrize("overrides", [
     {},

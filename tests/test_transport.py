@@ -572,24 +572,28 @@ def test_default_linear_solve_takes_358_rk4_steps():
 @pytest.mark.parametrize("lip", [1.0, 20.0])
 def test_flow_steps_follow_the_h_weight_they_feed(lip):
     # interval j steps at most min(ode_step W_j^(-1/5), 1/lip), W_j the
-    # largest h-weight past nodes[j]: ode_step where the full weight is fed
-    cfg = SolverConfig(times=(0.5, 1.0))
-    h_rules = transport._h_rules(B, cfg.times, cfg)
-    nodes = transport._flow_nodes(h_rules)
-    _, steps = transport._flow_schedule(nodes, h_rules, cfg.ode_step, lip)
-    fed = [max(float(w[n > s].sum()) for n, w in h_rules) for s in nodes[:-1]]
-    widest = 0.0
-    for w_j, interval in zip(fed, steps):
-        h = max(step for step, _ in interval)
-        widest = max(widest, h)
-        assert h <= 1.0 / lip
-        assert h <= cfg.ode_step * w_j**-0.2 * (1.0 + 1e-12)
-        if w_j >= 1.0 - 1e-15:
-            assert h <= cfg.ode_step
-    # the light tail steps far longer than ode_step; at lip 20, 1/lip binds
-    assert fed[0] >= 1.0 - 1e-15 and widest > 4.0 * cfg.ode_step
-    if lip > 1.0:
-        assert widest == 1.0 / lip
+    # largest h-weight past nodes[j] over every row: ode_step where the
+    # full weight is fed.  The schedule reads W_j off the last row alone;
+    # the Picard grid of (0.25, 0.5, 1) extended to t_ext 4 has 15 rows
+    linear = SolverConfig(times=(0.5, 1.0))
+    extended = SolverConfig(times=(0.25, 0.5, 1.0), t_ext=4.0)
+    for cfg, times in ((linear, linear.times), (extended, picard._grid_with_extension(extended)[1:])):
+        h_nodes, weights = h_rules = transport._h_rules(B, times, cfg)
+        nodes = transport._flow_nodes(h_rules)
+        _, steps = transport._flow_schedule(nodes, h_rules, cfg.ode_step, lip)
+        fed = [max(float(weights[row > s].sum()) for row in h_nodes) for s in nodes[:-1]]
+        widest = 0.0
+        for w_j, interval in zip(fed, steps):
+            h = max(step for step, _ in interval)
+            widest = max(widest, h)
+            assert h <= 1.0 / lip
+            assert h <= cfg.ode_step * w_j**-0.2 * (1.0 + 1e-12)
+            if w_j >= 1.0 - 1e-15:
+                assert h <= cfg.ode_step
+        # the light tail steps far longer than ode_step; at lip 20, 1/lip binds
+        assert fed[0] >= 1.0 - 1e-15 and widest > 4.0 * cfg.ode_step
+        if lip > 1.0:
+            assert widest == 1.0 / lip
 
 
 def test_mc_schedule_is_the_uniform_one(monkeypatch):
@@ -849,7 +853,7 @@ def test_linear_mc_paths_nonnegative_and_monotone_in_time():
 
 
 def _unit_h_rule(beta, **kw):
-    (nodes, weights), = transport._h_rules(beta, (1.0,), SolverConfig(times=(1.0,), **kw))
+    (nodes,), weights = transport._h_rules(beta, (1.0,), SolverConfig(times=(1.0,), **kw))
     return nodes, weights
 
 
@@ -936,18 +940,24 @@ def test_kanter_planning_rule_moments_and_laplace(b):
 
 def test_gauss_h_rule_nodes_scale_by_t_to_the_beta():
     times = (0.5, 2.0)
-    rules = transport._h_rules(B, times, SolverConfig(times=times))
+    table, weights = transport._h_rules(B, times, SolverConfig(times=times))
     unit_nodes, unit_weights = _unit_h_rule(B)
-    for t, (nodes, weights) in zip(times, rules):
+    for t, nodes in zip(times, table):
         np.testing.assert_array_equal(nodes, unit_nodes * t**0.5)
-        np.testing.assert_array_equal(weights, unit_weights)
+    np.testing.assert_array_equal(weights, unit_weights)
+    # at beta = 1 the unit rule is the point mass at 1, so row k is times[k]
+    table, weights = transport._h_rules(FracOrder(1.0), times, SolverConfig(times=times))
+    expected = np.array(times)[:, None]
+    assert (table.dtype, table.shape, table.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+    np.testing.assert_array_equal(weights, [1.0])
 
 
 def test_solvers_run_the_public_h_rule():
     # one h-rule: the solvers' rule is h_quadrature's, built once per
     # (beta, q_h, cut) and shared by every output time
     cfg = SolverConfig(times=(0.5, 2.0), q_h=16, eps_tail=1e-9)
-    for t, (nodes, weights) in zip(cfg.times, transport._h_rules(B, cfg.times, cfg)):
+    table, weights = transport._h_rules(B, cfg.times, cfg)
+    for t, nodes in zip(cfg.times, table):
         rule = h_quadrature(B, t, 16, 1e-9)
         assert rule.tail_mass == 0.0
         np.testing.assert_array_equal(nodes, rule.nodes)
