@@ -35,3 +35,14 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *_PUBLIC})
+
+
+def _command():
+    """The installed ``fractrans`` script: ``fractrans.cli`` run as a
+    program, as ``python -m fractrans.cli`` runs it, so that its imports
+    run with the collector paused until ``cli.main`` freezes what they
+    made.  Importing ``fractrans.cli`` would end the pause at the end of
+    the module, and the next collection would walk all of it."""
+    import runpy
+
+    runpy.run_module("fractrans.cli", run_name="__main__", alter_sys=True)

@@ -21,18 +21,34 @@ and ``transport``, and a ``nonlinear`` solve adds ``picard`` and
 module ``__getattr__`` binds the names ``solve`` reads from each of
 those modules on first use (``_SOLVE_NAMES``), so that
 ``perfbench/tracer.py`` can still wrap ``cli.solve_linear``,
-``cli.path_to_csv`` and their siblings by name.  ``main`` freezes the
-objects made at start-up out of the garbage collector, so no collection
-walks them, the ones at exit included, and ``solve`` freezes once more
-after loading its modules; importing the package, or looking up a name
-on ``cli``, leaves the collector untouched.
+``cli.path_to_csv`` and their siblings by name.
+
+The first statement pauses the garbage collector, so loading numpy and
+the package runs no collection.  ``main`` freezes the objects made at
+start-up out of the collector, so no collection walks them, the ones at
+exit included, and ``solve`` freezes once more after loading its
+modules.  Run as a program (also by the installed script,
+``fractrans._command``), ``main`` ends the pause after its freeze;
+imported, the module ends it at its last line.  Either way the
+collector is left enabled only if the caller had it enabled, and
+importing the module, or looking up a name on it, leaves its thresholds
+and freeze count as they were.
+
+The arguments are ``<command> [--config FILE] [--out DIR] [--seed N]``
+(``--seed`` for ``sample`` and ``solve`` only), ``--version``, or
+``-h``/``--help`` before or after the command.  An option is given as
+``--name value`` or ``--name=value``, in any order, the last one
+winning, and spelled in full.  A usage error prints the usage and the
+error and exits 2 before any file is written.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import gc
+
+_COLLECTING = gc.isenabled()  # the caller's collector, which start-up pauses
+gc.disable()
+
 import importlib
 import inspect
 import json
@@ -279,6 +295,8 @@ def _write_jsonl(filename: str, records):
 
 
 def cmd_kernels(cfg: dict, out_dir: str) -> int:
+    import csv
+
     from .specfun import inverse_subordinator_density, mittag_leffler, subordinator_density
 
     orders = [FracOrder(b) for b in cfg["betas"]]
@@ -405,33 +423,85 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     return EXIT_OK if report["all_pass"] else EXIT_VERIFY_FAILED
 
 
+#: each command's line in ``--help``; ``main`` runs ``cmd_<command>``
+_HELP = {
+    "kernels": "tabulate the subordinator kernels and Mittag-Leffler values",
+    "sample": "Monte Carlo estimates for the internal clock",
+    "solve": "run a transport solver",
+    "verify": "run the self-verification suite",
+}
+
+#: each option: the name of its value, its default and its line in a command's help
+_OPTIONS = {
+    "config": ("FILE", None, "JSON configuration file (none: every key at its default)"),
+    "out": ("DIR", ".", "output directory (default: the current one)"),
+    "seed": ("N", None, "override the config seed"),
+}
+
+
+def _options(command: str) -> list:
+    """The options of ``command``: ``--seed`` only where a seed is read."""
+    return [name for name in _OPTIONS if name != "seed" or "seed" in _COMMANDS[command]]
+
+
+def _usage(command=None) -> str:
+    head = f"[-h] [--version] {{{','.join(_HELP)}}}" if command is None else f"{command} [-h]"
+    names = _OPTIONS if command is None else _options(command)
+    return f"usage: fractrans {head} " + " ".join(f"[--{name} {_OPTIONS[name][0]}]" for name in names)
+
+
+def _parse_argv(argv: list) -> tuple[str, dict]:
+    """The command of ``argv`` and its options (``_options``), each given
+    as ``--name value`` or ``--name=value``, in any order, the last one
+    winning, and ``seed`` an int.  Help and ``--version`` print and exit
+    0; a usage error prints the usage and the error and exits 2."""
+
+    def done(text: str, code: int = EXIT_OK, command=None):
+        if code:
+            text = f"{_usage(command)}\nfractrans: error: {text}"
+        print(text, file=sys.stderr if code else sys.stdout)
+        raise SystemExit(code)
+
+    command = argv[0] if argv else None
+    if command == "--version":
+        done(f"fractrans {__version__}")
+    if command in ("-h", "--help"):
+        done("\n".join([_usage(), "", "Fractional-in-time measure transport: kernels, samplers, solvers.", ""]
+                       + [f"  {name:8} {text}" for name, text in _HELP.items()]))
+    if command not in _COMMANDS:
+        done(f"unknown command {command!r}" if command else "a command is required", EXIT_CONFIG)
+    opts = {name: _OPTIONS[name][1] for name in _options(command)}
+    args = iter(argv[1:])
+    for arg in args:
+        if arg in ("-h", "--help"):
+            done("\n".join([_usage(command), "", _HELP[command], ""]
+                           + [f"  {'--' + name + ' ' + _OPTIONS[name][0]:14} {_OPTIONS[name][2]}" for name in opts]))
+        name, given, value = arg.partition("=")
+        if name[:2] != "--" or name[2:] not in opts:
+            done(f"unrecognized argument {arg!r}", EXIT_CONFIG, command)
+        if not given:
+            value = next(args, "-")
+            if value.startswith("-") and not value[1:].isdigit():  # a negative seed is a value
+                done(f"argument {name} expects a value", EXIT_CONFIG, command)
+        opts[name[2:]] = value
+    if opts.get("seed") is not None:
+        try:
+            opts["seed"] = int(opts["seed"])
+        except ValueError:
+            done(f"argument --seed must be an integer, got {opts['seed']!r}", EXIT_CONFIG, command)
+    return command, opts
+
+
 def main(argv=None) -> int:
     gc.freeze()  # what start-up made lives until exit: no collection, shutdown's included, should walk it
-    parser = argparse.ArgumentParser(
-        prog="fractrans",
-        description="Fractional-in-time measure transport: kernels, samplers, solvers.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, helptext in (
-        ("kernels", cmd_kernels, "tabulate the subordinator kernels and Mittag-Leffler values"),
-        ("sample", cmd_sample, "Monte Carlo estimates for the internal clock"),
-        ("solve", cmd_solve, "run a transport solver"),
-        ("verify", cmd_verify, "run the self-verification suite"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.set_defaults(handler=handler)
-        p.add_argument("--config", help="JSON configuration file")
-        if "seed" in _COMMANDS[name]:
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=".", help="output directory")
-
-    args = parser.parse_args(argv)
+    if __name__ == "__main__" and _COLLECTING:
+        gc.enable()  # run as a program, the start-up pause ends here
+    command, opts = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg = _read(_load_config(args.config) if args.config else {}, _COMMANDS[args.command], "config")
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
-        return args.handler(cfg, args.out)
+        cfg = _read(_load_config(opts["config"]) if opts["config"] else {}, _COMMANDS[command], "config")
+        if opts.get("seed") is not None:
+            cfg["seed"] = opts["seed"]
+        return globals()[f"cmd_{command}"](cfg, opts["out"])
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -441,4 +511,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # main ends the start-up pause after its freeze
+elif _COLLECTING:
+    gc.enable()  # imported: start-up is over, so the caller's collector runs again

@@ -9,7 +9,6 @@ measures, which no solve reads, are in ``distances``.
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -141,9 +140,10 @@ def path_to_csv(path: MeasurePath, filename: str):
     """Columns: t, particle_id, x_1..x_d, weight; one row per particle.
 
     Each float is written as its ``repr`` (shortest exact round trip), the
-    rows as ``csv.writer`` writes them.  Each ``_CSV_CHUNK_ROWS`` rows are
-    one ``"".join`` of cells that carry their own separators: ``"t,id,"``
-    per row, ``","`` after a coordinate, ``"\\r\\n"`` after the weight.
+    header and rows as ``csv.writer`` writes them: no cell needs quoting.
+    Each ``_CSV_CHUNK_ROWS`` rows are one ``"".join`` of cells that carry
+    their own separators: ``"t,id,"`` per row, ``","`` after a coordinate,
+    ``"\\r\\n"`` after the weight.
     In a chunk each distinct bit pattern of the coordinates, and of the
     weights, is formatted once and its string reused, so the bytes are the
     same as formatting every cell; ``-0.0`` and ``0.0`` differ in bits.
@@ -151,7 +151,7 @@ def path_to_csv(path: MeasurePath, filename: str):
     d = path.dim
 
     def write(handle):
-        csv.writer(handle).writerow(["t", "particle_id"] + [f"x_{k + 1}" for k in range(d)] + ["weight"])
+        handle.write(",".join(["t", "particle_id", *(f"x_{k + 1}" for k in range(d)), "weight"]) + "\r\n")
         for t, mu in zip(path.times.tolist(), path.measures):
             prefix = repr(t) + ",%d,\n"
             for a in range(0, mu.size, _CSV_CHUNK_ROWS):
@@ -171,6 +171,8 @@ def path_to_csv(path: MeasurePath, filename: str):
 def path_from_csv(filename: str) -> MeasurePath:
     """Read a ``path_to_csv`` file; ValueError on an empty file, a header
     it does not write, no rows, or a row without one field per column."""
+    import csv
+
     with open(filename, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)

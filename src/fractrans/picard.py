@@ -127,8 +127,8 @@ def _segment_masses(g_rule, grid: np.ndarray, stage_times: list):
     nondecreasing, >= 0) looked up on ``grid`` (``_GRule.lookups``,
     right-continuous, frozen at the end) as (cells, weights): the grid index
     and the weight of each node of nonzero weight, in node order, so at
-    most q_g entries.  ``_path_average`` sums a cell's weights in node
-    order (a bincount), bitwise the bincount of the rule on its own.  A
+    most q_g entries.  ``_path_average`` sums each distinct cell's weights
+    in node order, bitwise the bincount of the rule on its own.  A
     stage whose cells and weights equal the stage before's shares its row,
     so ``index`` is a nondecreasing intp array.
     """
@@ -146,11 +146,15 @@ def _path_average(mu0: EmpiricalMeasure, points: np.ndarray, weights: np.ndarray
     summed masses of the cells j: the atoms of the hit measures in grid
     order, atom i of measure j with weight m_j w_i.  Atoms whose weight is
     0 (an underflowing product) are dropped."""
-    m = np.bincount(cells, masses)
-    hit = np.flatnonzero(m[1:])
+    # each distinct cell's masses added in node order, as np.bincount(cells,
+    # masses) adds them, in O(q_g log q_g) where that bincount is O(grid)
+    cells, inverse = np.unique(cells, return_inverse=True)
+    m = np.bincount(inverse, masses)
+    start = int(cells[0] == 0)  # cell 0 is mu0
+    hit = cells[start:] - 1
     pts = points[hit].reshape(-1, mu0.dim)
-    wts = (m[1:][hit, None] * weights[hit]).ravel()
-    if m[0]:
+    wts = (m[start:, None] * weights[hit]).ravel()
+    if start:
         pts, wts = np.concatenate([mu0.points, pts]), np.concatenate([m[0] * mu0.weights, wts])
     keep = wts > 0.0
     return pts[keep], wts[keep]

@@ -702,6 +702,60 @@ def test_seed_flag_only_where_a_seed_is_read(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+def test_options_take_either_form_in_any_order_and_the_last_wins(tmp_path):
+    cfg = _linear_config(tmp_path)
+    out, other = tmp_path / "o", tmp_path / "other"
+    argv = ["solve", "--seed=4", f"--out={other}", f"--config={cfg}", "--out", str(out), "--seed", "11"]
+    assert main(argv) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 11
+    assert not other.exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sample", "-h"], ["solve", "--help"],
+                                  ["kernels", "--out", "o", "-h"], ["verify", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: fractrans ")
+    if len(argv) == 1:
+        assert all(command in out for command in _COMMANDS)
+    else:
+        assert out.startswith(f"usage: fractrans {argv[0]} [-h] [--config FILE] [--out DIR]")
+        assert ("--seed N" in out) == ("seed" in _COMMANDS[argv[0]])
+
+
+def test_version_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out == f"fractrans {cli.__version__}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "a command is required"),
+    (["bogus", "--out", "OUT"], "unknown command 'bogus'"),
+    (["sample", "--bogus", "1", "--out", "OUT"], "unrecognized argument '--bogus'"),
+    (["sample", "--conf", "c.json", "--out", "OUT"], "unrecognized argument '--conf'"),  # no abbreviations
+    (["sample", "c.json", "--out", "OUT"], "unrecognized argument 'c.json'"),
+    (["sample", "--seed", "x", "--out", "OUT"], "--seed must be an integer, got 'x'"),
+    (["solve", "--seed=", "--out", "OUT"], "--seed must be an integer, got ''"),
+    (["solve", "--config", "--out", "OUT"], "argument --config expects a value"),
+    (["solve", "--out"], "argument --out expects a value"),
+], ids=["no-command", "unknown-command", "unknown-option", "abbreviation", "positional", "seed-x",
+        "empty-seed", "config-without-value", "out-without-value"])
+def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([str(out) if arg == "OUT" else arg for arg in argv])
+    assert exc.value.code == EXIT_CONFIG
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: fractrans ")
+    assert error.startswith("fractrans: error: ") and message in error
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("problem, extra", [
     ("linear", {}),
     ("source", {"source": {"kind": "dirac", "point": [0.5]}}),

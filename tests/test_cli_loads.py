@@ -9,7 +9,8 @@ names on first access.  ``import fractrans.cli``, ``--version``,
 solve does not need, and with it ``specfun``.  No command imports
 ``dataclasses``: the package's records are plain classes, so none is
 built at start-up.  Nor does any command import ``numpy.random``: the
-clock draws its uniforms from the standard library's ``random``.
+clock draws its uniforms from the standard library's ``random``.  No
+command imports ``argparse``, and only ``kernels`` imports ``csv``.
 ``cli`` binds the names it reads from those modules on first use,
 through its module ``__getattr__``.
 The names stay attributes of ``cli``: ``perfbench/tracer.py`` wraps
@@ -107,7 +108,8 @@ elif not step.startswith("import"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([step, "--config", f"{out}/cfg.json", "--out", out]) == 0
 print(json.dumps([sorted(name for name in sys.modules if name.split(".")[0] == "fractrans"),
-                  "dataclasses" in sys.modules, "numpy.random" in sys.modules]))
+                  "dataclasses" in sys.modules, "numpy.random" in sys.modules,
+                  [name for name in ("argparse", "csv") if name in sys.modules]]))
 """
 
 _START = ["fractrans", "fractrans.atomic", "fractrans.cli", "fractrans.errors", "fractrans.subordinator"]
@@ -138,10 +140,13 @@ _STEPS = [
 def test_fresh_process_loads_exactly(tmp_path, step, cfg, expected):
     proc = _run(_FRESH, str(tmp_path), step, json.dumps(cfg))
     assert proc.returncode == 0, proc.stderr
-    modules, dataclasses_loaded, numpy_random_loaded = json.loads(proc.stdout)
+    modules, dataclasses_loaded, numpy_random_loaded, parsers = json.loads(proc.stdout)
     assert modules == expected
     assert not dataclasses_loaded
     assert not numpy_random_loaded
+    # argv is read without argparse, and csv is loaded only by kernels,
+    # which writes its tables with csv.writer, and by reading a measure file
+    assert parsers == (["csv"] if step == "kernels" else [])
 
 
 _LAZY_PACKAGE = """

@@ -244,6 +244,48 @@ def _row_masses(row, size):
     return masses
 
 
+def _bincount_path_average(mu0, points, weights, cells, masses):
+    """The path average with a row's masses summed by ``np.bincount(cells,
+    masses)``, an array as long as the largest hit cell: the reference
+    ``_path_average`` keeps bit for bit."""
+    m = np.bincount(cells, masses)
+    hit = np.flatnonzero(m[1:])
+    pts = points[hit].reshape(-1, mu0.dim)
+    wts = (m[1:][hit, None] * weights[hit]).ravel()
+    if m[0]:
+        pts, wts = np.concatenate([mu0.points, pts]), np.concatenate([m[0] * mu0.weights, wts])
+    keep = wts > 0.0
+    return pts[keep], wts[keep]
+
+
+def test_path_average_sums_each_cell_as_a_bincount_does():
+    # the masses of a repeated cell are added in node order, so each sum is
+    # the bincount's to the bit, also for more than 8 masses in one cell
+    # (where a pairwise sum would group them otherwise) and far past the
+    # start of a long grid
+    rng = np.random.default_rng(11)
+    size = 30_005
+    mu0 = EmpiricalMeasure(points=rng.normal(size=(3, 2)), weights=rng.uniform(0.1, 1.0, size=3))
+    points, weights = rng.normal(size=(size - 1, 3, 2)), rng.uniform(0.1, 1.0, size=(size - 1, 3))
+    rows = [
+        [0, 0, 0, 5, 5, 30_001],
+        [2] * 11 + [7],
+        [30_003, 30_003, 30_004],
+        [7, 2, 7, 0, 2],  # unsorted: the sums still follow node order
+        [0],
+    ]
+    for cells in map(np.array, rows):
+        masses = rng.uniform(size=cells.size) * 10.0 ** rng.integers(-8, 1, size=cells.size)
+        got = _path_average(mu0, points, weights, cells, masses)
+        want = _bincount_path_average(mu0, points, weights, cells, masses)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), cells
+        if cells.size == 12:
+            # numpy's pairwise sum of cell 2's 11 masses is another number,
+            # so this row tells the two orders apart
+            assert np.sum(masses[:11]) != np.bincount(cells, masses)[2]
+
+
 @pytest.mark.parametrize("beta", [0.5, 0.7, 1.0])
 def test_segment_mass_rows_equal_per_rule_masses(beta):
     # rows of lookup cells and weights, equal neighbours merged, give at
